@@ -286,12 +286,7 @@ class LogArchiver:
     def _emit_copy(self, batch: list[LogRecord], begin: int, end: int, now: float) -> float:
         blob = b"".join(r.encode() for r in batch)
         path = os.path.join(self.directory.dir_path, f"archive_{begin}_{end}.copy")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        failpoints.publish(path, [blob])
         return self.directory.device.charge_write(len(blob), now)
 
     def maintenance_due(self) -> bool:

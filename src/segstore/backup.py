@@ -1,18 +1,19 @@
-"""Full backups with direct per-segment access.
+"""Full backups: a copy of the volume file plus a trailer.
 
-A backup image is the volume format with a different header:
+A backup image is the volume file byte for byte - the SGRV1 header and
+the raw page images - followed by a 13-byte trailer:
 
-    magic "SGBK1" | u64 min_lsn | u32 page_size | u64 page_count |
-    u32 pages_per_segment
+    magic "SGBK1" | u64 min_lsn
 
-followed by raw page images, named backup_<min_lsn>.img.  min_lsn is the
-replay start point: every update with lsn >= min_lsn is missing from the
-image, everything below is in it.  Segments are fetched straight out of
-the file with one contiguous read each, so restore never stages the whole
-backup anywhere.
+little-endian, named backup_<min_lsn>.img.  min_lsn is the replay start
+point: every update with lsn >= min_lsn is missing from the image,
+everything below is in it.  Since pages sit where the volume format puts
+them, a BackupImage is a Volume on the backup device, and restore reads
+segments straight out of the file with one contiguous read each; it never
+stages the whole backup anywhere.
 
 Backups are taken at a quiescent point (the harness pauses the workload
-and flushes dirty pages first) and published via shadow file + rename.
+and flushes dirty pages first) and published with failpoints.publish.
 """
 
 import os
@@ -22,30 +23,33 @@ from . import failpoints
 from .device import Device, DeviceRole, LatencyModel
 from .errors import StorageError
 from .pages import Page
-from .volume import Geometry, Volume
+from .volume import HEADER_SIZE, Geometry, Volume
 from .wal import WriteAheadLog
 
 MAGIC = b"SGBK1"
-_HEADER = struct.Struct("<5sQIQI")
-HEADER_SIZE = _HEADER.size
+_TRAILER = struct.Struct("<5sQ")
 
 
 def backup_name(min_lsn: int) -> str:
     return f"backup_{min_lsn}.img"
 
 
-class BackupImage:
+class BackupImage(Volume):
     def __init__(self, path: str, latency: LatencyModel = LatencyModel()):
+        device = Device(DeviceRole.BACKUP, path, latency)
+        try:
+            header, _ = device.read(0, HEADER_SIZE)
+            super().__init__(device, Geometry.from_header(header))
+            trailer, _ = device.read(self.geometry.page_offset(self.geometry.page_count),
+                                     _TRAILER.size)
+            magic, self.min_lsn = _TRAILER.unpack(trailer)
+            if magic != MAGIC:
+                raise StorageError(f"bad backup magic {magic!r}")
+        except StorageError:
+            device.close()
+            raise
         self.path = path
-        self.device = Device(DeviceRole.BACKUP, path, latency)
-        header, _ = self.device.read(0, HEADER_SIZE)
-        magic, self.min_lsn, page_size, page_count, pps = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise StorageError(f"bad backup magic {magic!r}")
-        self.geometry = Geometry(page_size, page_count, pps)
-        self.device.reads = 0
-        self.device.bytes_read = 0
-        self.device._busy_until = 0.0
+        device.reset_accounting()
 
     @classmethod
     def create(cls, dir_path: str, volume: Volume, wal: WriteAheadLog,
@@ -56,28 +60,23 @@ class BackupImage:
         min_lsn = wal.durable_lsn()
         if min_lsn != wal.end_lsn():
             raise StorageError("backup requires a fully flushed WAL")
-        path = os.path.join(dir_path, backup_name(min_lsn))
-        tmp = path + ".tmp"
         t = now
-        try:
-            with open(tmp, "wb") as f:
-                f.write(_HEADER.pack(MAGIC, min_lsn, geo.page_size,
-                                     geo.page_count, geo.pages_per_segment))
-                for seg in range(geo.segment_count):
-                    first, end = geo.segment_span(seg)
-                    nbytes = (end - first) * geo.page_size
-                    data, t = volume.device.read(geo.page_offset(first), nbytes, t)
-                    f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
-            failpoints.hit("backup:pre_rename")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+
+        def chunks():
+            # One raw device read per segment, streamed to the shadow file.
+            nonlocal t
+            yield geo.header_bytes()
+            for seg in range(geo.segment_count):
+                first, end = geo.segment_span(seg)
+                data, t = volume.device.read(geo.page_offset(first),
+                                             (end - first) * geo.page_size, t)
+                yield data
+            yield _TRAILER.pack(MAGIC, min_lsn)
+
+        path = os.path.join(dir_path, backup_name(min_lsn))
+        failpoints.publish(path, chunks(), "backup:pre_rename")
         image = cls(path, latency)
-        # Creation wrote through the volume device, not this one; charge
+        # Creation read through the volume device, not this one; charge
         # the backup device once for the whole image write.
         t = image.device.charge_write(geo.page_count * geo.page_size, t)
         return image, t
@@ -97,24 +96,8 @@ class BackupImage:
             raise StorageError(f"no backup image in {dir_path}")
         return cls(os.path.join(dir_path, best[1]), latency)
 
-    def _page_offset(self, page_id: int) -> int:
-        return HEADER_SIZE + page_id * self.geometry.page_size
-
-    def fetch_segment(self, segment_id: int, now: float = 0.0) -> tuple[list[Page], float]:
-        first, end = self.geometry.segment_span(segment_id)
-        return self.fetch_page_span(first, end, now)
-
+    # Kept in this class body rather than inherited: restore calls it, the
+    # benchmark's tracer patches BackupImage.__dict__["fetch_page_span"]
+    # by name, and tests inject transfer faults through it.
     def fetch_page_span(self, first: int, end: int, now: float = 0.0) -> tuple[list[Page], float]:
-        """Contiguous pages [first, end) in one transfer; batched segment
-        restores use this to amortize the fixed device delay."""
-        ps = self.geometry.page_size
-        data, t = self.device.read(self._page_offset(first), (end - first) * ps, now)
-        pages = [Page.from_bytes(data[i * ps:(i + 1) * ps]) for i in range(end - first)]
-        return pages, t
-
-    def fetch_page(self, page_id: int, now: float = 0.0) -> tuple[Page, float]:
-        pages, t = self.fetch_page_span(page_id, page_id + 1, now)
-        return pages[0], t
-
-    def close(self) -> None:
-        self.device.close()
+        return self.read_page_span(first, end, now)

@@ -20,12 +20,12 @@ import os
 import shutil
 import statistics
 import tempfile
+import time
 from dataclasses import replace
 
 from .archive import ArchiveDirectory, LogArchiver
 from .backup import BackupImage
 from .bufferpool import Blocked, BufferPool
-from .clock import WallClock
 from .device import DeviceRole, LatencyModel
 from .errors import StorageError
 from .metrics import MetricsReport, emit_csv
@@ -36,6 +36,22 @@ from .wal import WriteAheadLog
 from .workload import WorkloadConfig, WorkerStream
 
 _US = 1_000_000.0
+
+
+class WallClock:
+    """Real time, scaled: one simulated microsecond takes 1/scale real us."""
+
+    def __init__(self, scale: float = 1.0):
+        self.scale = scale
+        self._origin = time.monotonic()
+
+    def now(self) -> float:
+        return (time.monotonic() - self._origin) * 1e6 * self.scale
+
+    def sleep_until(self, t_us: float) -> None:
+        delta = (t_us - self.now()) / (1e6 * self.scale)
+        if delta > 0:
+            time.sleep(delta)
 
 
 class _Worker:
@@ -118,7 +134,7 @@ class BenchEngine:
                 while True:
                     out = self.pool.try_fix_page(page_id, "exclusive", now=w.clock)
                     if isinstance(out, Blocked):
-                        resume = yield ("blocked", out.handle)
+                        resume = yield out.handle
                         io_wait += max(0.0, resume - w.clock)
                         w.clock = max(w.clock, resume)
                         continue
@@ -143,41 +159,24 @@ class BenchEngine:
                                    w.clock, latency, self._post_failure)
             w.txns_total += 1
             w.txns_phase += 1
-            yield ("txn_done",)
+            yield None
 
     # -- actor scheduling -------------------------------------------------------
 
-    def _archiver_runnable(self) -> bool:
-        behind = max(self.archiver.consumed_lsn, 1) < self.wal.durable_lsn()
-        return behind or self.archiver.maintenance_due()
-
-    def _archiver_step(self) -> None:
-        now = max(self._arch_clock, self._arch_next, self.wal.last_append_at)
+    def _archiver_step(self, now: float) -> None:
         _, t = self.archiver.archive_step(self.config.archiver_budget, now)
         if self.archiver.maintenance_due():
             t = self.archiver.run_maintenance(t)
         self._arch_clock = t
         self._arch_next = t + self.config.archiver_interval_us
 
-    def _cleaner_ready(self) -> float | None:
-        if self.config.cleaner_interval_us <= 0 or self.pool.dirty_count() == 0:
-            return None
-        return max(self._cleaner_clock, self._cleaner_next)
-
-    def _cleaner_step(self, ready: float) -> None:
-        _, t = self.pool.flush_some(self.config.cleaner_batch, ready)
+    def _cleaner_step(self, now: float) -> None:
+        _, t = self.pool.flush_some(self.config.cleaner_batch, now)
         self._cleaner_clock = t
         self._cleaner_next = t + self.config.cleaner_interval_us
 
-    def _scheduler_ready(self) -> float | None:
-        if self.manager is None or not self.manager.has_pending_work():
-            return None
-        head = self.manager.next_queue_time()
-        base = self._sched_clock
-        return max(base, head) if head is not None else base
-
-    def _scheduler_step(self, ready: float) -> None:
-        worked, t = self.manager.step(ready)
+    def _scheduler_step(self, now: float) -> None:
+        worked, t = self.manager.step(now)
         if worked:
             self._sched_clock = t
 
@@ -188,54 +187,42 @@ class BenchEngine:
                 if handle.error is not None:
                     raise StorageError(f"worker {w.worker_id} saw restore failure: "
                                        f"{handle.error}")
-                w.parked_on = None
-                resume = max(w.clock, handle.done_at or w.clock)
-                out = w.gen.send(resume)
-                self._dispatch(w, out)
-
-    def _dispatch(self, w: _Worker, out) -> None:
-        if out[0] == "blocked":
-            w.parked_on = out[1]
-
-    def _worker_step(self, w: _Worker) -> None:
-        out = next(w.gen)
-        self._dispatch(w, out)
+                w.parked_on = w.gen.send(max(w.clock, handle.done_at or w.clock))
 
     def _run_phase(self, worker_active) -> None:
         """Advance actors until every worker has either left the phase (per
         the predicate) or finished; the archiver and scheduler interleave by
-        virtual time while any worker still has business here."""
+        virtual time while any worker still has business here.
+
+        Each actor offers (ready time, rank, actor).  A worker's rank is its
+        id; the services rank -3 (cleaner), -2 (scheduler) and -1
+        (archiver), so at equal times services go first, in that order."""
         while True:
             self._unpark()
-            runnable = [w for w in self.workers
-                        if w.parked_on is None and not w.done and worker_active(w)]
-            parked = [w for w in self.workers if w.parked_on is not None]
-            if not runnable and not parked:
+            actors = [(w.clock, w.worker_id, w) for w in self.workers
+                      if w.parked_on is None and not w.done and worker_active(w)]
+            if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
-            candidates = [(w.clock, 1, w.worker_id, "worker", w) for w in runnable]
-            if self._archiver_runnable():
-                now = max(self._arch_clock, self._arch_next, self.wal.last_append_at)
-                candidates.append((now, 0, -1, "archiver", None))
-            ready = self._scheduler_ready()
-            if ready is not None:
-                candidates.append((ready, 0, -2, "scheduler", ready))
-            cleaner = self._cleaner_ready()
-            if cleaner is not None and (runnable or parked):
-                candidates.append((cleaner, 0, -3, "cleaner", cleaner))
-            if not candidates:
+            if (max(self.archiver.consumed_lsn, 1) < self.wal.durable_lsn()
+                    or self.archiver.maintenance_due()):
+                actors.append((max(self._arch_clock, self._arch_next,
+                                   self.wal.last_append_at), -1, self._archiver_step))
+            if self.manager is not None and self.manager.has_pending_work():
+                head = self.manager.next_queue_time()
+                ready = self._sched_clock if head is None else max(self._sched_clock, head)
+                actors.append((ready, -2, self._scheduler_step))
+            if self.config.cleaner_interval_us > 0 and self.pool.dirty_count():
+                actors.append((max(self._cleaner_clock, self._cleaner_next), -3,
+                               self._cleaner_step))
+            if not actors:
                 raise StorageError("workers parked with no restore work pending")
-            candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-            t, _, _, kind, payload = candidates[0]
+            t, rank, actor = min(actors, key=lambda a: (a[0], a[1]))
             if self.pacer is not None:
                 self.pacer.sleep_until(t)
-            if kind == "worker":
-                self._worker_step(payload)
-            elif kind == "archiver":
-                self._archiver_step()
-            elif kind == "cleaner":
-                self._cleaner_step(payload)
+            if rank >= 0:
+                actor.parked_on = next(actor.gen)
             else:
-                self._scheduler_step(payload)
+                actor(t)
 
     # -- failure injection ---------------------------------------------------------
 
@@ -353,11 +340,10 @@ def oracle_volume_bytes(backup: BackupImage, wal: WriteAheadLog) -> bytes:
     whole log in LSN order from the backup's min_lsn.  Returns the full
     volume image those semantics produce.  Kept deliberately independent
     of the probe/merge/replay restore path."""
-    from .backup import HEADER_SIZE as BK_HEADER
     geo = backup.geometry
     pages = {}
     with open(backup.path, "rb") as f:
-        f.seek(BK_HEADER)
+        f.seek(geo.page_offset(0))
         for pid in range(geo.page_count):
             pages[pid] = Page.from_bytes(f.read(geo.page_size))
     for rec in wal.scan(0):

@@ -76,6 +76,12 @@ class Device:
             raise StorageError("device already failed")
         self.failed = True
 
+    def reset_accounting(self) -> None:
+        """Forget every transfer so far: set-up cost is not workload cost."""
+        self.reads = self.writes = 0
+        self.bytes_read = self.bytes_written = 0
+        self._busy_until = 0.0
+
     def _admit(self, nbytes: int, now: float) -> float:
         """Reserve the device for one transfer; returns completion time."""
         cost = self.latency.cost_us(nbytes)

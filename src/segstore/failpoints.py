@@ -1,11 +1,16 @@
-"""Named failure-injection points.
+"""Named failure-injection points, and the shadow-file publish they guard.
 
 Crash-sensitive code paths call ``hit("some:point")`` at the interesting
 spots (between writing a shadow file and renaming it, for instance).  By
 default a hit is free.  Tests arm a point to raise, usually CrashInjected,
 for a limited number of hits.
+
+``publish`` is the one way a file enters the store: run files, backup
+images and copy-mode archive files are all written to a ``.tmp`` shadow,
+fsynced and renamed into place, so a reader sees the whole file or none.
 """
 
+import os
 import threading
 
 from .errors import CrashInjected
@@ -39,3 +44,23 @@ def hit(name: str) -> None:
             del _armed[name]
         exc = entry[0]
     raise exc(f"failpoint {name}")
+
+
+def publish(path: str, chunks, point: str | None = None) -> None:
+    """Write the byte chunks to path + ".tmp", fsync it, hit the failpoint
+    (if named) and rename the shadow onto path.  On any error the shadow
+    file is removed and nothing is published."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        if point is not None:
+            hit(point)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -212,11 +212,6 @@ class RestoreContext:
     batch_cap: int = 64
     max_attempts: int = 3
     buffer_pool: object = None
-    clock: object = None
-
-    @property
-    def segment_pages(self) -> int:
-        return self.replacement.geometry.pages_per_segment
 
     def validate(self) -> None:
         if self.backup.geometry != self.replacement.geometry:
@@ -257,7 +252,7 @@ def single_page_repair(wal: WriteAheadLog, backup: BackupImage, page_id: int,
     Only usable while the page's history since the backup is still in the
     log: a chain that crosses the truncation point raises BrokenChainError.
     """
-    page, t = backup.fetch_page(page_id, now)
+    page, t = backup.read_page(page_id, now)
     head = wal.head_lsn(page_id)
     chain = []
     for rec in wal.page_chain(page_id, head if head != NULL_LSN else None):
@@ -385,7 +380,7 @@ class RestoreManager:
 
     def start(self) -> None:
         """Dedicated scheduler thread; stops when restore completes or on
-        stop().  Uses the context clock for timestamps if present."""
+        stop()."""
         if self._thread is not None:
             return
         self._stopped.clear()
@@ -402,17 +397,12 @@ class RestoreManager:
             self._thread = None
 
     def _thread_main(self) -> None:
-        clock = self.context.clock
         while not self._stopped.is_set() and not self.bitmap.complete:
-            now = clock.now() if clock is not None else 0.0
             try:
-                worked, t = self.step(now)
+                worked, _ = self.step()
             except StorageError:
                 continue  # failure already recorded against the segments
-            if worked:
-                if clock is not None:
-                    clock.sleep_until(t)
-            else:
+            if not worked:
                 with self._work:
                     if not self._queue and not self._stopped.is_set():
                         self._work.wait(0.01)

@@ -13,8 +13,8 @@ One run holds the log records of a contiguous LSN interval, re-sorted by
              file before this field
 
 A run is one self-describing file named archive_<begin>_<end>.run and is
-published with a shadow file plus atomic rename; anything still carrying
-the .tmp suffix is garbage to be ignored.
+published with failpoints.publish (shadow file plus atomic rename);
+anything still carrying the .tmp suffix is garbage to be ignored.
 """
 
 import os
@@ -56,11 +56,9 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records,
     """Write and atomically publish one run; records must arrive sorted
     by (page_id, lsn) with every lsn inside [begin_lsn, end_lsn).
 
-    Returns the published path.  On error the shadow file is removed and
-    nothing is published.
+    Returns the published path.  On error nothing is published.
     """
     path = os.path.join(dir_path, run_name(begin_lsn, end_lsn))
-    tmp = path + ".tmp"
     blocks = bytearray()
     index = []
     pages_seen = set()
@@ -77,52 +75,41 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records,
         block = bytearray()
         block_first_page = None
 
-    try:
-        for rec in records:
-            key = (rec.page_id, rec.lsn)
-            if last_key is not None and key < last_key:
-                raise ArchiveError(f"records out of order at {key}")
-            last_key = key
-            if not begin_lsn <= rec.lsn < end_lsn:
-                raise ArchiveError(f"lsn {rec.lsn} outside run range [{begin_lsn}, {end_lsn})")
-            encoded = rec.encode()
-            if len(encoded) + 4 > block_size:
-                raise ArchiveError(f"record of {len(encoded)} bytes exceeds block size")
-            if block and len(block) + len(encoded) > block_size:
-                seal_block()
-            if not block:
-                block_first_page = rec.page_id
-            block += encoded
-            pages_seen.add(rec.page_id)
-            count += 1
-        if block:
+    for rec in records:
+        key = (rec.page_id, rec.lsn)
+        if last_key is not None and key < last_key:
+            raise ArchiveError(f"records out of order at {key}")
+        last_key = key
+        if not begin_lsn <= rec.lsn < end_lsn:
+            raise ArchiveError(f"lsn {rec.lsn} outside run range [{begin_lsn}, {end_lsn})")
+        encoded = rec.encode()
+        if len(encoded) + 4 > block_size:
+            raise ArchiveError(f"record of {len(encoded)} bytes exceeds block size")
+        if block and len(block) + len(encoded) > block_size:
             seal_block()
+        if not block:
+            block_first_page = rec.page_id
+        block += encoded
+        pages_seen.add(rec.page_id)
+        count += 1
+    if block:
+        seal_block()
 
-        bloom = BloomFilter.sized_for(len(pages_seen))
-        for pid in pages_seen:
-            bloom.add(pid)
+    bloom = BloomFilter.sized_for(len(pages_seen))
+    for pid in pages_seen:
+        bloom.add(pid)
 
-        index_offset = _HEADER.size + len(blocks)
-        bloom_offset = index_offset + len(index) * _INDEX_ENTRY.size
-        body = bytearray()
-        body += _HEADER.pack(MAGIC, begin_lsn, end_lsn, count, block_size)
-        body += blocks
-        for first_page, off in index:
-            body += _INDEX_ENTRY.pack(first_page, off)
-        body += bloom.to_bytes()
-        body += _FOOTER.pack(index_offset, bloom_offset, 0)[:-4]
-        body += struct.pack("<I", zlib.crc32(bytes(body)))
-
-        with open(tmp, "wb") as f:
-            f.write(body)
-            f.flush()
-            os.fsync(f.fileno())
-        failpoints.hit("run:pre_rename")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    index_offset = _HEADER.size + len(blocks)
+    bloom_offset = index_offset + len(index) * _INDEX_ENTRY.size
+    body = bytearray()
+    body += _HEADER.pack(MAGIC, begin_lsn, end_lsn, count, block_size)
+    body += blocks
+    for first_page, off in index:
+        body += _INDEX_ENTRY.pack(first_page, off)
+    body += bloom.to_bytes()
+    body += _FOOTER.pack(index_offset, bloom_offset, 0)[:-4]
+    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    failpoints.publish(path, [body], "run:pre_rename")
     return path
 
 
@@ -166,10 +153,6 @@ class RunReader:
         if len(data) != nbytes:
             raise CorruptRunError(self.name, "short read")
         return data
-
-    @property
-    def min_page_id(self) -> int | None:
-        return self.index[0][0] if self.index else None
 
     def block_span(self, first_page: int, last_page: int) -> tuple[int, int]:
         """Byte range [start, end) of the blocks that may hold records for

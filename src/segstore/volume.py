@@ -71,10 +71,7 @@ class Volume:
                 for pid in range(first, min(first + span, geometry.page_count))
             )
             device.write(geometry.page_offset(first), chunk)
-        # Creation cost is setup, not measured workload: reset accounting.
-        device.writes = 0
-        device.bytes_written = 0
-        device._busy_until = 0.0
+        device.reset_accounting()
         return cls(device, geometry)
 
     @classmethod
@@ -82,11 +79,8 @@ class Volume:
              latency: LatencyModel = LatencyModel()) -> "Volume":
         device = Device(role, path, latency)
         header, _ = device.read(0, HEADER_SIZE)
-        vol = cls(device, Geometry.from_header(header))
-        device.reads = 0
-        device.bytes_read = 0
-        device._busy_until = 0.0
-        return vol
+        device.reset_accounting()
+        return cls(device, Geometry.from_header(header))
 
     def _check_page(self, page_id: int) -> None:
         if not 0 <= page_id < self.geometry.page_count:

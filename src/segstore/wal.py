@@ -102,9 +102,7 @@ class WriteAheadLog:
         if existing:
             data, _ = self.device.read(0, existing)
             self._load(data)
-            self.device.reads = 0
-            self.device.bytes_read = 0
-            self.device._busy_until = 0.0
+            self.device.reset_accounting()
 
     def _load(self, data: bytes) -> None:
         off = 0

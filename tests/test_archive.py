@@ -253,3 +253,21 @@ def test_copy_mode_tracks_progress_without_runs(workdir):
     assert directory.run_count == 0  # .copy files never join the manifest
     assert any(n.endswith(".copy") for n in os.listdir(directory.dir_path))
     assert ArchiveDirectory.load(directory.dir_path).run_count == 0
+
+
+def test_copy_mode_failed_write_leaves_no_shadow(workdir, monkeypatch):
+    wal, directory, archiver = build(workdir, run_size_limit=8, mode="copy")
+    random_history(wal, random.Random(3), 8, npages=6)
+
+    def broken_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(os, "fsync", broken_fsync)
+    with pytest.raises(OSError):
+        archiver.archive_step(8)
+    assert os.listdir(directory.dir_path) == []
+    assert archiver.workspace_size == 8 and archiver.archived_upto == 0
+    monkeypatch.undo()
+    archiver.archive_step(8)
+    assert archiver.workspace_size == 0 and archiver.archived_upto == wal.end_lsn()
+    assert [n for n in os.listdir(directory.dir_path) if n.endswith(".copy")]

@@ -7,6 +7,7 @@ from segstore import failpoints
 from segstore.backup import BackupImage
 from segstore.errors import CrashInjected, StorageError
 from segstore.pages import page_capacity
+from segstore.volume import Volume
 from segstore.wal import OP_SET
 
 from conftest import make_volume, make_wal, value_bytes
@@ -33,7 +34,7 @@ def test_backup_of_fresh_volume(workdir):
     wal = make_wal(workdir)
     backup, _ = BackupImage.create(workdir, vol, wal)
     assert backup.min_lsn == wal.end_lsn()
-    pages, _ = backup.fetch_segment(0)
+    pages, _ = backup.read_segment(0)
     assert all(p.records == {} and p.page_lsn == 0 for p in pages)
     assert os.path.basename(backup.path) == f"backup_{backup.min_lsn}.img"
 
@@ -51,8 +52,8 @@ def test_fetch_is_pure_and_ordered(workdir):
     rng = random.Random(4)
     vol, wal = seed_volume(workdir, rng)
     backup, _ = BackupImage.create(workdir, vol, wal)
-    a, _ = backup.fetch_segment(2)
-    b, _ = backup.fetch_segment(2)
+    a, _ = backup.read_segment(2)
+    b, _ = backup.read_segment(2)
     assert a == b
     assert [p.page_id for p in a] == list(range(16, 24))
 
@@ -62,7 +63,7 @@ def test_every_backed_up_page_below_min_lsn(workdir):
     vol, wal = seed_volume(workdir, rng, updates=400)
     backup, _ = BackupImage.create(workdir, vol, wal)
     for seg in range(vol.geometry.segment_count):
-        pages, _ = backup.fetch_segment(seg)
+        pages, _ = backup.read_segment(seg)
         assert all(p.page_lsn < backup.min_lsn for p in pages)
 
 
@@ -75,7 +76,7 @@ def test_zero_log_identity(workdir):
     repl = make_volume(workdir, page_count=32, page_size=1024,
                        pages_per_segment=8, name="repl.db")
     for seg in range(vol.geometry.segment_count):
-        pages, _ = backup.fetch_segment(seg)
+        pages, _ = backup.read_segment(seg)
         repl.write_segment(seg, pages)
     for pid in range(32):
         orig, _ = vol.read_page(pid)
@@ -102,3 +103,33 @@ def test_crash_publishes_no_partial_backup(workdir):
         BackupImage.open_latest(workdir)
     backup, _ = BackupImage.create(workdir, vol, wal)  # retry succeeds
     assert BackupImage.open_latest(workdir).min_lsn == backup.min_lsn
+
+
+def test_image_is_volume_file_plus_trailer(workdir):
+    rng = random.Random(7)
+    vol, wal = seed_volume(workdir, rng)
+    backup, _ = BackupImage.create(workdir, vol, wal)
+    with open(vol.device.path, "rb") as f:
+        volume_bytes = f.read()
+    with open(backup.path, "rb") as f:
+        image = f.read()
+    assert image[:len(volume_bytes)] == volume_bytes
+    assert image[len(volume_bytes):] == b"SGBK1" + backup.min_lsn.to_bytes(8, "little")
+    as_volume = Volume.open(backup.path)
+    assert as_volume.geometry == backup.geometry
+    as_volume.close()
+
+
+def test_rejects_plain_volume_and_cut_image(workdir):
+    vol = make_volume(workdir)
+    wal = make_wal(workdir)
+    with pytest.raises(StorageError):
+        BackupImage(vol.device.path)
+    backup, _ = BackupImage.create(workdir, vol, wal)
+    with open(backup.path, "rb") as f:
+        image = f.read()
+    cut = os.path.join(workdir, "cut.img")
+    with open(cut, "wb") as f:
+        f.write(image[:-1])
+    with pytest.raises(StorageError):
+        BackupImage(cut)

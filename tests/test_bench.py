@@ -5,6 +5,7 @@ import pytest
 
 from segstore.bench import BenchEngine, run_benchmark, verify_equivalence
 from segstore.cli import main
+from segstore.metrics import emit_csv
 from segstore.restore import Policy
 from segstore.workload import WorkloadConfig
 
@@ -142,3 +143,57 @@ def test_wall_clock_paces_run():
     t0 = time.monotonic()
     run_benchmark(cfg)
     assert time.monotonic() - t0 >= 0.25
+
+
+def _csv_digest(report, out_dir):
+    """sha256 over the emitted CSV set, each file keyed by its name."""
+    emit_csv(report, out_dir)
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            h.update(name.encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
+# The engine's actor schedule, pinned by its outputs.  A change that alters
+# the experiment on purpose records new digests here and says so.
+@pytest.mark.parametrize("kw, finish_restore, digest", [
+    (dict(cleaner_interval_us=500.0), False,
+     "499434b54324b8d4e11c8d43b165d0dbe200377a1ec1c3546a5d503ddc03cf73"),
+    (dict(policy=Policy.ON_DEMAND), True,
+     "e60b660f6b07de5e6d31b37cf33e4d3ab13891cb9df07a49a5dcd5c9bb0cea77"),
+], ids=["preemptive-cleaner", "ondemand-finish"])
+def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
+    engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
+                         finish_restore=finish_restore)
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    assert report.restore_events and all(report.invariants.values())
+    assert _csv_digest(report, str(tmp_path / "csv")) == digest
+
+
+def test_tracer_entry_points_still_fire(tmp_path, monkeypatch):
+    """The benchmark's per-layer tracer patches these entry points by name;
+    each must still be called on a failing run, and uninstall must put
+    every original back."""
+    # perfbench sits beside src/ at the repository root.
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.tracing import ENTRY_POINTS, Tracer
+
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in ENTRY_POINTS]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        engine = BenchEngine(tiny_config(duration_s=3.0), str(tmp_path / "work"))
+        try:
+            engine.run()
+        finally:
+            engine.close()
+    finally:
+        tracer.uninstall()
+    for name in ("backup.fetch", "archive.probe", "restore.replay", "runfile.scan",
+                 "volume.write_span", "bufferpool.fix", "wal.append"):
+        assert tracer.calls.get(name, 0) > 0, name
+    assert all(owner.__dict__[attr] is raw for owner, attr, raw in originals)

@@ -73,7 +73,7 @@ def oracle_pages(backup, wal):
     of the whole log, gated per page."""
     pages = {}
     for seg in range(backup.geometry.segment_count):
-        for p in backup.fetch_segment(seg)[0]:
+        for p in backup.read_segment(seg)[0]:
             pages[p.page_id] = p
     for rec in wal.scan(0):
         if rec.lsn < backup.min_lsn:
@@ -304,7 +304,7 @@ def test_untouched_segment_restores_to_backup_bytes(workdir):
     mgr.request_segment(3)
     mgr.drain()
     pages, _ = env.repl.read_segment(3)
-    backup_pages, _ = env.backup.fetch_segment(3)
+    backup_pages, _ = env.backup.read_segment(3)
     assert pages == backup_pages
 
 
@@ -543,7 +543,7 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
 def test_repair_untouched_page_returns_backup_image(workdir):
     env = build_env(workdir, updates=0, fail=False)
     page, _ = single_page_repair(env.wal, env.backup, 5)
-    backup_page, _ = env.backup.fetch_page(5)
+    backup_page, _ = env.backup.read_page(5)
     assert page == backup_page
 
 
