@@ -80,18 +80,22 @@ class ArchiveDirectory:
             candidates.append((span[0], -span[1], os.path.join(dir_path, name)))
         candidates.sort()
         covered_upto = 0
-        for begin, neg_end, path in candidates:
-            end = -neg_end
-            if end <= covered_upto:
-                # subsumed by an already accepted covering run
-                os.unlink(path)
-                continue
-            if begin > covered_upto:
-                raise ArchiveError(f"archive gap before {os.path.basename(path)}")
-            if begin < covered_upto:
-                raise ArchiveError(f"archive overlap at {os.path.basename(path)}")
-            directory._runs.append(RunReader(path, verify=True))
-            covered_upto = end
+        try:
+            for begin, neg_end, path in candidates:
+                end = -neg_end
+                if end <= covered_upto:
+                    # subsumed by an already accepted covering run
+                    os.unlink(path)
+                    continue
+                if begin > covered_upto:
+                    raise ArchiveError(f"archive gap before {os.path.basename(path)}")
+                if begin < covered_upto:
+                    raise ArchiveError(f"archive overlap at {os.path.basename(path)}")
+                directory._runs.append(RunReader(path))
+                covered_upto = end
+        except BaseException:
+            directory.close()  # the readers opened so far
+            raise
         return directory
 
     @property
@@ -182,7 +186,7 @@ class ArchiveDirectory:
         path = write_run(self.dir_path, begin, end, merged, self.block_size)
         nbytes = os.path.getsize(path)
         t = self.device.charge_write(nbytes, t)
-        output = RunReader(path, verify=False)
+        output = RunReader(path)
         failpoints.hit("merge:pre_swap")
         self.swap(inputs, output)
         failpoints.hit("merge:pre_unlink")
@@ -219,7 +223,6 @@ class LogArchiver:
         self._workspace: list[LogRecord] = []
         self._consumed_lsn = 0      # WAL position up to which records were read
         self._run_begin = 0         # begin_lsn of the next run to emit
-        self._copy_seq = 0
 
     @property
     def archived_upto(self) -> int:
@@ -278,7 +281,7 @@ class LogArchiver:
             path = write_run(self.directory.dir_path, begin, end,
                              sorted(batch, key=_SORT_KEY), self.directory.block_size)
             t = self.directory.device.charge_write(os.path.getsize(path), now)
-            self.directory.publish(RunReader(path, verify=False))
+            self.directory.publish(RunReader(path))
         del self._workspace[:nrecords]
         self._run_begin = end
         return t

@@ -16,6 +16,7 @@ exercised by the concurrency tests - but benchmark numbers come from this
 engine so they are reproducible.
 """
 
+import contextlib
 import os
 import shutil
 import statistics
@@ -37,19 +38,19 @@ from .workload import WorkloadConfig, WorkerStream
 
 _US = 1_000_000.0
 
+ARCHIVER_BUDGET = 2048         # WAL records the archiver reads per step
+ARCHIVER_INTERVAL_US = 2000.0  # archiver idle time between steps
+LOG_LATENCY = (20.0, 0.002)    # log device: fixed us, per-byte us
+
 
 class WallClock:
-    """Real time, scaled: one simulated microsecond takes 1/scale real us."""
+    """Real time: one simulated microsecond takes one real microsecond."""
 
-    def __init__(self, scale: float = 1.0):
-        self.scale = scale
+    def __init__(self):
         self._origin = time.monotonic()
 
-    def now(self) -> float:
-        return (time.monotonic() - self._origin) * 1e6 * self.scale
-
     def sleep_until(self, t_us: float) -> None:
-        delta = (t_us - self.now()) / (1e6 * self.scale)
+        delta = t_us / _US - (time.monotonic() - self._origin)
         if delta > 0:
             time.sleep(delta)
 
@@ -73,11 +74,10 @@ class BenchEngine:
     """One benchmark run over a scratch directory."""
 
     def __init__(self, config: WorkloadConfig, workdir: str,
-                 inject_failure: bool = True, finish_restore: bool = False):
+                 finish_restore: bool = False):
         config.validate()
         self.config = config
         self.workdir = workdir
-        self.inject_failure = inject_failure and config.failure_time_s is not None
         self.finish_restore = finish_restore
         self.pacer = WallClock() if config.wall_clock else None
 
@@ -89,12 +89,11 @@ class BenchEngine:
                                          DeviceRole.REPLACEMENT,
                                          LatencyModel(*config.db_latency))
         self.wal = WriteAheadLog(os.path.join(workdir, "wal.log"),
-                                 LatencyModel(*config.log_latency))
+                                 LatencyModel(*LOG_LATENCY))
         self.archive_dir = ArchiveDirectory(os.path.join(workdir, "archive"),
                                             LatencyModel(*config.archive_latency))
         self.archiver = LogArchiver(self.wal, self.archive_dir,
                                     run_size_limit=config.run_size_limit,
-                                    fan_in=config.archive_fan_in,
                                     mode=config.archive_mode)
         self.pool = BufferPool(self.volume, self.wal, config.pool_pages,
                                replacement=self.replacement)
@@ -103,8 +102,7 @@ class BenchEngine:
         self.manager = None
         self.failure_token = None
         self.report = MetricsReport(duration_s=config.duration_s,
-                                    failure_time_s=config.failure_time_s,
-                                    archive_mode=config.archive_mode)
+                                    failure_time_s=config.failure_time_s)
         self.pool.on_page_read = self.report.record_page_read
         self.workers = [_Worker(i, WorkerStream(config, i))
                         for i in range(config.worker_threads)]
@@ -112,7 +110,6 @@ class BenchEngine:
             w.gen = self._txn_gen(w)
         self._arch_clock = 0.0
         self._arch_next = 0.0
-        self._cleaner_clock = 0.0
         self._cleaner_next = 0.0
         self._sched_clock = 0.0
         self._t_fail_us = (config.failure_time_s * _US
@@ -134,7 +131,7 @@ class BenchEngine:
                 while True:
                     out = self.pool.try_fix_page(page_id, "exclusive", now=w.clock)
                     if isinstance(out, Blocked):
-                        resume = yield out.handle
+                        resume = yield out
                         io_wait += max(0.0, resume - w.clock)
                         w.clock = max(w.clock, resume)
                         continue
@@ -164,15 +161,14 @@ class BenchEngine:
     # -- actor scheduling -------------------------------------------------------
 
     def _archiver_step(self, now: float) -> None:
-        _, t = self.archiver.archive_step(self.config.archiver_budget, now)
+        _, t = self.archiver.archive_step(ARCHIVER_BUDGET, now)
         if self.archiver.maintenance_due():
             t = self.archiver.run_maintenance(t)
         self._arch_clock = t
-        self._arch_next = t + self.config.archiver_interval_us
+        self._arch_next = t + ARCHIVER_INTERVAL_US
 
     def _cleaner_step(self, now: float) -> None:
         _, t = self.pool.flush_some(self.config.cleaner_batch, now)
-        self._cleaner_clock = t
         self._cleaner_next = t + self.config.cleaner_interval_us
 
     def _scheduler_step(self, now: float) -> None:
@@ -212,8 +208,7 @@ class BenchEngine:
                 ready = self._sched_clock if head is None else max(self._sched_clock, head)
                 actors.append((ready, -2, self._scheduler_step))
             if self.config.cleaner_interval_us > 0 and self.pool.dirty_count():
-                actors.append((max(self._cleaner_clock, self._cleaner_next), -3,
-                               self._cleaner_step))
+                actors.append((self._cleaner_next, -3, self._cleaner_step))
             if not actors:
                 raise StorageError("workers parked with no restore work pending")
             t, rank, actor = min(actors, key=lambda a: (a[0], a[1]))
@@ -254,20 +249,21 @@ class BenchEngine:
     def run(self) -> MetricsReport:
         cfg = self.config
         count_mode = cfg.txns_per_worker is not None
+        failing = cfg.failure_time_s is not None
         duration_us = cfg.duration_s * _US
         if count_mode:
             pre_budget, post_budget = cfg.txns_per_worker
-            if not self.inject_failure:
+            if not failing:
                 pre_budget += post_budget  # shadow runs do the same total work
             phase_a = lambda w: w.txns_phase < pre_budget
-        elif self.inject_failure:
+        elif failing:
             fail_at = self._t_fail_us
             phase_a = lambda w: w.clock < fail_at
         else:
             phase_a = lambda w: w.clock < duration_us
         self._run_phase(phase_a)
 
-        if self.inject_failure:
+        if failing:
             for w in self.workers:
                 w.txns_phase = 0
             if count_mode:
@@ -406,6 +402,21 @@ def run_benchmark(config: WorkloadConfig, workdir: str | None = None,
     return report
 
 
+@contextlib.contextmanager
+def _scratch_engine(config: WorkloadConfig, prefix: str, **kw):
+    """A BenchEngine in a fresh temporary directory, closed and removed on
+    exit."""
+    workdir = tempfile.mkdtemp(prefix=prefix)
+    try:
+        engine = BenchEngine(config, workdir, **kw)
+        try:
+            yield engine
+        finally:
+            engine.close()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def measure_archiving_overhead(config: WorkloadConfig) -> dict:
     """Same run twice, no failure: archiving with sort+index vs a plain
     file copy.  Reports the median per-second throughput of each and the
@@ -413,13 +424,8 @@ def measure_archiving_overhead(config: WorkloadConfig) -> dict:
     results = {}
     for mode in ("sorted", "copy"):
         cfg = replace(config, archive_mode=mode, failure_time_s=None)
-        workdir = tempfile.mkdtemp(prefix=f"segstore-ovh-{mode}-")
-        engine = BenchEngine(cfg, workdir, inject_failure=False)
-        try:
+        with _scratch_engine(cfg, f"segstore-ovh-{mode}-") as engine:
             report = engine.run()
-        finally:
-            engine.close()
-            shutil.rmtree(workdir, ignore_errors=True)
         series = [n for n in report.per_second_txns() if n > 0]
         results[mode] = statistics.median(series) if series else 0.0
     sorted_tps = results["sorted"]
@@ -437,9 +443,7 @@ def verify_equivalence(config: WorkloadConfig) -> dict:
         replace(config, txns_per_worker=(200, 200))
     out = {}
 
-    fail_dir = tempfile.mkdtemp(prefix="segstore-verify-fail-")
-    engine = BenchEngine(cfg, fail_dir, finish_restore=True)
-    try:
+    with _scratch_engine(cfg, "segstore-verify-fail-", finish_restore=True) as engine:
         report = engine.run()
         engine.flush_all()
         restored = volume_file_bytes(engine.replacement.device.path)
@@ -448,20 +452,12 @@ def verify_equivalence(config: WorkloadConfig) -> dict:
         out["restore_complete"] = engine.manager is not None and engine.manager.complete
         out["invariants"] = dict(report.invariants)
         failed_state = logical_state(engine.replacement.device.path)
-    finally:
-        engine.close()
-        shutil.rmtree(fail_dir, ignore_errors=True)
 
-    shadow_dir = tempfile.mkdtemp(prefix="segstore-verify-shadow-")
-    shadow_cfg = replace(cfg, failure_time_s=None)
-    engine = BenchEngine(shadow_cfg, shadow_dir, inject_failure=False)
-    try:
+    with _scratch_engine(replace(cfg, failure_time_s=None),
+                         "segstore-verify-shadow-") as engine:
         engine.run()
         engine.flush_all()
         shadow_state = logical_state(engine.volume.device.path)
-    finally:
-        engine.close()
-        shutil.rmtree(shadow_dir, ignore_errors=True)
 
     out["shadow_match"] = failed_state == shadow_state
     out["ok"] = bool(out["oracle_match"] and out["shadow_match"]

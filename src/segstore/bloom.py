@@ -63,7 +63,3 @@ class BloomFilter:
         nbytes = (nbits + 7) // 8
         start = offset + _U32.size
         return cls(nbits, bits=bytearray(data[start:start + nbytes]))
-
-    @property
-    def encoded_size(self) -> int:
-        return _U32.size + len(self.bits)

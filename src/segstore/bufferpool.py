@@ -14,15 +14,16 @@ benchmark engine can share this code:
   fix_page      blocks until the page is resident (waiting on the restore
                 manager's completion signal when needed), never holding a
                 pool-wide lock while it waits;
-  try_fix_page  never blocks on restore - it returns a Blocked outcome
-                carrying the segment's completion handle so a cooperative
-                caller can park and retry.
+  try_fix_page  never blocks on restore - it returns the segment's
+                RestoreHandle (Blocked) so a cooperative caller can park
+                on it and retry.
 """
 
 import threading
 
 from .errors import InvalidPageIdError, MediaFailureError, StorageError
 from .pages import segment_of
+from .restore import RestoreHandle
 from .volume import Volume
 from .wal import WriteAheadLog
 
@@ -87,15 +88,8 @@ class PageHandle:
         return self.frame.page
 
 
-class Blocked:
-    """try_fix_page outcome: the access needs a segment restored first."""
-
-    __slots__ = ("segment_id", "handle", "reason")
-
-    def __init__(self, segment_id: int, handle, reason: str):
-        self.segment_id = segment_id
-        self.handle = handle
-        self.reason = reason  # "read" or "evict"
+# try_fix_page outcome when the access needs a segment restored first.
+Blocked = RestoreHandle
 
 
 class FailureToken:
@@ -147,13 +141,13 @@ class BufferPool:
         seg = segment_of(page_id, self.volume.geometry.pages_per_segment)
         return self._gate is not None and self._gate.is_restored(seg)
 
-    def _blocked(self, page_id: int, reason: str, now: float) -> Blocked:
+    def _blocked(self, page_id: int, now: float) -> Blocked:
         if self._gate is None:
             raise MediaFailureError(
                 f"database device failed and no restore manager is attached "
                 f"(page {page_id})")
         seg = segment_of(page_id, self.volume.geometry.pages_per_segment)
-        return Blocked(seg, self._gate.request_segment(seg, now), reason)
+        return self._gate.request_segment(seg, now)
 
     # -- fix / unfix ----------------------------------------------------------
 
@@ -163,8 +157,8 @@ class BufferPool:
         while True:
             out = self._fix_inner(page_id, mode, now, blocking=True)
             if isinstance(out, Blocked):
-                out.handle.wait(timeout)
-                now = max(now, out.handle.done_at or now)
+                out.wait(timeout)
+                now = max(now, out.done_at or now)
                 continue
             return out
 
@@ -191,7 +185,7 @@ class BufferPool:
                     target, t_done = frame, now
                 else:
                     if self.failed and not self._segment_ready(page_id):
-                        return self._blocked(page_id, "read", now)
+                        return self._blocked(page_id, now)
                     if not self._free:
                         pick = self._clock_pick_locked()
                         if pick is None:
@@ -201,7 +195,7 @@ class BufferPool:
                             continue
                         kind, payload = pick
                         if kind == "blocked":
-                            return self._blocked(payload, "evict", now)
+                            return self._blocked(payload, now)
                         if kind == "clean":
                             self._retire_locked(payload)
                         else:
@@ -311,6 +305,20 @@ class BufferPool:
                 self._dirty_n -= 1
         return t
 
+    def _write_back(self, frame: BufferFrame, now: float) -> tuple[bool, float]:
+        """Flush a frame the caller pinned, under its shared latch, if it is
+        still dirty; then unpin it.  Returns (written, completion time)."""
+        frame.latch.acquire("shared")
+        try:
+            written = frame.dirty
+            t = self._flush_frame(frame, now) if written else now
+        finally:
+            frame.latch.release("shared")
+            with self._cond:
+                frame.pin_count -= 1
+                self._cond.notify_all()
+        return written, t
+
     # -- explicit flushes -------------------------------------------------------
 
     def flush_page(self, page_id: int, now: float = 0.0,
@@ -326,23 +334,15 @@ class BufferPool:
                     self._cond.wait(0.05)
                     continue
                 if self.failed and not self._segment_ready(page_id):
-                    blocked = self._blocked(page_id, "flush", now)
+                    blocked = self._blocked(page_id, now)
                 else:
                     frame.pin_count += 1
                     blocked = None
             if blocked is not None:
-                blocked.handle.wait(timeout)
-                now = max(now, blocked.handle.done_at or now)
+                blocked.wait(timeout)
+                now = max(now, blocked.done_at or now)
                 continue
-            frame.latch.acquire("shared")
-            try:
-                t = self._flush_frame(frame, now)
-            finally:
-                frame.latch.release("shared")
-                with self._cond:
-                    frame.pin_count -= 1
-                    self._cond.notify_all()
-            return t
+            return self._write_back(frame, now)[1]
 
     def flush_all(self, now: float = 0.0) -> float:
         t = now
@@ -372,16 +372,8 @@ class BufferPool:
         t = now
         flushed = 0
         for frame in candidates:
-            frame.latch.acquire("shared")
-            try:
-                if frame.dirty:
-                    t = self._flush_frame(frame, t)
-                    flushed += 1
-            finally:
-                frame.latch.release("shared")
-                with self._cond:
-                    frame.pin_count -= 1
-                    self._cond.notify_all()
+            written, t = self._write_back(frame, t)
+            flushed += written
         return flushed, t
 
     def dirty_count(self) -> int:

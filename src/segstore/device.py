@@ -96,26 +96,19 @@ class Device:
             raise MediaFailureError(f"{self.role.value} device has failed")
 
     def read(self, offset: int, nbytes: int, now: float = 0.0) -> tuple[bytes, float]:
-        self._check()
-        done = self._admit(nbytes, now)
+        done = self.charge_read(nbytes, now)
         data = os.pread(self._fd, nbytes, offset)
         if len(data) != nbytes:
             raise StorageError(f"short read at offset {offset}: {len(data)} < {nbytes}")
-        self.reads += 1
-        self.bytes_read += nbytes
         return data, done
 
     def write(self, offset: int, data: bytes, now: float = 0.0) -> float:
-        self._check()
-        done = self._admit(len(data), now)
-        written = os.pwrite(self._fd, data, offset)
-        if written != len(data):
+        done = self.charge_write(len(data), now)
+        if os.pwrite(self._fd, data, offset) != len(data):
             raise StorageError(f"short write at offset {offset}")
-        self.writes += 1
-        self.bytes_written += len(data)
         return done
 
-    # Accounting-only entry points for subsystems with their own file I/O.
+    # Transfer accounting; subsystems with their own file I/O call it directly.
     def charge_read(self, nbytes: int, now: float = 0.0) -> float:
         self._check()
         self.reads += 1

@@ -24,11 +24,6 @@ def arm(name: str, exc=CrashInjected, times: int = 1) -> None:
         _armed[name] = [exc, times]
 
 
-def disarm(name: str) -> None:
-    with _lock:
-        _armed.pop(name, None)
-
-
 def clear() -> None:
     with _lock:
         _armed.clear()

@@ -30,7 +30,6 @@ class MetricsReport:
     restore_events: list = field(default_factory=list)   # (t_start, t_done, first, count, bytes)
     restore_begin_us: float | None = None
     restore_end_us: float | None = None
-    archive_mode: str = "sorted"
     total_txns: int = 0
     invariants: dict = field(default_factory=dict)
     valid: bool = True

@@ -25,8 +25,8 @@ Scheduling policies:
 
 A failed segment restore reverts the segment to "not restored" and
 re-enqueues it; waiters keep waiting across retries and only see an
-error once the attempt budget (default 3) is exhausted.  A later request
-may try the segment afresh.
+error once MAX_ATTEMPTS attempts have failed.  A later request may try
+the segment afresh.
 """
 
 import enum
@@ -42,6 +42,8 @@ from .pages import Page
 from .volume import Volume
 from .wal import NULL_LSN, WriteAheadLog
 
+MAX_ATTEMPTS = 3  # failed attempts before a segment's waiters see the error
+
 
 class Policy(enum.Enum):
     ON_DEMAND = "ondemand"
@@ -56,50 +58,36 @@ class SegmentState(enum.IntEnum):
 
 
 class RestoreHandle:
-    """Completion signal for one segment's restoration."""
+    """Completion signal for one segment's restoration, shared by every
+    waiter (the bitmap hands it out; a blocked fix returns it) until the
+    segment is restored or its attempts run out."""
 
-    __slots__ = ("segment_id", "_entry")
+    __slots__ = ("segment_id", "event", "error", "done_at", "attempts")
 
-    def __init__(self, segment_id: int, entry: "_SegmentEntry"):
+    def __init__(self, segment_id: int):
         self.segment_id = segment_id
-        self._entry = entry
-
-    @property
-    def done(self) -> bool:
-        return self._entry.event.is_set() and self._entry.error is None
-
-    @property
-    def ready(self) -> bool:
-        """Signal fired, successfully or not."""
-        return self._entry.event.is_set()
-
-    @property
-    def error(self):
-        return self._entry.error
-
-    @property
-    def done_at(self) -> float | None:
-        return self._entry.done_at
-
-    def wait(self, timeout: float | None = None) -> float:
-        """Block until the segment is restored; returns the completion
-        time.  Raises RestoreError if restoration failed for good."""
-        if not self._entry.event.wait(timeout):
-            raise RestoreError(f"timed out waiting for segment {self.segment_id}")
-        if self._entry.error is not None:
-            raise RestoreError(
-                f"segment {self.segment_id} restore failed: {self._entry.error}")
-        return self._entry.done_at
-
-
-class _SegmentEntry:
-    __slots__ = ("event", "error", "done_at", "attempts")
-
-    def __init__(self):
         self.event = threading.Event()
         self.error = None
         self.done_at = None
         self.attempts = 0
+
+    @property
+    def done(self) -> bool:
+        return self.event.is_set() and self.error is None
+
+    @property
+    def ready(self) -> bool:
+        """Signal fired, successfully or not."""
+        return self.event.is_set()
+
+    def wait(self, timeout: float | None = None) -> float:
+        """Block until the segment is restored; returns the completion
+        time.  Raises RestoreError if restoration failed for good."""
+        if not self.event.wait(timeout):
+            raise RestoreError(f"timed out waiting for segment {self.segment_id}")
+        if self.error is not None:
+            raise RestoreError(f"segment {self.segment_id} restore failed: {self.error}")
+        return self.done_at
 
 
 class SegmentBitmap:
@@ -109,14 +97,23 @@ class SegmentBitmap:
     def __init__(self, total: int):
         self.total = total
         self._states = bytearray(total)
-        self._entries: dict[int, _SegmentEntry] = {}
+        self._entries: dict[int, RestoreHandle] = {}
         self._lock = threading.Lock()
         self.restored_count = 0
 
-    def _entry_locked(self, seg: int) -> _SegmentEntry:
+    def _entry_locked(self, seg: int) -> RestoreHandle:
         entry = self._entries.get(seg)
         if entry is None:
-            entry = self._entries[seg] = _SegmentEntry()
+            entry = self._entries[seg] = RestoreHandle(seg)
+        return entry
+
+    def _claim_locked(self, seg: int) -> RestoreHandle:
+        """NOT_RESTORED -> RESTORING.  A segment whose attempts ran out
+        starts over with a fresh handle; its old waiters keep the error."""
+        entry = self._entry_locked(seg)
+        if entry.error is not None:
+            entry = self._entries[seg] = RestoreHandle(seg)
+        self._states[seg] = SegmentState.RESTORING
         return entry
 
     def _check(self, seg: int) -> None:
@@ -133,20 +130,15 @@ class SegmentBitmap:
 
     def handle(self, seg: int) -> RestoreHandle:
         with self._lock:
-            return RestoreHandle(seg, self._entry_locked(seg))
+            return self._entry_locked(seg)
 
     def try_begin(self, seg: int) -> tuple[bool, RestoreHandle]:
         """Atomic NOT_RESTORED -> RESTORING; returns (won, handle)."""
         self._check(seg)
         with self._lock:
-            entry = self._entry_locked(seg)
             if self._states[seg] == SegmentState.NOT_RESTORED:
-                if entry.error is not None:
-                    # fresh attempt after a fail-fast: new incarnation
-                    entry = self._entries[seg] = _SegmentEntry()
-                self._states[seg] = SegmentState.RESTORING
-                return True, RestoreHandle(seg, entry)
-            return False, RestoreHandle(seg, entry)
+                return True, self._claim_locked(seg)
+            return False, self._entry_locked(seg)
 
     def claim_contiguous(self, cursor: int, limit: int) -> tuple[list[int], int]:
         """Claim up to limit contiguous NOT_RESTORED segments starting at or
@@ -157,10 +149,7 @@ class SegmentBitmap:
             segs = []
             while (cursor < self.total and len(segs) < limit
                    and self._states[cursor] == SegmentState.NOT_RESTORED):
-                entry = self._entry_locked(cursor)
-                if entry.error is not None:
-                    self._entries[cursor] = _SegmentEntry()
-                self._states[cursor] = SegmentState.RESTORING
+                self._claim_locked(cursor)
                 segs.append(cursor)
                 cursor += 1
             return segs, cursor
@@ -210,7 +199,6 @@ class RestoreContext:
     failure_lsn: int
     policy: Policy = Policy.PREEMPTIVE
     batch_cap: int = 64
-    max_attempts: int = 3
     buffer_pool: object = None
 
     def validate(self) -> None:
@@ -403,9 +391,11 @@ class RestoreManager:
             except StorageError:
                 continue  # failure already recorded against the segments
             if not worked:
+                # Every producer of work (request_segment, a failed
+                # batch's re-queue, stop) notifies under this lock.
                 with self._work:
                     if not self._queue and not self._stopped.is_set():
-                        self._work.wait(0.01)
+                        self._work.wait()
 
     # -- restoration pipeline ----------------------------------------------------
 
@@ -429,7 +419,7 @@ class RestoreManager:
         except StorageError as exc:
             retry = []
             for seg in segs:
-                if self.bitmap.record_failure(seg, exc, self.context.max_attempts):
+                if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS):
                     retry.append(seg)
             if retry:
                 with self._work:

@@ -117,35 +117,28 @@ class RunReader:
     """Open handle on one published run: header, block index, and bloom
     filter live in memory; record blocks are read on demand."""
 
-    def __init__(self, path: str, verify: bool = True):
+    def __init__(self, path: str):
         self.path = path
         self.name = os.path.basename(path)
         self._f = open(path, "rb")
-        raw = self._f.read() if verify else None
-        if verify:
+        try:
+            raw = self._f.read()
             if len(raw) < _HEADER.size + _FOOTER.size:
                 raise CorruptRunError(self.name, "file too small")
             (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
             if crc != zlib.crc32(raw[:-4]):
                 raise CorruptRunError(self.name, "file crc mismatch")
-            header = raw[:_HEADER.size]
-            footer = raw[len(raw) - _FOOTER.size:]
-            size = len(raw)
-        else:
-            size = os.fstat(self._f.fileno()).st_size
-            header = self._pread(0, _HEADER.size)
-            footer = self._pread(size - _FOOTER.size, _FOOTER.size)
-        magic, self.begin_lsn, self.end_lsn, self.record_count, self.block_size = \
-            _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise CorruptRunError(self.name, f"bad magic {magic!r}")
-        self._index_offset, self._bloom_offset, _ = _FOOTER.unpack(footer)
-        self._footer_offset = size - _FOOTER.size
-        index_raw = self._pread(self._index_offset, self._bloom_offset - self._index_offset)
-        self.index = [_INDEX_ENTRY.unpack_from(index_raw, i * _INDEX_ENTRY.size)
-                      for i in range(len(index_raw) // _INDEX_ENTRY.size)]
-        bloom_raw = self._pread(self._bloom_offset, self._footer_offset - self._bloom_offset)
-        self.bloom = BloomFilter.from_bytes(bloom_raw)
+            magic, self.begin_lsn, self.end_lsn, self.record_count, self.block_size = \
+                _HEADER.unpack_from(raw)
+            if magic != MAGIC:
+                raise CorruptRunError(self.name, f"bad magic {magic!r}")
+            footer = len(raw) - _FOOTER.size
+            self._index_offset, bloom_offset, _ = _FOOTER.unpack_from(raw, footer)
+            self.index = list(_INDEX_ENTRY.iter_unpack(raw[self._index_offset:bloom_offset]))
+            self.bloom = BloomFilter.from_bytes(raw[bloom_offset:footer])
+        except BaseException:
+            self._f.close()
+            raise
 
     def _pread(self, offset: int, nbytes: int) -> bytes:
         self._f.seek(offset)

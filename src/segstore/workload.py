@@ -78,10 +78,7 @@ class WorkloadConfig:
     scramble_pages: bool = True  # False: hot pages cluster in low segments
     txns_per_worker: tuple[int, int] | None = None  # (pre-failure, post) count mode
     batch_cap: int = 64
-    archive_fan_in: int = 8
     archive_mode: str = "sorted"
-    archiver_budget: int = 2048
-    archiver_interval_us: float = 2000.0
     # background page cleaner; 0 disables it
     cleaner_interval_us: float = 0.0
     cleaner_batch: int = 64
@@ -91,7 +88,6 @@ class WorkloadConfig:
     out_dir: str | None = None
     # device latency knobs (fixed us, per-byte us)
     db_latency: tuple[float, float] = (100.0, 0.004)
-    log_latency: tuple[float, float] = (20.0, 0.002)
     archive_latency: tuple[float, float] = (150.0, 0.004)
     backup_latency: tuple[float, float] = (100.0, 0.004)
 

@@ -1,6 +1,8 @@
 import collections
+import gc
 import os
 import random
+import warnings
 
 import pytest
 
@@ -243,6 +245,21 @@ def test_reload_after_merge_pre_swap_crash(workdir):
         directory.merge_runs(inputs, fan_in=4)
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
     assert probe_oracle(reloaded, 0, 9, 0) == oracle_before
+
+
+def test_failed_reload_closes_the_runs_it_opened(workdir):
+    wal, directory, archiver = build(workdir, run_size_limit=10)
+    random_history(wal, random.Random(4), 40, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    first, second = directory.snapshot()[:2]
+    os.unlink(second.path)  # a gap after the first run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArchiveError):
+            ArchiveDirectory.load(directory.dir_path, block_size=512)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)
+                and first.path in str(w.message)]
 
 
 def test_copy_mode_tracks_progress_without_runs(workdir):

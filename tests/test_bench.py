@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,7 +107,7 @@ def test_overhead_modes_log_identical_work(tmp_path):
         cfg = tiny_config(failure_time_s=None, archive_mode=mode,
                           txns_per_worker=(120, 0), duration_s=30.0)
         workdir = str(tmp_path / mode)
-        engine = BenchEngine(cfg, workdir, inject_failure=False)
+        engine = BenchEngine(cfg, workdir)
         engine.run()
         engine.wal.flush()
         digests.append(hashlib.sha256(
@@ -174,6 +176,25 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     assert _csv_digest(report, str(tmp_path / "csv")) == digest
 
 
+# Count mode, pinned the same way: a failure run that drains its restore,
+# and its no-failure shadow, which has no restore events.
+@pytest.mark.parametrize("kw, digest", [
+    (dict(), "a2cc959db0f70a109fafd7410bdab27574d4c5b9af32867cb4694da1cb0cc80f"),
+    (dict(failure_time_s=None),
+     "f11c8bdccefe8cb74af1a523a0cf6c93508aaa66db24e51ae9a08be98d2df530"),
+], ids=["failure", "shadow"])
+def test_count_mode_schedule_pinned(tmp_path, kw, digest):
+    cfg = tiny_config(txns_per_worker=(60, 60), **kw)
+    engine = BenchEngine(cfg, str(tmp_path / "work"), finish_restore=True)
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    assert bool(report.restore_events) == (cfg.failure_time_s is not None)
+    assert report.total_txns == 240 and all(report.invariants.values())
+    assert _csv_digest(report, str(tmp_path / "csv")) == digest
+
+
 def test_tracer_entry_points_still_fire(tmp_path, monkeypatch):
     """The benchmark's per-layer tracer patches these entry points by name;
     each must still be called on a failing run, and uninstall must put
@@ -197,3 +218,13 @@ def test_tracer_entry_points_still_fire(tmp_path, monkeypatch):
                  "volume.write_span", "bufferpool.fix", "wal.append"):
         assert tracer.calls.get(name, 0) > 0, name
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in originals)
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's self-test (same-seed determinism, traced self times
+    adding up, a flipped byte failing the oracle gate) passes on this tree."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: PASS" in proc.stdout

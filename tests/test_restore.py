@@ -1,6 +1,7 @@
 import os
 import random
 import threading
+import time
 import types
 
 import pytest
@@ -475,6 +476,45 @@ def test_error_reverts_retries_then_fails_fast(workdir):
     handle3 = mgr.request_segment(2)
     mgr.drain()
     assert handle3.done
+
+
+def test_thread_sleeps_once_a_segment_gives_up(workdir):
+    """A segment that used up its attempts leaves restore incomplete; the
+    scheduler thread then waits for new work instead of polling."""
+    env = build_env(workdir, policy=Policy.PREEMPTIVE)
+    mgr = begin_restore(env.context, start_thread=False)
+    bad = 3
+    bad_first, bad_end = env.backup.geometry.segment_span(bad)
+    real_fetch = env.backup.fetch_page_span
+
+    def broken(first, end, now=0.0):
+        if first < bad_end and bad_first < end:
+            raise StorageError("injected permanent backup read failure")
+        return real_fetch(first, end, now)
+
+    env.backup.fetch_page_span = broken
+    real_step = mgr.step
+    steps = []
+
+    def counted(now=0.0):
+        steps.append(now)
+        return real_step(now)
+
+    mgr.step = counted
+    mgr.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        handle = mgr.bitmap.handle(bad)
+        while not (handle.ready and mgr.bitmap.restored_count == mgr.bitmap.total - 1):
+            assert time.monotonic() < deadline, "restore never settled"
+            time.sleep(0.005)
+            handle = mgr.bitmap.handle(bad)
+        assert handle.error is not None
+        before = len(steps)
+        time.sleep(0.3)
+        assert len(steps) - before <= 1
+    finally:
+        mgr.stop()
 
 
 # -- buffer pool integration -----------------------------------------------------------

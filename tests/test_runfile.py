@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import warnings
 
 import pytest
 
@@ -93,8 +95,14 @@ def test_corruption_detected_on_open(workdir):
     with open(path, "r+b") as f:
         f.seek(60)
         f.write(b"\xde\xad")
-    with pytest.raises(CorruptRunError):
-        RunReader(path, verify=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CorruptRunError):
+            RunReader(path)
+        gc.collect()
+    # the rejected run's file was closed, not left to the garbage collector
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)
+                and path in str(w.message)]
 
 
 def test_oversized_record_rejected(workdir):
