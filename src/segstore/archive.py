@@ -187,8 +187,12 @@ class ArchiveDirectory:
         nbytes = os.path.getsize(path)
         t = self.device.charge_write(nbytes, t)
         output = RunReader(path)
-        failpoints.hit("merge:pre_swap")
-        self.swap(inputs, output)
+        try:
+            failpoints.hit("merge:pre_swap")
+            self.swap(inputs, output)
+        except BaseException:
+            output.close()
+            raise
         failpoints.hit("merge:pre_unlink")
         for run in inputs:
             run.close()

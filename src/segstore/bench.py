@@ -83,11 +83,13 @@ class BenchEngine:
 
         geo = Geometry(config.page_size, config.page_count, config.pages_per_segment)
         os.makedirs(workdir, exist_ok=True)
+        db_latency = LatencyModel(*config.db_latency)
         self.volume = Volume.create(os.path.join(workdir, "volume.db"), geo,
-                                    DeviceRole.DATABASE, LatencyModel(*config.db_latency))
-        self.replacement = Volume.create(os.path.join(workdir, "replacement.db"), geo,
-                                         DeviceRole.REPLACEMENT,
-                                         LatencyModel(*config.db_latency))
+                                    DeviceRole.DATABASE, db_latency)
+        # The blank replacement is a copy of the freshly formatted volume.
+        repl_path = shutil.copyfile(self.volume.device.path,
+                                    os.path.join(workdir, "replacement.db"))
+        self.replacement = Volume.open(repl_path, DeviceRole.REPLACEMENT, db_latency)
         self.wal = WriteAheadLog(os.path.join(workdir, "wal.log"),
                                  LatencyModel(*LOG_LATENCY))
         self.archive_dir = ArchiveDirectory(os.path.join(workdir, "archive"),

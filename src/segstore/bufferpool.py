@@ -28,39 +28,9 @@ from .volume import Volume
 from .wal import WriteAheadLog
 
 
-class RWLatch:
-    """Shared/exclusive frame latch."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire(self, mode: str) -> None:
-        with self._cond:
-            if mode == "shared":
-                while self._writer:
-                    self._cond.wait()
-                self._readers += 1
-            elif mode == "exclusive":
-                while self._writer or self._readers:
-                    self._cond.wait()
-                self._writer = True
-            else:
-                raise StorageError(f"bad latch mode {mode}")
-
-    def release(self, mode: str) -> None:
-        with self._cond:
-            if mode == "shared":
-                self._readers -= 1
-            else:
-                self._writer = False
-            self._cond.notify_all()
-
-
 class BufferFrame:
     __slots__ = ("frame_id", "page", "pin_count", "dirty", "ref",
-                 "loading", "evicting", "latch")
+                 "loading", "evicting", "readers", "writer")
 
     def __init__(self, frame_id: int):
         self.frame_id = frame_id
@@ -70,7 +40,9 @@ class BufferFrame:
         self.ref = False
         self.loading = False
         self.evicting = False
-        self.latch = RWLatch()
+        # Shared/exclusive latch, guarded by the pool's condition.
+        self.readers = 0
+        self.writer = False
 
 
 class PageHandle:
@@ -169,6 +141,8 @@ class BufferPool:
     def _fix_inner(self, page_id: int, mode: str, now: float, blocking: bool):
         if not 0 <= page_id < self.volume.geometry.page_count:
             raise InvalidPageIdError(f"page {page_id} out of range")
+        if mode not in ("shared", "exclusive"):
+            raise StorageError(f"bad latch mode {mode}")
         while True:
             victim = None
             loader = None
@@ -182,7 +156,8 @@ class BufferPool:
                         continue
                     frame.pin_count += 1
                     frame.ref = True
-                    target, t_done = frame, now
+                    self._latch_locked(frame, mode)
+                    return PageHandle(frame, mode), now
                 else:
                     if self.failed and not self._segment_ready(page_id):
                         return self._blocked(page_id, now)
@@ -232,13 +207,12 @@ class BufferPool:
                     loader.page = page
                     loader.loading = False
                     loader.ref = True
+                    self._latch_locked(loader, mode)
                     self._cond.notify_all()
                 self.page_reads += 1
                 if self.on_page_read is not None:
                     self.on_page_read(t_done)
-                target = loader
-            target.latch.acquire(mode)
-            return PageHandle(target, mode), t_done
+                return PageHandle(loader, mode), t_done
 
     def unfix_page(self, handle: PageHandle, mark_dirty: bool = False) -> None:
         if handle.released:
@@ -246,15 +220,34 @@ class BufferPool:
         if mark_dirty and handle.mode != "exclusive":
             raise StorageError("dirtying a page requires the exclusive latch")
         handle.released = True
-        handle.frame.latch.release(handle.mode)
+        frame = handle.frame
         with self._cond:
-            if handle.frame.pin_count <= 0:
+            if frame.pin_count <= 0:
                 raise StorageError("unfix without matching fix")
-            handle.frame.pin_count -= 1
-            if mark_dirty and not handle.frame.dirty:
-                handle.frame.dirty = True
+            if mark_dirty and not frame.dirty:
+                frame.dirty = True
                 self._dirty_n += 1
-            self._cond.notify_all()
+            self._unlatch_unpin_locked(frame, handle.mode)
+
+    # -- frame latches (callers hold self._cond) ------------------------------
+
+    def _latch_locked(self, frame: BufferFrame, mode: str) -> None:
+        if mode == "shared":
+            while frame.writer:
+                self._cond.wait()
+            frame.readers += 1
+        else:
+            while frame.writer or frame.readers:
+                self._cond.wait()
+            frame.writer = True
+
+    def _unlatch_unpin_locked(self, frame: BufferFrame, mode: str) -> None:
+        if mode == "shared":
+            frame.readers -= 1
+        else:
+            frame.writer = False
+        frame.pin_count -= 1
+        self._cond.notify_all()
 
     # -- eviction internals ---------------------------------------------------
 
@@ -308,15 +301,14 @@ class BufferPool:
     def _write_back(self, frame: BufferFrame, now: float) -> tuple[bool, float]:
         """Flush a frame the caller pinned, under its shared latch, if it is
         still dirty; then unpin it.  Returns (written, completion time)."""
-        frame.latch.acquire("shared")
+        with self._cond:
+            self._latch_locked(frame, "shared")
         try:
             written = frame.dirty
             t = self._flush_frame(frame, now) if written else now
         finally:
-            frame.latch.release("shared")
             with self._cond:
-                frame.pin_count -= 1
-                self._cond.notify_all()
+                self._unlatch_unpin_locked(frame, "shared")
         return written, t
 
     # -- explicit flushes -------------------------------------------------------

@@ -46,6 +46,19 @@ def segment_page_span(segment_id: int, pages_per_segment: int, page_count: int) 
     return first, min(first + pages_per_segment, page_count)
 
 
+def empty_page_images(first: int, end: int, page_size: int) -> bytes:
+    """Images of the empty pages [first, end), byte-equal to
+    Page(pid).to_bytes(page_size) for each: only the header and the CRC
+    differ from page to page, so the zero body is built once."""
+    page_capacity(page_size)  # rejects a page too small, as to_bytes does
+    body = bytes(page_size - _HEADER.size - _CRC.size)
+    parts = []
+    for pid in range(first, end):
+        head = _HEADER.pack(pid, 0, 0)
+        parts += (head, body, _CRC.pack(zlib.crc32(body, zlib.crc32(head))))
+    return b"".join(parts)
+
+
 class Page:
     __slots__ = ("page_id", "page_lsn", "records")
 

@@ -24,9 +24,9 @@ Scheduling policies:
                restore, and it doubles as the bandwidth yardstick.
 
 A failed segment restore reverts the segment to "not restored" and
-re-enqueues it; waiters keep waiting across retries and only see an
-error once MAX_ATTEMPTS attempts have failed.  A later request may try
-the segment afresh.
+re-enqueues it (single-pass moves its sweep back to it instead); waiters
+keep waiting across retries and only see an error once MAX_ATTEMPTS
+attempts have failed.  A later request may try the segment afresh.
 """
 
 import enum
@@ -421,7 +421,10 @@ class RestoreManager:
             for seg in segs:
                 if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS):
                     retry.append(seg)
-            if retry:
+            if retry and self.context.policy == Policy.SINGLE_PASS:
+                # The sweep owns these segments: move its cursor back.
+                self._cursor = min(self._cursor, retry[0])
+            elif retry:
                 with self._work:
                     for seg in retry:
                         self._queue.append((seg, now))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .device import Device, DeviceRole, LatencyModel
 from .errors import InvalidPageIdError, StorageError
-from .pages import Page, segment_count, segment_page_span
+from .pages import Page, empty_page_images, segment_count, segment_page_span
 
 MAGIC = b"SGRV1"
 _HEADER = struct.Struct("<5sIQI")
@@ -66,11 +66,9 @@ class Volume:
         # checksums validate from the first read on.
         span = 512
         for first in range(0, geometry.page_count, span):
-            chunk = b"".join(
-                Page(pid).to_bytes(geometry.page_size)
-                for pid in range(first, min(first + span, geometry.page_count))
-            )
-            device.write(geometry.page_offset(first), chunk)
+            end = min(first + span, geometry.page_count)
+            device.write(geometry.page_offset(first),
+                         empty_page_images(first, end, geometry.page_size))
         device.reset_accounting()
         return cls(device, geometry)
 

@@ -9,6 +9,8 @@ how worker transactions interleave - the property the shadow-run oracle
 relies on.
 """
 
+import functools
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -16,6 +18,17 @@ from dataclasses import dataclass
 
 from .pages import VALUE_LEN, page_capacity
 from .restore import Policy
+
+
+@functools.lru_cache(maxsize=8)
+def _zipf_cdf(n: int, theta: float) -> tuple[float, ...]:
+    """Rank CDF of zipf(theta) over [0, n); every generator with the same
+    (n, theta) shares one."""
+    weights = [1.0 / (i + 1) ** theta for i in range(n)]
+    total = math.fsum(weights)
+    cdf = list(itertools.accumulate(w / total for w in weights))
+    cdf[-1] = 1.0
+    return tuple(cdf)
 
 
 class ZipfianGenerator:
@@ -34,14 +47,7 @@ class ZipfianGenerator:
         if self.domain < n:
             raise ValueError("domain smaller than rank space")
         self.theta = theta
-        weights = [1.0 / (i + 1) ** theta for i in range(n)]
-        total = math.fsum(weights)
-        cum = 0.0
-        self._cdf = []
-        for w in weights:
-            cum += w / total
-            self._cdf.append(cum)
-        self._cdf[-1] = 1.0
+        self._cdf = _zipf_cdf(n, theta)
         self._mult = 1
         if scramble and self.domain > 2:
             self._mult = 2654435761 % self.domain

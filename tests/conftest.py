@@ -22,6 +22,21 @@ def workdir(tmp_path):
     return str(tmp_path)
 
 
+_opened = []
+
+
+def closing(*objs) -> None:
+    """Have the running test's teardown close objs."""
+    _opened.extend(objs)
+
+
+@pytest.fixture(autouse=True)
+def _close_opened():
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
 def make_wal(workdir, name="wal.log", **kw) -> WriteAheadLog:
     return WriteAheadLog(os.path.join(workdir, name), **kw)
 

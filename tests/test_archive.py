@@ -11,7 +11,7 @@ from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.errors import ArchiveError, CrashInjected
 from segstore.wal import OP_SET
 
-from conftest import make_wal, random_history, value_bytes
+from conftest import closing, make_wal, random_history, value_bytes
 
 
 def build(workdir, run_size_limit=64, fan_in=8, mode="sorted", flush_interval=0):
@@ -19,6 +19,7 @@ def build(workdir, run_size_limit=64, fan_in=8, mode="sorted", flush_interval=0)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
     archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit,
                            fan_in=fan_in, mode=mode)
+    closing(wal, directory)
     return wal, directory, archiver
 
 
@@ -221,9 +222,12 @@ def test_reload_ignores_tmp_and_resolves_merge_crash(workdir):
     inputs = list(directory.snapshot()[:3])
     with pytest.raises(CrashInjected):
         directory.merge_runs(inputs, fan_in=4)
-    open(os.path.join(arch_path, "archive_9999_10000.run.tmp"), "wb").write(b"junk")
+    closing(*inputs)  # the crash left them open and out of the manifest
+    with open(os.path.join(arch_path, "archive_9999_10000.run.tmp"), "wb") as f:
+        f.write(b"junk")
 
     reloaded = ArchiveDirectory.load(arch_path, block_size=512)
+    closing(reloaded)
     ranges = reloaded.lsn_ranges()
     assert ranges[0][0] == 0
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
@@ -244,6 +248,7 @@ def test_reload_after_merge_pre_swap_crash(workdir):
     with pytest.raises(CrashInjected):
         directory.merge_runs(inputs, fan_in=4)
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
+    closing(reloaded)
     assert probe_oracle(reloaded, 0, 9, 0) == oracle_before
 
 
@@ -260,6 +265,19 @@ def test_failed_reload_closes_the_runs_it_opened(workdir):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)
                 and first.path in str(w.message)]
+
+
+def test_failed_merge_swap_closes_its_output(workdir):
+    wal, directory, archiver = build(workdir, run_size_limit=10)
+    random_history(wal, random.Random(6), 40, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    failpoints.arm("merge:pre_swap")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CrashInjected):
+            directory.merge_runs(list(directory.snapshot()[:2]), fan_in=4)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_copy_mode_tracks_progress_without_runs(workdir):

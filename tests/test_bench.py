@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from segstore.bench import BenchEngine, run_benchmark, verify_equivalence
+from segstore.bench import (BenchEngine, run_benchmark, verify_equivalence,
+                            volume_file_bytes)
 from segstore.cli import main
 from segstore.metrics import emit_csv
 from segstore.restore import Policy
@@ -31,6 +32,22 @@ def test_shadow_execution_oracle():
     assert out["oracle_match"] and out["shadow_match"] and out["ok"]
 
 
+def test_fresh_engine_set_up(tmp_path):
+    """The replacement starts as a byte copy of the formatted volume with
+    no transfer charged to it, and the workers share one zipf CDF."""
+    engine = BenchEngine(tiny_config(), str(tmp_path / "work"))
+    try:
+        assert (volume_file_bytes(engine.replacement.device.path)
+                == volume_file_bytes(engine.volume.device.path))
+        dev = engine.replacement.device
+        assert (dev.reads, dev.writes, dev.bytes_read, dev.bytes_written) == (0, 0, 0, 0)
+        assert dev._busy_until == 0.0
+        first, second = engine.workers[0].stream, engine.workers[1].stream
+        assert first.zipf._cdf is second.zipf._cdf
+    finally:
+        engine.close()
+
+
 def test_reproducible_wal_and_volume(tmp_path):
     digests = []
     for attempt in range(2):
@@ -39,8 +56,8 @@ def test_reproducible_wal_and_volume(tmp_path):
                              finish_restore=True)
         engine.run()
         engine.flush_all()
-        wal_hash = hashlib.sha256(open(os.path.join(workdir, "wal.log"), "rb").read())
-        vol_hash = hashlib.sha256(open(os.path.join(workdir, "replacement.db"), "rb").read())
+        wal_hash = hashlib.sha256(volume_file_bytes(os.path.join(workdir, "wal.log")))
+        vol_hash = hashlib.sha256(volume_file_bytes(os.path.join(workdir, "replacement.db")))
         digests.append((wal_hash.hexdigest(), vol_hash.hexdigest()))
         engine.close()
     assert digests[0] == digests[1]
@@ -111,7 +128,7 @@ def test_overhead_modes_log_identical_work(tmp_path):
         engine.run()
         engine.wal.flush()
         digests.append(hashlib.sha256(
-            open(os.path.join(workdir, "wal.log"), "rb").read()).hexdigest())
+            volume_file_bytes(os.path.join(workdir, "wal.log"))).hexdigest())
         engine.close()
     assert digests[0] == digests[1]
 

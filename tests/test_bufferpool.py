@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -125,6 +127,76 @@ def test_pinned_never_evicted_under_stress(workdir):
     for t in threads:
         t.join()
     assert errors == []
+
+
+@pytest.mark.parametrize("held, wanted", [("shared", "exclusive"),
+                                          ("exclusive", "shared")])
+def test_latch_conflict_waits_for_unfix(workdir, held, wanted):
+    pool, _, _ = make_pool(workdir)
+    holder, _ = pool.fix_page(4, mode=held)
+    fixed = threading.Event()
+
+    def fix_and_unfix():
+        h, _ = pool.fix_page(4, mode=wanted)
+        fixed.set()
+        pool.unfix_page(h)
+
+    thread = threading.Thread(target=fix_and_unfix)
+    thread.start()
+    assert not fixed.wait(0.3)  # blocked behind the holder's latch
+    pool.unfix_page(holder)
+    assert fixed.wait(10.0)
+    thread.join(10.0)
+    assert not thread.is_alive() and pool.pin_count(4) == 0
+
+
+def test_latch_stress_keeps_updates_whole(workdir):
+    """Writers bump page_lsn twice under the exclusive latch; readers check
+    that it is even and holds still under the shared one.  The total proves
+    no update was lost."""
+    pool, _, _ = make_pool(workdir, capacity=8, page_count=8)
+    rounds, writers, readers = 200, 4, 2
+    errors = []
+
+    def write(seed):
+        rng = random.Random(seed)
+        for _ in range(rounds):
+            h, _ = pool.fix_page(rng.randrange(4), mode="exclusive")
+            lsn = h.page.page_lsn
+            h.page.page_lsn = lsn + 1
+            time.sleep(0)  # hand the interpreter to another thread mid-update
+            h.page.page_lsn = lsn + 2
+            pool.unfix_page(h, mark_dirty=True)
+
+    def read(seed):
+        rng = random.Random(seed)
+        for _ in range(rounds):
+            h, _ = pool.fix_page(rng.randrange(4), mode="shared")
+            lsn = h.page.page_lsn
+            time.sleep(0)
+            if lsn % 2 or h.page.page_lsn != lsn:
+                errors.append(h.page.page_id)
+            pool.unfix_page(h)
+
+    threads = ([threading.Thread(target=write, args=(s,)) for s in range(writers)]
+               + [threading.Thread(target=read, args=(s,)) for s in range(readers)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    total = 0
+    for pid in range(4):
+        h, _ = pool.fix_page(pid, mode="shared")
+        total += h.page.page_lsn
+        pool.unfix_page(h)
+    assert total == 2 * rounds * writers
 
 
 def test_all_pinned_raises(workdir):

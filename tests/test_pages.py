@@ -1,12 +1,14 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segstore.errors import ChecksumError, PageFullError, StorageError
-from segstore.pages import (VALUE_LEN, Page, page_capacity, segment_count,
-                            segment_of, segment_page_span)
+from segstore.pages import (VALUE_LEN, Page, empty_page_images, page_capacity,
+                            segment_count, segment_of, segment_page_span)
 
-from conftest import value_bytes
+from conftest import make_volume, value_bytes
 
 
 def test_round_trip_empty():
@@ -60,6 +62,27 @@ def test_value_length_enforced():
 def test_page_size_too_small():
     with pytest.raises(StorageError):
         page_capacity(16)
+
+
+# 42 bytes is the smallest page that holds one record.
+@pytest.mark.parametrize("page_size", [42, 1024, 8192])
+def test_empty_page_images_match_page_encoder(workdir, page_size):
+    def reference(first, end):
+        return b"".join(Page(p).to_bytes(page_size) for p in range(first, end))
+
+    assert empty_page_images(5, 300, page_size) == reference(5, 300)
+    assert empty_page_images(2 ** 40, 2 ** 40 + 3, page_size) == reference(2 ** 40, 2 ** 40 + 3)
+    # Volume.create formats 512 pages at a time; 700 pages end on a short chunk.
+    vol = make_volume(workdir, page_count=700, page_size=page_size, pages_per_segment=8)
+    vol.close()
+    with open(os.path.join(workdir, "volume.db"), "rb") as f:
+        assert f.read() == vol.geometry.header_bytes() + reference(0, 700)
+
+
+def test_empty_page_images_reject_too_small_pages():
+    assert page_capacity(42) == 1
+    with pytest.raises(StorageError):
+        empty_page_images(0, 1, 41)
 
 
 def test_segment_helpers():

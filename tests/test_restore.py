@@ -17,7 +17,7 @@ from segstore.restore import (Policy, RestoreContext, SegmentBitmap,
                               single_page_repair)
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
-from conftest import make_volume, make_wal, value_bytes
+from conftest import closing, make_volume, make_wal, value_bytes
 
 PAGE_SIZE = 1024
 CAP = page_capacity(PAGE_SIZE)
@@ -54,6 +54,7 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
         h.page.page_lsn = lsn
         pool.unfix_page(h, mark_dirty=True)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
+    closing(vol, repl, wal, backup, directory)
     archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit)
     env = Env(vol=vol, repl=repl, wal=wal, pool=pool, backup=backup,
               directory=directory, archiver=archiver, rng=rng,
@@ -236,6 +237,7 @@ def test_begin_restore_on_empty_history(workdir):
     pool = BufferPool(vol, wal, 4, replacement=repl)
     backup, _ = BackupImage.create(workdir, vol, wal)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
+    closing(vol, repl, wal, backup, directory)
     token = pool.fail_device()
     ctx = RestoreContext(backup=backup, archive=directory, replacement=repl,
                          failure_lsn=token.failure_lsn, buffer_pool=pool,
@@ -476,6 +478,30 @@ def test_error_reverts_retries_then_fails_fast(workdir):
     handle3 = mgr.request_segment(2)
     mgr.drain()
     assert handle3.done
+
+
+def test_single_pass_retries_transient_fetch_failure(workdir):
+    """A failed sweep batch is swept again, not left behind the cursor."""
+    env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=2)
+    mgr = begin_restore(env.context, start_thread=False)
+    assert mgr.bitmap.total == 8
+    real_fetch = env.backup.fetch_page_span
+    failures = {"n": 1}
+
+    def flaky(first, end, now=0.0):
+        if failures["n"] > 0:
+            failures["n"] -= 1
+            raise StorageError("injected backup read failure")
+        return real_fetch(first, end, now)
+
+    env.backup.fetch_page_span = flaky
+    with pytest.raises(StorageError):
+        mgr.step()
+    mgr.drain()
+    assert mgr.complete and mgr.bitmap.restored_count == 8
+    assert mgr.queue_depth() == 0
+    assert not mgr.has_pending_work()
+    assert [mgr.success_count.get(seg) for seg in range(8)] == [1] * 8
 
 
 def test_thread_sleeps_once_a_segment_gives_up(workdir):

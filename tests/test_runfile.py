@@ -10,7 +10,7 @@ from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
 from segstore.runfile import RunReader, parse_run_name, run_name, write_run
 from segstore.wal import OP_SET, LogRecord
 
-from conftest import value_bytes
+from conftest import closing, value_bytes
 
 
 def make_records(rng, n, npages, base_lsn=1):
@@ -39,6 +39,7 @@ def test_write_read_round_trip(workdir):
     recs, end = make_records(rng, 500, npages=40)
     path = write_run(workdir, 0, end, sorted_records(recs), block_size=512)
     run = RunReader(path)
+    closing(run)
     assert (run.begin_lsn, run.end_lsn, run.record_count) == (0, end, 500)
     back, _ = run.scan_all()
     assert back == sorted_records(recs)
@@ -52,6 +53,7 @@ def test_block_index_probes_match_full_scan(workdir):
     recs, end = make_records(rng, 2000, npages=100)
     path = write_run(workdir, 0, end, sorted_records(recs), block_size=512)
     run = RunReader(path)
+    closing(run)
     full, _ = run.scan_all()
     for _ in range(200):
         a = rng.randrange(100)
@@ -114,6 +116,7 @@ def test_oversized_record_rejected(workdir):
 def test_empty_run(workdir):
     path = write_run(workdir, 10, 10, [])
     run = RunReader(path)
+    closing(run)
     assert run.record_count == 0
     assert run.scan_all()[0] == []
     assert run.scan_range(0, 100)[0] == []
