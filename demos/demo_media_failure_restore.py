@@ -9,6 +9,8 @@ Run:  python demos/demo_media_failure_restore.py
 import os
 import random
 import tempfile
+import time
+from contextlib import ExitStack, closing
 
 from segstore import (ArchiveDirectory, BackupImage, BufferPool, Geometry,
                       LogArchiver, RestoreContext, Volume, WriteAheadLog,
@@ -18,59 +20,64 @@ from segstore.pages import page_capacity
 from segstore.restore import Policy
 from segstore.wal import OP_SET
 
-workdir = tempfile.mkdtemp(prefix="segstore-demo-")
-geo = Geometry(page_size=1024, page_count=128, pages_per_segment=8)
-volume = Volume.create(os.path.join(workdir, "volume.db"), geo, DeviceRole.DATABASE)
-replacement = Volume.create(os.path.join(workdir, "replacement.db"), geo,
-                            DeviceRole.REPLACEMENT)
-wal = WriteAheadLog(os.path.join(workdir, "wal.log"))
-pool = BufferPool(volume, wal, capacity=16, replacement=replacement)
+with ExitStack() as opened:
+    workdir = opened.enter_context(tempfile.TemporaryDirectory(prefix="segstore-demo-"))
+    geo = Geometry(page_size=1024, page_count=128, pages_per_segment=8)
+    volume = opened.enter_context(closing(
+        Volume.create(os.path.join(workdir, "volume.db"), geo, DeviceRole.DATABASE)))
+    replacement = opened.enter_context(closing(
+        Volume.create(os.path.join(workdir, "replacement.db"), geo, DeviceRole.REPLACEMENT)))
+    wal = opened.enter_context(closing(WriteAheadLog(os.path.join(workdir, "wal.log"))))
+    pool = BufferPool(volume, wal, capacity=16, replacement=replacement)
 
-backup, _ = BackupImage.create(workdir, volume, wal)
-print(f"full backup taken (replay starts at lsn {backup.min_lsn})")
+    backup, _ = BackupImage.create(workdir, volume, wal)
+    opened.enter_context(closing(backup))
+    print(f"full backup taken (replay starts at lsn {backup.min_lsn})")
 
-directory = ArchiveDirectory(os.path.join(workdir, "archive"))
-archiver = LogArchiver(wal, directory, run_size_limit=128)
+    directory = opened.enter_context(closing(
+        ArchiveDirectory(os.path.join(workdir, "archive"))))
+    archiver = LogArchiver(wal, directory, run_size_limit=128)
 
-cap = page_capacity(geo.page_size)
-rng = random.Random(7)
-for i in range(800):
-    pid = rng.randrange(geo.page_count)
-    handle, _ = pool.fix_page(pid)
-    lsn, _ = wal.append(pid, txn_id=i, op=OP_SET, key=i % 8,
-                        value=i.to_bytes(16, "little"))
-    handle.page.set(i % 8, i.to_bytes(16, "little"), cap)
-    handle.page.page_lsn = lsn
-    pool.unfix_page(handle, mark_dirty=True)
-    archiver.archive_step(64)
-print(f"800 updates committed; archive holds {directory.run_count} runs")
+    cap = page_capacity(geo.page_size)
+    rng = random.Random(7)
+    for i in range(800):
+        pid = rng.randrange(geo.page_count)
+        handle, _ = pool.fix_page(pid)
+        lsn, _ = wal.append(pid, txn_id=i, op=OP_SET, key=i % 8,
+                            value=i.to_bytes(16, "little"))
+        handle.page.set(i % 8, i.to_bytes(16, "little"), cap)
+        handle.page.page_lsn = lsn
+        pool.unfix_page(handle, mark_dirty=True)
+        archiver.archive_step(64)
+    print(f"800 updates committed; archive holds {directory.run_count} runs")
 
-# --- the failure -------------------------------------------------------------
-token = pool.fail_device()
-archiver.archive_up_to(token.failure_lsn)
-print(f"\ndatabase device FAILED at lsn {token.failure_lsn}; archive caught up")
+    # --- the failure ---------------------------------------------------------
+    failure_lsn = pool.fail_device()
+    archiver.archive_up_to(failure_lsn)
+    print(f"\ndatabase device FAILED at lsn {failure_lsn}; archive caught up")
 
-manager = begin_restore(RestoreContext(
-    backup=backup, archive=directory, replacement=replacement,
-    failure_lsn=token.failure_lsn, policy=Policy.PREEMPTIVE,
-    batch_cap=8, buffer_pool=pool), start_thread=True)
+    manager = begin_restore(RestoreContext(
+        backup=backup, archive=directory, replacement=replacement,
+        failure_lsn=failure_lsn, policy=Policy.PREEMPTIVE,
+        batch_cap=8, buffer_pool=pool), start_thread=True)
+    opened.callback(manager.stop)
 
-# Transactions keep running: a fix on a lost page blocks only until its
-# segment is back, not until the whole device is.
-hot = 42
-handle, _ = pool.fix_page(hot, timeout=30.0)
-print(f"page {hot} served during restore: page_lsn={handle.page.page_lsn}, "
-      f"status={manager.status()}")
-pool.unfix_page(handle)
+    # Transactions keep running: a fix on a lost page blocks only until its
+    # segment is back, not until the whole device is.
+    hot = 42
+    handle, _ = pool.fix_page(hot, timeout=30.0)
+    print(f"page {hot} served during restore: page_lsn={handle.page.page_lsn}, "
+          f"status={manager.status()}")
+    pool.unfix_page(handle)
 
-# Meanwhile the sweep finishes the rest of the device on its own.
-while not manager.complete:
-    pass
-manager.stop()
-print(f"restore complete: {manager.status()}")
+    # Meanwhile the sweep finishes the rest of the device on its own.
+    while not manager.complete:
+        time.sleep(0.005)
+    manager.stop()
+    print(f"restore complete: {manager.status()}")
 
-# Single-page repair rebuilds one page from backup + its log chain alone.
-repaired, _ = single_page_repair(wal, backup, hot)
-restored, _ = replacement.read_page(hot)
-print(f"\nsingle-page repair of page {hot} agrees with segment restore: "
-      f"{repaired == restored}")
+    # Single-page repair rebuilds one page from backup + its log chain alone.
+    repaired, _ = single_page_repair(wal, backup, hot)
+    restored, _ = replacement.read_page(hot)
+    print(f"\nsingle-page repair of page {hot} agrees with segment restore: "
+          f"{repaired == restored}")

@@ -7,43 +7,43 @@ Run:  python demos/demo_page_store_and_wal.py
 
 import os
 import tempfile
+from contextlib import closing
 
 from segstore import BufferPool, Geometry, Volume, WriteAheadLog
 from segstore.device import DeviceRole, LatencyModel
 from segstore.pages import page_capacity
 from segstore.wal import OP_SET
 
-workdir = tempfile.mkdtemp(prefix="segstore-demo-")
 geo = Geometry(page_size=1024, page_count=64, pages_per_segment=8)
+with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
+      closing(Volume.create(os.path.join(workdir, "volume.db"), geo, DeviceRole.DATABASE,
+                            LatencyModel(fixed_us=100, per_byte_us=0.004))) as volume,
+      closing(WriteAheadLog(os.path.join(workdir, "wal.log"))) as wal):
+    pool = BufferPool(volume, wal, capacity=8)
 
-volume = Volume.create(os.path.join(workdir, "volume.db"), geo,
-                       DeviceRole.DATABASE, LatencyModel(fixed_us=100, per_byte_us=0.004))
-wal = WriteAheadLog(os.path.join(workdir, "wal.log"))
-pool = BufferPool(volume, wal, capacity=8)
+    print(f"volume: {geo.page_count} pages x {geo.page_size} B, "
+          f"{geo.segment_count} segments, pool of {pool.capacity} frames")
 
-print(f"volume: {geo.page_count} pages x {geo.page_size} B, "
-      f"{geo.segment_count} segments, pool of {pool.capacity} frames")
+    # A few updates through the pool; every update is logged first.
+    cap = page_capacity(geo.page_size)
+    for i, page_id in enumerate([3, 9, 3, 40, 3, 9]):
+        handle, _ = pool.fix_page(page_id, mode="exclusive")
+        lsn, _ = wal.append(page_id, txn_id=1, op=OP_SET, key=i,
+                            value=i.to_bytes(16, "little"))
+        handle.page.set(i, i.to_bytes(16, "little"), cap)
+        handle.page.page_lsn = lsn
+        pool.unfix_page(handle, mark_dirty=True)
+        print(f"update {i}: page {page_id} at lsn {lsn}")
 
-# A few updates through the pool; every update is logged first.
-cap = page_capacity(geo.page_size)
-for i, page_id in enumerate([3, 9, 3, 40, 3, 9]):
-    handle, _ = pool.fix_page(page_id, mode="exclusive")
-    lsn, _ = wal.append(page_id, txn_id=1, op=OP_SET, key=i,
-                        value=i.to_bytes(16, "little"))
-    handle.page.set(i, i.to_bytes(16, "little"), cap)
-    handle.page.page_lsn = lsn
-    pool.unfix_page(handle, mark_dirty=True)
-    print(f"update {i}: page {page_id} at lsn {lsn}")
+    # The per-page chain walks page 3's history newest-first without scanning.
+    print("\npage 3 history via the backward chain:")
+    for rec in wal.page_chain(3):
+        print(f"  lsn {rec.lsn} key {rec.key} (prev {rec.prev_page_lsn})")
 
-# The per-page chain walks page 3's history newest-first without scanning.
-print("\npage 3 history via the backward chain:")
-for rec in wal.page_chain(3):
-    print(f"  lsn {rec.lsn} key {rec.key} (prev {rec.prev_page_lsn})")
+    print("\nrecovery index (page -> newest lsn):", wal.recovery_index())
 
-print("\nrecovery index (page -> newest lsn):", wal.recovery_index())
-
-# Flushing a dirty page forces the log first: write-ahead in action.
-pool.flush_page(3)
-print(f"\nflushed page 3; log durable through lsn {wal.durable_lsn() - 1}")
-page, _ = volume.read_page(3)
-print(f"on-disk page 3: page_lsn={page.page_lsn}, {len(page.records)} records")
+    # Flushing a dirty page forces the log first: write-ahead in action.
+    pool.flush_page(3)
+    print(f"\nflushed page 3; log durable through lsn {wal.durable_lsn() - 1}")
+    page, _ = volume.read_page(3)
+    print(f"on-disk page 3: page_lsn={page.page_lsn}, {len(page.records)} records")

@@ -102,7 +102,7 @@ class BenchEngine:
         self.backup, _ = BackupImage.create(workdir, self.volume, self.wal,
                                             LatencyModel(*config.backup_latency))
         self.manager = None
-        self.failure_token = None
+        self.failure_lsn = None
         self.report = MetricsReport(duration_s=config.duration_s,
                                     failure_time_s=config.failure_time_s)
         self.pool.on_page_read = self.report.record_page_read
@@ -227,16 +227,16 @@ class BenchEngine:
         t_fail = self._t_fail_us if self._t_fail_us is not None else \
             max((w.clock for w in self.workers), default=0.0)
         self._t_fail_us = t_fail
-        self.failure_token = self.pool.fail_device(now=t_fail)
+        self.failure_lsn = self.pool.fail_device(now=t_fail)
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
-        t_catch = self.archiver.archive_up_to(self.failure_token.failure_lsn,
+        t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, t_fail))
         self._arch_clock = t_catch
         ctx = RestoreContext(
             backup=self.backup,
             archive=self.archive_dir,
             replacement=self.replacement,
-            failure_lsn=self.failure_token.failure_lsn,
+            failure_lsn=self.failure_lsn,
             policy=self.config.policy,
             batch_cap=self.config.batch_cap,
             buffer_pool=self.pool,
@@ -301,7 +301,7 @@ class BenchEngine:
         if self.config.txns_per_worker is not None:
             self.report.duration_s = int(end_us // _US) + 1
         self.report.mark_invariant("latency_accounting", self._latency_ok)
-        if self.failure_token is not None:
+        if self.failure_lsn is not None:
             untouched = (self.volume.device.reads + self.volume.device.writes
                          == self._db_ops_at_failure)
             self.report.mark_invariant("failed_device_untouched", untouched)
@@ -382,23 +382,13 @@ def logical_state(path: str) -> dict[int, dict[int, bytes]]:
 
 # -- entry points -----------------------------------------------------------------
 
-def run_benchmark(config: WorkloadConfig, workdir: str | None = None,
-                  keep_workdir: bool = False) -> MetricsReport:
+def run_benchmark(config: WorkloadConfig) -> MetricsReport:
     """Build the volume, take a full backup, run the workload with the
     archiver online, inject the failure, restore on demand, and emit CSVs
-    when config.out_dir is set."""
-    own_dir = workdir is None
-    workdir = workdir or tempfile.mkdtemp(prefix="segstore-bench-")
-    engine = BenchEngine(config, workdir)
-    try:
+    when config.out_dir is set.  The scratch directory is removed on every
+    exit, a rejected config included."""
+    with _scratch_engine(config, "segstore-bench-") as engine:
         report = engine.run()
-    except StorageError:
-        engine.report.valid = False
-        raise
-    finally:
-        engine.close()
-        if own_dir and not keep_workdir:
-            shutil.rmtree(workdir, ignore_errors=True)
     if config.out_dir:
         emit_csv(report, config.out_dir)
     return report

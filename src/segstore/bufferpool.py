@@ -64,13 +64,6 @@ class PageHandle:
 Blocked = RestoreHandle
 
 
-class FailureToken:
-    __slots__ = ("failure_lsn",)
-
-    def __init__(self, failure_lsn: int):
-        self.failure_lsn = failure_lsn
-
-
 class BufferPool:
     def __init__(self, volume: Volume, wal: WriteAheadLog, capacity: int,
                  replacement: Volume | None = None):
@@ -93,12 +86,12 @@ class BufferPool:
 
     # -- failure wiring -----------------------------------------------------
 
-    def fail_device(self, now: float = 0.0) -> FailureToken:
-        """Inject the media failure; the WAL is flushed so the failure LSN
-        is durable before anyone archives up to it."""
+    def fail_device(self, now: float = 0.0) -> int:
+        """Inject the media failure and return the failure LSN; the WAL is
+        flushed so that LSN is durable before anyone archives up to it."""
         self.wal.flush(now=now)
         self.volume.device.fail()
-        return FailureToken(self.wal.end_lsn())
+        return self.wal.end_lsn()
 
     def set_restore_gate(self, gate) -> None:
         with self._cond:

@@ -17,16 +17,19 @@ Scheduling policies:
                contiguous segments that double in size (1, 2, 4, ... up
                to batch_cap), resetting to 1 whenever demand arrives.
                Latency first while demand is hot, bandwidth once it cools.
-  SINGLE_PASS  ignore the queue and sweep the whole device sequentially
-               in maximal batches; requesters wait on the bitmap without
-               claiming, since the sweep owns every segment.  With one
-               segment spanning the device this is classic offline
-               restore, and it doubles as the bandwidth yardstick.
+  SINGLE_PASS  sweep the whole device sequentially in batch_cap batches;
+               requesters wait on the bitmap without claiming, since the
+               sweep owns every segment, so the queue holds only the
+               sweep's own retries.  With one segment spanning the device
+               this is classic offline restore, and it doubles as the
+               bandwidth yardstick.
 
-A failed segment restore reverts the segment to "not restored" and
-re-enqueues it (single-pass moves its sweep back to it instead); waiters
-keep waiting across retries and only see an error once MAX_ATTEMPTS
-attempts have failed.  A later request may try the segment afresh.
+A failed segment restore keeps its claim: the segment stays "restoring"
+and goes back on the queue on its own, so only it is retried, and its
+waiters keep waiting.  Once MAX_ATTEMPTS attempts have failed it reverts
+to "not restored" and its waiters see the error.  Under ON_DEMAND and
+PREEMPTIVE a later request (or a sweep that has not reached it yet) may
+try the segment afresh.
 """
 
 import enum
@@ -140,12 +143,18 @@ class SegmentBitmap:
                 return True, self._claim_locked(seg)
             return False, self._entry_locked(seg)
 
+    def next_not_restored(self, cursor: int) -> int:
+        """First NOT_RESTORED segment at or after cursor, or -1."""
+        with self._lock:
+            return self._states.find(SegmentState.NOT_RESTORED, cursor)
+
     def claim_contiguous(self, cursor: int, limit: int) -> tuple[list[int], int]:
         """Claim up to limit contiguous NOT_RESTORED segments starting at or
         after cursor; returns (claimed segments, new cursor)."""
         with self._lock:
-            while cursor < self.total and self._states[cursor] != SegmentState.NOT_RESTORED:
-                cursor += 1
+            cursor = self._states.find(SegmentState.NOT_RESTORED, cursor)
+            if cursor < 0:
+                return [], self.total
             segs = []
             while (cursor < self.total and len(segs) < limit
                    and self._states[cursor] == SegmentState.NOT_RESTORED):
@@ -166,25 +175,22 @@ class SegmentBitmap:
             entry.event.set()
 
     def record_failure(self, seg: int, exc: Exception, max_attempts: int) -> bool:
-        """Revert RESTORING -> NOT_RESTORED.  Returns True if the segment
-        should be retried, False once the attempt budget is used up (then
-        current waiters are released with the error)."""
+        """Count a failed attempt on a RESTORING segment.  Returns True while
+        attempts are left: the segment stays RESTORING, so the caller keeps
+        the claim and retries it, and waiters keep waiting.  The last
+        failed attempt reverts it to NOT_RESTORED, releases its waiters
+        with exc and returns False."""
         with self._lock:
             if self._states[seg] != SegmentState.RESTORING:
                 raise RestoreError(f"segment {seg} failed without restoring state")
-            self._states[seg] = SegmentState.NOT_RESTORED
             entry = self._entry_locked(seg)
             entry.attempts += 1
             if entry.attempts < max_attempts:
                 return True
+            self._states[seg] = SegmentState.NOT_RESTORED
             entry.error = exc
             entry.event.set()
             return False
-
-    def has_not_restored(self) -> bool:
-        with self._lock:
-            return self.restored_count < self.total and \
-                any(s == SegmentState.NOT_RESTORED for s in self._states)
 
     @property
     def complete(self) -> bool:
@@ -247,7 +253,7 @@ def single_page_repair(wal: WriteAheadLog, backup: BackupImage, page_id: int,
         if rec.lsn < backup.min_lsn:
             break
         chain.append(rec)
-        t = wal.charge_chain_read(rec.encoded_size, t)
+        t = wal.device.charge_read(rec.encoded_size, t)
     replay(page, reversed(chain))
     return page, t
 
@@ -269,7 +275,7 @@ class RestoreManager:
         self._qlock = threading.Lock()
         self._work = threading.Condition(self._qlock)
         self._cursor = 0
-        self._batch = 1
+        self._batch = context.batch_cap if context.policy == Policy.SINGLE_PASS else 1
         self.bytes_restored = 0
         self.demand_requests = 0
         self.attempt_count = {}
@@ -312,45 +318,37 @@ class RestoreManager:
     # -- scheduler ------------------------------------------------------------
 
     def has_pending_work(self) -> bool:
+        """True when step() has work: a queued segment, or for the sweep
+        policies a NOT_RESTORED segment at or after the sweep cursor.  A
+        segment that used up its attempts behind the cursor is not work:
+        the sweep never moves back."""
         if self.bitmap.complete:
             return False
         with self._qlock:
             if self._queue:
                 return True
-        if self.context.policy == Policy.ON_DEMAND:
-            return False
-        return self.bitmap.has_not_restored()
+        return (self.context.policy != Policy.ON_DEMAND
+                and self.bitmap.next_not_restored(self._cursor) >= 0)
 
     @property
     def complete(self) -> bool:
         return self.bitmap.complete
 
     def step(self, now: float = 0.0) -> tuple[bool, float]:
-        """Execute one scheduler decision: one demanded segment, or one
-        sweep batch.  Returns (did_work, completion_time)."""
-        policy = self.context.policy
+        """Execute one scheduler decision: the queue head (a demanded or a
+        retried segment, already claimed), or one sweep batch.  Returns
+        (did_work, completion_time)."""
         segs = []
         qdepth = 0
-        if policy != Policy.SINGLE_PASS:
-            with self._qlock:
-                while self._queue:
-                    seg, t_enq = self._queue.popleft()
-                    state = self.bitmap.state(seg)
-                    if state == SegmentState.RESTORED:
-                        continue  # satisfied while queued (duplicate retry entry)
-                    if state == SegmentState.NOT_RESTORED:
-                        # re-queued after a failed attempt: claim it again
-                        won, _ = self.bitmap.try_begin(seg)
-                        if not won:
-                            continue
-                    qdepth = len(self._queue) + 1
-                    segs = [seg]
-                    now = max(now, t_enq)
-                    break
-        if not segs and policy != Policy.ON_DEMAND:
-            limit = self.context.batch_cap if policy == Policy.SINGLE_PASS else self._batch
-            segs, self._cursor = self.bitmap.claim_contiguous(self._cursor, limit)
-            if segs and policy == Policy.PREEMPTIVE:
+        with self._qlock:
+            if self._queue:
+                seg, t_enq = self._queue.popleft()
+                qdepth = len(self._queue) + 1
+                segs = [seg]
+                now = max(now, t_enq)
+        if not segs and self.context.policy != Policy.ON_DEMAND:
+            segs, self._cursor = self.bitmap.claim_contiguous(self._cursor, self._batch)
+            if segs:
                 self._batch = min(self._batch * 2, self.context.batch_cap)
         if not segs:
             return False, now
@@ -417,17 +415,11 @@ class RestoreManager:
                 replay(pages[page_id - first_page], records)
             t_done = self.context.replacement.write_page_span(first_page, pages, t_ready)
         except StorageError as exc:
-            retry = []
-            for seg in segs:
-                if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS):
-                    retry.append(seg)
-            if retry and self.context.policy == Policy.SINGLE_PASS:
-                # The sweep owns these segments: move its cursor back.
-                self._cursor = min(self._cursor, retry[0])
-            elif retry:
+            retry = [seg for seg in segs
+                     if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS)]
+            if retry:
                 with self._work:
-                    for seg in retry:
-                        self._queue.append((seg, now))
+                    self._queue.extend((seg, now) for seg in retry)
                     self._work.notify_all()
             raise
         nbytes = (end_page - first_page) * geo.page_size

@@ -239,9 +239,5 @@ class WriteAheadLog:
                 raise WalError("cannot truncate beyond durable end")
             self._truncated_lsn = max(self._truncated_lsn, below_lsn)
 
-    def charge_chain_read(self, nbytes: int, now: float = 0.0) -> float:
-        """Random-access device charge for single-page repair walks."""
-        return self.device.charge_read(nbytes, now)
-
     def close(self) -> None:
         self.device.close()

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .pages import VALUE_LEN, page_capacity
 from .restore import Policy
 
+OPS_PER_TXN = (1, 8)  # updates per transaction, inclusive range
+
 
 @functools.lru_cache(maxsize=8)
 def _zipf_cdf(n: int, theta: float) -> tuple[float, ...]:
@@ -73,7 +75,6 @@ class WorkloadConfig:
     pages_per_segment: int = 128
     pool_pages: int = 8192
     worker_threads: int = 8
-    ops_per_txn: tuple[int, int] = (1, 8)
     skew: float = 0.8
     duration_s: float = 60.0
     failure_time_s: float | None = 10.0
@@ -109,9 +110,6 @@ class WorkloadConfig:
         ws = self.working_set()
         if not 1 <= ws <= self.page_count:
             raise ValueError("working set must fit in the volume")
-        lo, hi = self.ops_per_txn
-        if not 1 <= lo <= hi:
-            raise ValueError("bad ops_per_txn range")
         cap = page_capacity(self.page_size)
         if self.worker_threads > cap:
             raise ValueError("more workers than key slots per page")
@@ -145,8 +143,7 @@ class WorkerStream:
 
     def next_txn(self) -> list[tuple[int, int, int, bytes]]:
         """One transaction: list of (page_id, op, key, value) updates."""
-        lo, hi = self.config.ops_per_txn
-        nops = self.rng.randint(lo, hi)
+        nops = self.rng.randint(*OPS_PER_TXN)
         ops = []
         for _ in range(nops):
             page_id = self.zipf.draw(self.rng)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -25,6 +26,15 @@ def tiny_config(**kw):
 def test_config_rejected_when_failure_after_duration():
     with pytest.raises(ValueError):
         run_benchmark(tiny_config(duration_s=1.0, failure_time_s=5.0))
+
+
+def test_run_benchmark_removes_its_scratch_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ValueError):
+        run_benchmark(tiny_config(duration_s=1.0, failure_time_s=5.0))
+    assert os.listdir(tmp_path) == []
+    run_benchmark(tiny_config(duration_s=1.0, failure_time_s=None))
+    assert os.listdir(tmp_path) == []
 
 
 def test_shadow_execution_oracle():

@@ -224,8 +224,7 @@ def test_fail_device_blocks_traffic(workdir):
     pool, vol, wal = make_pool(workdir, capacity=4, with_replacement=True)
     h, _ = pool.fix_page(0)
     pool.unfix_page(h)
-    token = pool.fail_device()
-    assert token.failure_lsn == wal.end_lsn()
+    assert pool.fail_device() == wal.end_lsn()
     with pytest.raises(StorageError):
         pool.fail_device()  # already failed
     ops = vol.device.reads + vol.device.writes

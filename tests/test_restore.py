@@ -60,12 +60,12 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
               directory=directory, archiver=archiver, rng=rng,
               page_count=page_count, pages_per_segment=pages_per_segment)
     if fail:
-        token = pool.fail_device()
-        archiver.archive_up_to(token.failure_lsn)
-        env.token = token
+        failure_lsn = pool.fail_device()
+        archiver.archive_up_to(failure_lsn)
+        env.failure_lsn = failure_lsn
         env.context = RestoreContext(
             backup=backup, archive=directory, replacement=repl,
-            failure_lsn=token.failure_lsn, policy=policy,
+            failure_lsn=failure_lsn, policy=policy,
             batch_cap=batch_cap, buffer_pool=pool)
     return env
 
@@ -192,7 +192,9 @@ def test_bitmap_failure_and_retry():
     bm = SegmentBitmap(2)
     bm.try_begin(0)
     assert bm.record_failure(0, StorageError("boom"), max_attempts=3)
-    assert bm.state(0) == SegmentState.NOT_RESTORED
+    # a retried segment keeps its claim
+    assert bm.state(0) == SegmentState.RESTORING
+    assert not bm.try_begin(0)[0]
     bm.try_begin(0)
     assert bm.record_failure(0, StorageError("boom"), max_attempts=3)
     won, handle = bm.try_begin(0)
@@ -208,13 +210,13 @@ def test_bitmap_failure_and_retry():
 
 def test_begin_restore_requires_caught_up_archive(workdir):
     env = build_env(workdir, fail=False)
-    token = env.pool.fail_device()
+    failure_lsn = env.pool.fail_device()
     ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                         replacement=env.repl, failure_lsn=token.failure_lsn,
+                         replacement=env.repl, failure_lsn=failure_lsn,
                          buffer_pool=env.pool)
     with pytest.raises(RestoreError):
         begin_restore(ctx, start_thread=False)
-    env.archiver.archive_up_to(token.failure_lsn)
+    env.archiver.archive_up_to(failure_lsn)
     begin_restore(ctx, start_thread=False)
 
 
@@ -238,9 +240,9 @@ def test_begin_restore_on_empty_history(workdir):
     backup, _ = BackupImage.create(workdir, vol, wal)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     closing(vol, repl, wal, backup, directory)
-    token = pool.fail_device()
+    failure_lsn = pool.fail_device()
     ctx = RestoreContext(backup=backup, archive=directory, replacement=repl,
-                         failure_lsn=token.failure_lsn, buffer_pool=pool,
+                         failure_lsn=failure_lsn, buffer_pool=pool,
                          policy=Policy.SINGLE_PASS)
     mgr = begin_restore(ctx, start_thread=False)
     mgr.drain()
@@ -278,7 +280,7 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
                            name=f"repl_{policy.value}.db",
                            role=DeviceRole.REPLACEMENT)
         ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                             replacement=repl, failure_lsn=env.token.failure_lsn,
+                             replacement=repl, failure_lsn=env.failure_lsn,
                              policy=policy)
         mgr = begin_restore(ctx, start_thread=False)
         if policy == Policy.ON_DEMAND:
@@ -543,6 +545,40 @@ def test_thread_sleeps_once_a_segment_gives_up(workdir):
         mgr.stop()
 
 
+@pytest.mark.parametrize("policy", [Policy.PREEMPTIVE, Policy.SINGLE_PASS])
+def test_given_up_segment_fails_alone_and_leaves_no_work(workdir, policy):
+    """A segment that always fails is retried alone: the rest of its batch
+    is restored for its waiters, and once only the given-up segment is
+    left the scheduler reports no work and does none."""
+    env = build_env(workdir, policy=policy, batch_cap=4)
+    mgr = begin_restore(env.context, start_thread=False)
+    assert mgr.bitmap.total == 8
+    bad = 3
+    bad_first, bad_end = env.backup.geometry.segment_span(bad)
+    real_fetch = env.backup.fetch_page_span
+
+    def broken(first, end, now=0.0):
+        if first < bad_end and bad_first < end:
+            raise StorageError("injected permanent backup read failure")
+        return real_fetch(first, end, now)
+
+    env.backup.fetch_page_span = broken
+    handles = [mgr.bitmap.handle(seg) for seg in range(8)]
+    t = 0.0
+    for _ in range(50):  # bounded: a scheduler that keeps reporting work spins
+        if not mgr.has_pending_work():
+            break
+        try:
+            _, t = mgr.step(t)
+        except StorageError:
+            pass
+    assert mgr.bitmap.restored_count == 7
+    assert [h.done for h in handles] == [seg != bad for seg in range(8)]
+    assert handles[bad].error is not None
+    assert not mgr.has_pending_work()
+    assert mgr.step(t) == (False, t)
+
+
 # -- buffer pool integration -----------------------------------------------------------
 
 def test_blocked_fix_resolves_after_restore(workdir):
@@ -588,10 +624,10 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     h.page.set(3, value_bytes(999), CAP)
     h.page.page_lsn = lsn
     env.pool.unfix_page(h, mark_dirty=True)
-    token = env.pool.fail_device()
-    env.archiver.archive_up_to(token.failure_lsn)
+    failure_lsn = env.pool.fail_device()
+    env.archiver.archive_up_to(failure_lsn)
     ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                         replacement=env.repl, failure_lsn=token.failure_lsn,
+                         replacement=env.repl, failure_lsn=failure_lsn,
                          policy=Policy.PREEMPTIVE, buffer_pool=env.pool)
     mgr = begin_restore(ctx, start_thread=False)
     mgr.drain()

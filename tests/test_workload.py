@@ -60,8 +60,6 @@ def test_config_validation():
         WorkloadConfig(skew=-1).validate()
     with pytest.raises(ValueError):
         WorkloadConfig(page_count=64, working_set_pages=100).validate()
-    with pytest.raises(ValueError):
-        WorkloadConfig(ops_per_txn=(5, 2)).validate()
     # no-failure configs are fine (overhead runs)
     WorkloadConfig(failure_time_s=None).validate()
 
