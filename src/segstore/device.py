@@ -97,10 +97,15 @@ class Device:
 
     def read(self, offset: int, nbytes: int, now: float = 0.0) -> tuple[bytes, float]:
         done = self.charge_read(nbytes, now)
+        return self.pread(offset, nbytes), done
+
+    def pread(self, offset: int, nbytes: int) -> bytes:
+        """The bytes at offset, with no charge: for reads that are not a
+        modelled transfer, like decoding a log that was already paid for."""
         data = os.pread(self._fd, nbytes, offset)
         if len(data) != nbytes:
             raise StorageError(f"short read at offset {offset}: {len(data)} < {nbytes}")
-        return data, done
+        return data
 
     def write(self, offset: int, data: bytes, now: float = 0.0) -> float:
         done = self.charge_write(len(data), now)

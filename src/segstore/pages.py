@@ -10,6 +10,7 @@ last update applied to it.  Serialization is exact:
 so an image is always exactly page_size bytes and round-trips bit-for-bit.
 """
 
+import functools
 import struct
 import zlib
 
@@ -46,17 +47,49 @@ def segment_page_span(segment_id: int, pages_per_segment: int, page_count: int) 
     return first, min(first + pages_per_segment, page_count)
 
 
-def empty_page_images(first: int, end: int, page_size: int) -> bytes:
+@functools.lru_cache(maxsize=8)
+def _empty_page_crcs(page_size: int) -> tuple[int, tuple]:
+    """The CRC of an empty page with id 0, and 8 tables of 256 values.
+
+    An empty page's image is all zeros but its 8 page-id bytes, and a CRC
+    is affine over messages of one length, so the CRC of page pid is
+    base ^ tables[0][byte 0 of pid] ^ ... ^ tables[7][byte 7].  Each table
+    is linear in its byte and is built from the CRCs of its 8 bits."""
+    image = bytearray(page_size - _CRC.size)
+    base = zlib.crc32(image)
+    tables = []
+    for k in range(8):
+        bits = []
+        for bit in range(8):
+            image[k] = 1 << bit
+            bits.append(zlib.crc32(image) ^ base)
+        image[k] = 0
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = table[v ^ low] ^ bits[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return base, tuple(tables)
+
+
+def empty_page_images(first: int, end: int, page_size: int) -> bytearray:
     """Images of the empty pages [first, end), byte-equal to
-    Page(pid).to_bytes(page_size) for each: only the header and the CRC
-    differ from page to page, so the zero body is built once."""
+    Page(pid).to_bytes(page_size) for each: only the page id and the CRC
+    differ from page to page, so they are written into a zeroed buffer
+    and the CRC comes from per-byte tables instead of a pass over it."""
     page_capacity(page_size)  # rejects a page too small, as to_bytes does
-    body = bytes(page_size - _HEADER.size - _CRC.size)
-    parts = []
+    base, (t0, t1, t2, t3, t4, t5, t6, t7) = _empty_page_crcs(page_size)
+    buf = bytearray((end - first) * page_size)
+    crc_at = page_size - _CRC.size
+    off = 0
     for pid in range(first, end):
-        head = _HEADER.pack(pid, 0, 0)
-        parts += (head, body, _CRC.pack(zlib.crc32(body, zlib.crc32(head))))
-    return b"".join(parts)
+        _HEADER.pack_into(buf, off, pid, 0, 0)
+        _CRC.pack_into(buf, off + crc_at,
+                       base ^ t0[pid & 0xFF] ^ t1[pid >> 8 & 0xFF] ^ t2[pid >> 16 & 0xFF]
+                       ^ t3[pid >> 24 & 0xFF] ^ t4[pid >> 32 & 0xFF] ^ t5[pid >> 40 & 0xFF]
+                       ^ t6[pid >> 48 & 0xFF] ^ t7[pid >> 56])
+        off += page_size
+    return buf
 
 
 class Page:

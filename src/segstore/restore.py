@@ -19,17 +19,19 @@ Scheduling policies:
                Latency first while demand is hot, bandwidth once it cools.
   SINGLE_PASS  sweep the whole device sequentially in batch_cap batches;
                requesters wait on the bitmap without claiming, since the
-               sweep owns every segment, so the queue holds only the
-               sweep's own retries.  With one segment spanning the device
-               this is classic offline restore, and it doubles as the
-               bandwidth yardstick.
+               sweep owns every segment it has yet to reach, so the queue
+               holds the sweep's own retries and the segments re-requested
+               behind it.  With one segment spanning the device this is
+               classic offline restore, and it doubles as the bandwidth
+               yardstick.
 
 A failed segment restore keeps its claim: the segment stays "restoring"
 and goes back on the queue on its own, so only it is retried, and its
 waiters keep waiting.  Once MAX_ATTEMPTS attempts have failed it reverts
-to "not restored" and its waiters see the error.  Under ON_DEMAND and
-PREEMPTIVE a later request (or a sweep that has not reached it yet) may
-try the segment afresh.
+to "not restored" and its waiters see the error.  A later request (or,
+under PREEMPTIVE, a sweep that has not reached it yet) may try the
+segment afresh; the single-pass sweep never moves back, so behind its
+cursor only a request does.
 """
 
 import enum
@@ -295,15 +297,17 @@ class RestoreManager:
         state = self.bitmap.state(seg)
         if state == SegmentState.RESTORED:
             return self.bitmap.handle(seg)
-        if self.context.policy == Policy.SINGLE_PASS:
-            # The sweep owns every segment; just wait on its signal.
+        single_pass = self.context.policy == Policy.SINGLE_PASS
+        if single_pass and seg >= self._cursor:
+            # The sweep owns the segments it has yet to reach; wait on its signal.
             return self.bitmap.handle(seg)
         won, handle = self.bitmap.try_begin(seg)
         if won:
             with self._work:
                 self._queue.append((seg, now))
                 self.demand_requests += 1
-                self._batch = 1
+                if not single_pass:
+                    self._batch = 1
                 self._work.notify_all()
         return handle
 
@@ -320,8 +324,8 @@ class RestoreManager:
     def has_pending_work(self) -> bool:
         """True when step() has work: a queued segment, or for the sweep
         policies a NOT_RESTORED segment at or after the sweep cursor.  A
-        segment that used up its attempts behind the cursor is not work:
-        the sweep never moves back."""
+        segment that used up its attempts behind the cursor is not work
+        until a request queues it: the sweep never moves back."""
         if self.bitmap.complete:
             return False
         with self._qlock:

@@ -135,6 +135,7 @@ class RunReader:
             footer = len(raw) - _FOOTER.size
             self._index_offset, bloom_offset, _ = _FOOTER.unpack_from(raw, footer)
             self.index = list(_INDEX_ENTRY.iter_unpack(raw[self._index_offset:bloom_offset]))
+            self._firsts = [first for first, _ in self.index]  # block_span's search keys
             self.bloom = BloomFilter.from_bytes(raw[bloom_offset:footer])
         except BaseException:
             self._f.close()
@@ -157,9 +158,8 @@ class RunReader:
         page."""
         if not self.index:
             return 0, 0
-        firsts = [entry[0] for entry in self.index]
-        start_block = max(0, bisect_left(firsts, first_page) - 1)
-        end_block = bisect_right(firsts, last_page)
+        start_block = max(0, bisect_left(self._firsts, first_page) - 1)
+        end_block = bisect_right(self._firsts, last_page)
         if end_block <= start_block:
             return 0, 0
         start = self.index[start_block][1]

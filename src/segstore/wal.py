@@ -11,16 +11,20 @@ free as the null LSN while scan(from) stays a direct seek.  Every record
 carries the LSN of the previous record that touched the same page, so the
 full update history of one page can be walked backward without scanning.
 
-The log keeps an in-memory mirror of its bytes (rebuilt from the file on
-open) for cheap scans; durability runs through the log device, which
-applies the configured latency model.  The page recovery index - page id
-to most recent LSN - is maintained inline and rebuilt on open.
+The log file on the log device is the only full copy of the log, as in
+ARIES: memory holds the tail not yet written, the start offset of every
+record (8 bytes each) and the page recovery index - page id to most
+recent LSN - which is maintained inline and rebuilt on open.  Writes and
+the archiver's batch reads are charged to the log device under its
+latency model; scans, chain walks and the open-time rebuild decode the
+file without a charge.
 """
 
 import struct
 import threading
 import zlib
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .device import Device, DeviceRole, LatencyModel
@@ -35,6 +39,7 @@ _LSN_BASE = 1  # lsn = file offset + 1 so that 0 stays "no record"
 _FIXED = struct.Struct("<IQQQQBIH")
 _CRC = struct.Struct("<I")
 _OVERHEAD = _FIXED.size + _CRC.size
+_READ_CHUNK = 1 << 20  # bytes per file read of a scan; holds the largest record
 
 
 @dataclass(frozen=True)
@@ -64,55 +69,86 @@ class LogRecord:
         return body + _CRC.pack(zlib.crc32(body))
 
     @staticmethod
-    def decode(buf, offset: int, check_offset: bool = False) -> tuple["LogRecord", int]:
-        """check_offset enforces the WAL-file invariant lsn == offset + 1;
-        archive blocks hold records at unrelated offsets."""
+    def decode(buf, offset: int, base: int | None = None) -> tuple["LogRecord", int]:
+        """Decode the record at buf[offset:]; returns it and its end in buf.
+
+        base is the log-file offset of buf[0] when buf was read from the
+        WAL file: it enforces the file invariant lsn == file offset + 1,
+        and errors report file offsets.  Archive blocks (base None) hold
+        records at unrelated offsets."""
+        at = offset if base is None else base + offset
         if offset + _FIXED.size > len(buf):
-            raise CorruptRecordError(offset, "truncated header")
+            raise CorruptRecordError(at, "truncated header")
         total, lsn, page_id, txn_id, prev, op, key, vlen = _FIXED.unpack_from(buf, offset)
         end = offset + total
         if total != _OVERHEAD + vlen or end > len(buf):
-            raise CorruptRecordError(offset, "bad length")
+            raise CorruptRecordError(at, "bad length")
         (crc,) = _CRC.unpack_from(buf, end - _CRC.size)
         if crc != zlib.crc32(bytes(buf[offset:end - _CRC.size])):
-            raise CorruptRecordError(offset, "crc mismatch")
-        if check_offset and lsn != offset + _LSN_BASE:
-            raise CorruptRecordError(offset, f"lsn {lsn} does not match offset")
+            raise CorruptRecordError(at, "crc mismatch")
+        if base is not None and lsn != at + _LSN_BASE:
+            raise CorruptRecordError(at, f"lsn {lsn} does not match offset")
         value = bytes(buf[offset + _FIXED.size:offset + _FIXED.size + vlen])
         return LogRecord(lsn, page_id, txn_id, prev, op, key, value), end
 
 
+def _decode_records(data: bytes, base: int):
+    """Yield the records that fill data, read from log-file offset base."""
+    pos = 0
+    while pos < len(data):
+        rec, pos = LogRecord.decode(data, pos, base)
+        yield rec
+
+
+def _whole_prefix(data: bytes) -> int:
+    """Length of data's longest prefix of whole records, by their length
+    fields; len(data) when even the first record runs past the end, so
+    that decoding it reports the damage."""
+    pos = 0
+    while pos + _FIXED.size <= len(data):
+        total = _FIXED.unpack_from(data, pos)[0]
+        if total == 0 or pos + total > len(data):
+            break
+        pos += total
+    return pos or len(data)
+
+
 class WriteAheadLog:
-    """Single log file; appends serialized, reads lock-free over the mirror."""
+    """Single log file; appends serialized.  Durable bytes never change, so
+    reads of them go to the file without the lock; only the unflushed
+    tail is read under it."""
 
     def __init__(self, path: str, latency: LatencyModel = LatencyModel(),
                  flush_interval: int = 0, max_bytes: int | None = None):
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
         self.max_bytes = max_bytes
-        self._mirror = bytearray()
-        self._starts: list[int] = []     # record start offsets, ascending
+        self._tail = bytearray()         # log bytes [_durable, _end), not yet written
+        self._starts = array("Q")        # record start offsets, ascending
         self._index: dict[int, int] = {}  # page id -> most recent lsn
-        self._durable = 0                # mirror bytes persisted
+        self._durable = 0                # log bytes persisted
+        self._end = 0                    # log bytes appended
         self._since_flush = 0
         self._truncated_lsn = NULL_LSN   # records below this are gone
         self._lock = threading.Lock()
         self.last_append_at = 0.0
-        existing = self.device.size()
-        if existing:
-            data, _ = self.device.read(0, existing)
-            self._load(data)
-            self.device.reset_accounting()
+        self._load(self.device.size())
 
-    def _load(self, data: bytes) -> None:
-        off = 0
-        while off < len(data):
-            rec, end = LogRecord.decode(data, off, check_offset=True)
-            self._starts.append(off)
+    def _load(self, size: int) -> None:
+        for rec in self._read_records(0, size):
+            self._starts.append(rec.lsn - _LSN_BASE)
             self._index[rec.page_id] = rec.lsn
-            off = end
-        self._mirror = bytearray(data)
-        self._durable = len(data)
+        self._durable = self._end = size
+
+    def _read_records(self, off: int, limit: int):
+        """Yield the records in log-file bytes [off, limit), off a record
+        start, decoded from file reads that end on a record boundary.
+        Charges nothing to the log device."""
+        while off < limit:
+            data = self.device.pread(off, min(_READ_CHUNK, limit - off))
+            size = len(data) if off + len(data) == limit else _whole_prefix(data)
+            yield from _decode_records(data[:size], off)
+            off += size
 
     # -- write path ---------------------------------------------------------
 
@@ -125,26 +161,28 @@ class WriteAheadLog:
             raise WalError("delete carries no value")
         t = now
         with self._lock:
-            if self.max_bytes is not None and len(self._mirror) >= self.max_bytes:
+            if self.max_bytes is not None and self._end >= self.max_bytes:
                 raise WalError("log device full")
-            offset = len(self._mirror)
+            offset = self._end
             lsn = offset + _LSN_BASE
             prev = self._index.get(page_id, NULL_LSN)
-            rec = LogRecord(lsn, page_id, txn_id, prev, op, key, value)
-            self._mirror += rec.encode()
+            encoded = LogRecord(lsn, page_id, txn_id, prev, op, key, value).encode()
+            self._tail += encoded
+            self._end += len(encoded)
             self._starts.append(offset)
             self._index[page_id] = lsn
             self._since_flush += 1
             if self.flush_interval == 0 or self._since_flush > self.flush_interval:
-                t = self._flush_to(len(self._mirror), now)
+                t = self._flush_to(self._end, now)
             self.last_append_at = max(self.last_append_at, t)
         return lsn, t
 
     def _flush_to(self, target_offset: int, now: float) -> float:
         if target_offset <= self._durable:
             return now
-        chunk = bytes(self._mirror[self._durable:target_offset])
-        t = self.device.write(self._durable, chunk, now)
+        n = target_offset - self._durable
+        t = self.device.write(self._durable, self._tail[:n], now)
+        del self._tail[:n]
         self._durable = target_offset
         self._since_flush = 0
         return t
@@ -153,19 +191,19 @@ class WriteAheadLog:
         """Make all records with lsn <= up_to durable (whole log if None)."""
         with self._lock:
             if up_to is None or up_to >= self.end_lsn():
-                target = len(self._mirror)
+                target = self._end
             elif up_to <= NULL_LSN:
                 return now
             else:
                 i = bisect_left(self._starts, up_to - _LSN_BASE + 1)
-                target = self._starts[i] if i < len(self._starts) else len(self._mirror)
+                target = self._starts[i] if i < len(self._starts) else self._end
             return self._flush_to(target, now)
 
     # -- read path ----------------------------------------------------------
 
     def end_lsn(self) -> int:
         """LSN the next append will receive; also the exclusive log bound."""
-        return len(self._mirror) + _LSN_BASE
+        return self._end + _LSN_BASE
 
     def durable_lsn(self) -> int:
         return self._durable + _LSN_BASE
@@ -178,47 +216,59 @@ class WriteAheadLog:
         with self._lock:
             return dict(self._index)
 
-    def scan(self, from_lsn: int = 0):
-        """Yield durable records with lsn >= from_lsn in LSN order."""
-        limit = self._durable
+    def _first_record(self, from_lsn: int, limit: int) -> int:
+        """Index in _starts of the first record with lsn >= from_lsn, for a
+        read of the durable log bytes below limit."""
         if from_lsn > limit + _LSN_BASE:
             raise WalError(f"scan start {from_lsn} beyond durable end")
         if self._truncated_lsn and from_lsn < self._truncated_lsn:
             raise WalError(f"scan start {from_lsn} is truncated")
-        off = 0
-        if from_lsn > NULL_LSN:
-            i = bisect_left(self._starts, from_lsn - _LSN_BASE)
-            if i >= len(self._starts):
-                return
-            off = self._starts[i]
-        while off < limit:
-            rec, off = LogRecord.decode(self._mirror, off, check_offset=True)
-            yield rec
+        return bisect_left(self._starts, from_lsn - _LSN_BASE) if from_lsn > NULL_LSN else 0
+
+    def scan(self, from_lsn: int = 0):
+        """Yield durable records with lsn >= from_lsn in LSN order."""
+        limit = self._durable
+        i = self._first_record(from_lsn, limit)
+        if i < len(self._starts):
+            yield from self._read_records(self._starts[i], limit)
 
     def read_suffix(self, from_lsn: int, max_records: int,
                     now: float = 0.0) -> tuple[list[LogRecord], int, float]:
-        """Batch read for the archiver: up to max_records from from_lsn.
+        """Batch read for the archiver: up to max_records durable records
+        from from_lsn.
 
-        Charged to the log device as one contiguous read.  Returns the
-        records, the LSN to continue from, and the completion time.
+        The batch's byte span, found from the record starts, is read from
+        the log device in one charged read.  Returns the records, the LSN
+        to continue from, and the completion time.
         """
-        records = []
-        next_lsn = from_lsn if from_lsn > NULL_LSN else _LSN_BASE
-        for rec in self.scan(from_lsn):
-            records.append(rec)
-            next_lsn = rec.next_lsn
-            if len(records) >= max_records:
-                break
-        nbytes = sum(r.encoded_size for r in records)
-        t = self.device.charge_read(nbytes, now) if nbytes else now
-        return records, next_lsn, t
+        limit = self._durable
+        starts = self._starts
+        i = self._first_record(from_lsn, limit)
+        j = min(i + max_records, bisect_left(starts, limit))
+        if j <= i:
+            return [], from_lsn if from_lsn > NULL_LSN else _LSN_BASE, now
+        # limit is a record boundary, so a batch that takes every record
+        # ends there.
+        start, end = starts[i], starts[j] if j < len(starts) else limit
+        data, t = self.device.read(start, end - start, now)
+        return list(_decode_records(data, start)), end + _LSN_BASE, t
 
     def record_at(self, lsn: int) -> LogRecord:
         if lsn <= NULL_LSN or lsn >= self.end_lsn():
             raise BrokenChainError(f"no record at lsn {lsn}")
         if self._truncated_lsn and lsn < self._truncated_lsn:
             raise BrokenChainError(f"lsn {lsn} truncated from the log")
-        rec, _ = LogRecord.decode(self._mirror, lsn - _LSN_BASE, check_offset=True)
+        off = lsn - _LSN_BASE
+        with self._lock:
+            durable = self._durable
+            if off >= durable:
+                rec, _ = LogRecord.decode(self._tail, off - durable, base=durable)
+                return rec
+        # Read up to the next record start: exactly the record when off is
+        # one, and bytes that fail to decode when it is not.
+        i = bisect_right(self._starts, off)
+        end = self._starts[i] if i < len(self._starts) else durable
+        rec, _ = LogRecord.decode(self.device.pread(off, end - off), 0, base=off)
         return rec
 
     def page_chain(self, page_id: int, from_lsn: int | None = None):

@@ -72,6 +72,9 @@ def test_empty_page_images_match_page_encoder(workdir, page_size):
 
     assert empty_page_images(5, 300, page_size) == reference(5, 300)
     assert empty_page_images(2 ** 40, 2 ** 40 + 3, page_size) == reference(2 ** 40, 2 ** 40 + 3)
+    # Ids whose carries cross page-id byte boundaries, up to the top byte.
+    for edge in (256, 65536, 2 ** 24, 2 ** 56, 2 ** 64 - 2):
+        assert empty_page_images(edge - 1, edge + 1, page_size) == reference(edge - 1, edge + 1)
     # Volume.create formats 512 pages at a time; 700 pages end on a short chunk.
     vol = make_volume(workdir, page_count=700, page_size=page_size, pages_per_segment=8)
     vol.close()

@@ -579,6 +579,41 @@ def test_given_up_segment_fails_alone_and_leaves_no_work(workdir, policy):
     assert mgr.step(t) == (False, t)
 
 
+def test_single_pass_request_reoffers_given_up_segment(workdir):
+    """Behind the sweep cursor a request claims a given-up segment and
+    queues it, so it is restored once its fault clears."""
+    env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=4)
+    mgr = begin_restore(env.context, start_thread=False)
+    assert mgr.bitmap.total == 8
+    bad = 3
+    bad_first, bad_end = env.backup.geometry.segment_span(bad)
+    real_fetch = env.backup.fetch_page_span
+    faulty = [True]
+
+    def broken(first, end, now=0.0):
+        if faulty[0] and first < bad_end and bad_first < end:
+            raise StorageError("injected backup read failure")
+        return real_fetch(first, end, now)
+
+    env.backup.fetch_page_span = broken
+    t = 0.0
+    for _ in range(50):
+        if not mgr.has_pending_work():
+            break
+        try:
+            _, t = mgr.step(t)
+        except StorageError:
+            pass
+    assert mgr.bitmap.restored_count == 7
+    assert mgr.bitmap.handle(bad).error is not None
+    faulty[0] = False
+    handle = mgr.request_segment(bad, t)
+    assert not handle.ready and mgr.queue_depth() == 1
+    mgr.drain(t)
+    assert handle.done
+    assert mgr.complete and mgr.bitmap.restored_count == 8
+
+
 # -- buffer pool integration -----------------------------------------------------------
 
 def test_blocked_fix_resolves_after_restore(workdir):

@@ -1,9 +1,12 @@
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 
+from segstore import wal as wal_module
+from segstore.device import LatencyModel
 from segstore.errors import BrokenChainError, CorruptRecordError, WalError
 from segstore.wal import NULL_LSN, OP_SET, LogRecord, WriteAheadLog
 
@@ -96,10 +99,18 @@ def test_corrupt_record_reports_offset(workdir):
     wal = make_wal(workdir)
     wal.append(0, 1, OP_SET, 0, value_bytes(0))
     lsn2, _ = wal.append(0, 1, OP_SET, 1, value_bytes(1))
-    wal._mirror[lsn2 + 5] ^= 0xFF  # corrupt the second record in place
+    with open(os.path.join(workdir, "wal.log"), "r+b") as f:  # corrupt the second record
+        f.seek(lsn2 + 5)
+        byte = f.read(1)[0]
+        f.seek(lsn2 + 5)
+        f.write(bytes([byte ^ 0xFF]))
     with pytest.raises(CorruptRecordError) as exc:
         list(wal.scan(0))
     assert exc.value.offset == lsn2 - 1
+    with pytest.raises(CorruptRecordError) as exc:
+        wal.record_at(lsn2)
+    assert exc.value.offset == lsn2 - 1
+    wal.close()
 
 
 def test_scan_beyond_durable_rejected(workdir):
@@ -162,6 +173,83 @@ def test_read_suffix_batches(workdir):
     assert [r.lsn for r in recs2] == lsns[4:]
     recs3, next3, _ = wal.read_suffix(next2, 100)
     assert recs3 == [] and next3 == next2
+
+
+def test_read_suffix_is_one_read_of_its_span(workdir):
+    latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
+    wal = make_wal(workdir, latency=latency)
+    lsns = [wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0] for i in range(10)]
+    reads = []
+    real_read = wal.device.read
+
+    def counted(offset, nbytes, now=0.0):
+        reads.append((offset, nbytes))
+        return real_read(offset, nbytes, now)
+
+    wal.device.read = counted
+    bytes_before = wal.device.bytes_read
+    now = 1e9  # the device is idle by then
+    recs, next_lsn, t = wal.read_suffix(lsns[2], 5, now)
+    assert recs == list(wal.scan(lsns[2]))[:5]
+    span = next_lsn - lsns[2]
+    assert span == sum(r.encoded_size for r in recs) and next_lsn == lsns[7]
+    assert reads == [(lsns[2] - 1, span)]
+    assert wal.device.bytes_read - bytes_before == span
+    assert t == now + latency.cost_us(span)
+    wal.close()
+
+
+def test_read_suffix_stops_at_durable_end(workdir):
+    wal = make_wal(workdir, flush_interval=1000)
+    lsns = [wal.append(0, 1, OP_SET, i, value_bytes(i))[0] for i in range(6)]
+    wal.flush(lsns[3])
+    recs, next_lsn, _ = wal.read_suffix(0, 100)
+    assert [r.lsn for r in recs] == lsns[:4] and next_lsn == lsns[4] == wal.durable_lsn()
+    assert wal.read_suffix(next_lsn, 100)[:2] == ([], next_lsn)
+    wal.close()
+
+
+def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
+    monkeypatch.setattr(wal_module, "_READ_CHUNK", 150)  # records cross file reads
+    wal = make_wal(workdir, flush_interval=1000)
+    lsns = [wal.append(i % 4, 1, OP_SET, i, value_bytes(i))[0] for i in range(20)]
+    wal.flush(lsns[9])
+    assert wal.durable_lsn() == lsns[10]
+    assert [r.lsn for r in wal.scan(0)] == lsns[:10]  # scan yields durable records only
+    recs = [wal.record_at(lsn) for lsn in lsns]  # both sides of the durable end
+    assert [(r.lsn, r.key) for r in recs] == [(lsn, i) for i, lsn in enumerate(lsns)]
+    assert [r.lsn for r in wal.page_chain(1)] == lsns[1::4][::-1]
+    for lsn in (lsns[5] + 3, lsns[15] + 3):  # not a record start, in the file and the tail
+        with pytest.raises(CorruptRecordError):
+            wal.record_at(lsn)
+    wal.flush()
+    wal.close()
+    wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
+    assert [wal2.record_at(lsn) for lsn in lsns] == recs
+    assert list(wal2.scan(0)) == recs
+    assert list(wal2.scan(lsns[7] + 1)) == recs[8:]
+    assert wal2.end_lsn() == recs[-1].next_lsn
+    assert (wal2.device.reads, wal2.device.bytes_read) == (0, 0)  # decoding is not charged
+    wal2.close()
+
+
+def test_memory_retained_per_record_is_small(workdir):
+    """The log file is the only full copy of the log: an append leaves
+    behind its start offset, not its bytes."""
+    wal = make_wal(workdir)
+    value = value_bytes(0)
+    wal.append(0, 1, OP_SET, 0, value)
+    n = 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            wal.append(i % 64, 1, OP_SET, i % 8, value)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    wal.close()
+    assert grown / n <= 16, f"{grown / n:.1f} B retained per record"
 
 
 def test_record_encode_decode_round_trip():
