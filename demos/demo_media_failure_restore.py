@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Losing the database device mid-run and serving transactions anyway:
-segment-granular restore driven by page demand, plus single-page repair
-as the scalpel next to the shovel.
+segment-granular restore driven by page demand, checked at the end
+against brute-force recovery from the backup and the whole log.
 
 Run:  python demos/demo_media_failure_restore.py
 """
@@ -14,7 +14,8 @@ from contextlib import ExitStack, closing
 
 from segstore import (ArchiveDirectory, BackupImage, BufferPool, Geometry,
                       LogArchiver, RestoreContext, Volume, WriteAheadLog,
-                      begin_restore, single_page_repair)
+                      begin_restore)
+from segstore.bench import oracle_volume_bytes, volume_file_bytes
 from segstore.device import DeviceRole
 from segstore.pages import page_capacity
 from segstore.restore import Policy
@@ -76,8 +77,9 @@ with ExitStack() as opened:
     manager.stop()
     print(f"restore complete: {manager.status()}")
 
-    # Single-page repair rebuilds one page from backup + its log chain alone.
-    repaired, _ = single_page_repair(wal, backup, hot)
-    restored, _ = replacement.read_page(hot)
-    print(f"\nsingle-page repair of page {hot} agrees with segment restore: "
-          f"{repaired == restored}")
+    # Once the pool's dirty pages are written back, the replacement must
+    # hold exactly what replaying the whole log onto the backup produces.
+    pool.flush_all()
+    wal.flush()
+    same = volume_file_bytes(replacement.device.path) == oracle_volume_bytes(backup, wal)
+    print(f"\nrestored device equals brute-force recovery: {same}")

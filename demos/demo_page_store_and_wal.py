@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the storage core: a page volume, a buffer pool on top of it,
-and the write-ahead log with its per-page backward chains.
+and the write-ahead log, whose records point back to their page's
+previous record.
 
 Run:  python demos/demo_page_store_and_wal.py
 """
@@ -35,12 +36,11 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
         pool.unfix_page(handle, mark_dirty=True)
         print(f"update {i}: page {page_id} at lsn {lsn}")
 
-    # The per-page chain walks page 3's history newest-first without scanning.
-    print("\npage 3 history via the backward chain:")
-    for rec in wal.page_chain(3):
-        print(f"  lsn {rec.lsn} key {rec.key} (prev {rec.prev_page_lsn})")
-
-    print("\nrecovery index (page -> newest lsn):", wal.recovery_index())
+    # Each record carries the lsn of the previous record of its page.
+    print("\nthe log, oldest first:")
+    for rec in wal.scan(0):
+        print(f"  lsn {rec.lsn} page {rec.page_id} key {rec.key} "
+              f"(prev for this page {rec.prev_page_lsn})")
 
     # Flushing a dirty page forces the log first: write-ahead in action.
     pool.flush_page(3)

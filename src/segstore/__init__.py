@@ -10,7 +10,7 @@ from .device import Device, DeviceRole, LatencyModel
 from .errors import StorageError
 from .pages import Page
 from .restore import (Policy, RestoreContext, RestoreManager, SegmentBitmap,
-                      begin_restore, replay, single_page_repair)
+                      begin_restore, replay)
 from .volume import Geometry, Volume
 from .wal import LogRecord, WriteAheadLog
 from .workload import WorkloadConfig, ZipfianGenerator
@@ -23,5 +23,5 @@ __all__ = [
     "RestoreContext", "RestoreManager", "SegmentBitmap", "StorageError",
     "Volume", "WorkloadConfig", "WriteAheadLog", "ZipfianGenerator",
     "begin_restore", "measure_archiving_overhead", "replay", "run_benchmark",
-    "single_page_repair", "verify_equivalence",
+    "verify_equivalence",
 ]

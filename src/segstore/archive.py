@@ -36,6 +36,8 @@ _SORT_KEY = lambda r: (r.page_id, r.lsn)
 # cannot reject a span that covers most of the device anyway.
 BLOOM_CHECK_LIMIT = 1024
 
+ARCHIVE_MODES = ("sorted", "copy")
+
 
 class ProbeResult:
     """Materialized merged stream for one probe, ordered by (page_id, lsn)."""
@@ -164,8 +166,10 @@ class ArchiveDirectory:
         """Merge adjacent runs into one covering their union LSN range.
 
         Publication order is: rename output into place, swap the manifest,
-        then unlink inputs.  Old readers opened from a snapshot stay valid
-        because the files are only unlinked, never rewritten.
+        then unlink inputs.  The inputs' readers are closed, so a snapshot
+        taken before the merge cannot be probed after it: probes and merges
+        must not overlap.  The engine keeps them apart by stepping the
+        archiver and the restore scheduler from one thread.
         """
         if not inputs:
             raise ArchiveError("nothing to merge")
@@ -217,7 +221,7 @@ class LogArchiver:
                  run_size_limit: int = 4096, fan_in: int = 8, mode: str = "sorted"):
         if run_size_limit <= 0:
             raise ArchiveError("run_size_limit must be positive")
-        if mode not in ("sorted", "copy"):
+        if mode not in ARCHIVE_MODES:
             raise ArchiveError(f"unknown archiving mode {mode}")
         self.wal = wal
         self.directory = directory

@@ -2,8 +2,9 @@
 
 Double hashing off one FNV-1a pass: probe i addresses bit
 (h1 + i*h2) mod nbits.  Sized at 10 bits per distinct key with 7 probes,
-which lands around 1% false positives at design load.  Hashing is fixed
-and seed-free so filters are stable inside archive files.
+which lands around 1% false positives at design load.  Hashing and the
+probe count are fixed and seed-free so filters are stable inside archive
+files, which store only the bit count and the bits.
 """
 
 import struct
@@ -26,22 +27,21 @@ def _fnv1a(data: bytes) -> int:
 
 
 class BloomFilter:
-    __slots__ = ("nbits", "nprobes", "bits")
+    __slots__ = ("nbits", "bits")
 
-    def __init__(self, nbits: int, nprobes: int = NUM_PROBES, bits: bytearray | None = None):
+    def __init__(self, nbits: int, bits: bytearray | None = None):
         self.nbits = max(8, nbits)
-        self.nprobes = nprobes
         self.bits = bits if bits is not None else bytearray((self.nbits + 7) // 8)
 
     @classmethod
-    def sized_for(cls, nkeys: int, bits_per_key: int = BITS_PER_KEY) -> "BloomFilter":
-        return cls(max(1, nkeys) * bits_per_key)
+    def sized_for(cls, nkeys: int) -> "BloomFilter":
+        return cls(max(1, nkeys) * BITS_PER_KEY)
 
     def _probes(self, page_id: int):
         h = _fnv1a(page_id.to_bytes(8, "little"))
         h1 = h & 0xFFFFFFFF
         h2 = (h >> 32) | 1
-        for i in range(self.nprobes):
+        for i in range(NUM_PROBES):
             yield (h1 + i * h2) % self.nbits
 
     def add(self, page_id: int) -> None:

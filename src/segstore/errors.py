@@ -34,10 +34,6 @@ class CorruptRecordError(WalError):
         super().__init__(msg)
 
 
-class BrokenChainError(WalError):
-    """A per-page chain pointer leads outside the readable log."""
-
-
 class ArchiveError(StorageError):
     pass
 

@@ -45,7 +45,6 @@ from .backup import BackupImage
 from .errors import RestoreError, StorageError
 from .pages import Page
 from .volume import Volume
-from .wal import NULL_LSN, WriteAheadLog
 
 MAX_ATTEMPTS = 3  # failed attempts before a segment's waiters see the error
 
@@ -238,26 +237,6 @@ def replay(page: Page, records) -> Page:
             page.records.pop(rec.key, None)
         page.page_lsn = rec.lsn
     return page
-
-
-def single_page_repair(wal: WriteAheadLog, backup: BackupImage, page_id: int,
-                       now: float = 0.0) -> tuple[Page, float]:
-    """Rebuild one page from its backup image and its backward log-record
-    chain, without touching any restore bitmap.
-
-    Only usable while the page's history since the backup is still in the
-    log: a chain that crosses the truncation point raises BrokenChainError.
-    """
-    page, t = backup.read_page(page_id, now)
-    head = wal.head_lsn(page_id)
-    chain = []
-    for rec in wal.page_chain(page_id, head if head != NULL_LSN else None):
-        if rec.lsn < backup.min_lsn:
-            break
-        chain.append(rec)
-        t = wal.device.charge_read(rec.encoded_size, t)
-    replay(page, reversed(chain))
-    return page, t
 
 
 class RestoreManager:

@@ -1,4 +1,4 @@
-"""Append-only redo log with per-page backward chains.
+"""Append-only redo log of page updates.
 
 Record wire format (little-endian):
 
@@ -8,27 +8,25 @@ Record wire format (little-endian):
 
 A record's LSN is its byte offset in the log file plus one, which keeps 0
 free as the null LSN while scan(from) stays a direct seek.  Every record
-carries the LSN of the previous record that touched the same page, so the
-full update history of one page can be walked backward without scanning.
+carries the LSN of the previous record that touched the same page.
 
 The log file on the log device is the only full copy of the log, as in
 ARIES: memory holds the tail not yet written, the start offset of every
-record (8 bytes each) and the page recovery index - page id to most
-recent LSN - which is maintained inline and rebuilt on open.  Writes and
-the archiver's batch reads are charged to the log device under its
-latency model; scans, chain walks and the open-time rebuild decode the
-file without a charge.
+record (8 bytes each) and each page's most recent LSN, which fills the
+next record's back pointer and is rebuilt on open.  Writes and the
+archiver's batch reads are charged to the log device under its latency
+model; scans and the open-time rebuild decode the file without a charge.
 """
 
 import struct
 import threading
 import zlib
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .device import Device, DeviceRole, LatencyModel
-from .errors import BrokenChainError, CorruptRecordError, WalError
+from .errors import CorruptRecordError, WalError
 
 OP_SET = 0
 OP_DELETE = 1
@@ -114,22 +112,20 @@ def _whole_prefix(data: bytes) -> int:
 
 
 class WriteAheadLog:
-    """Single log file; appends serialized.  Durable bytes never change, so
-    reads of them go to the file without the lock; only the unflushed
-    tail is read under it."""
+    """Single log file; appends and flushes serialized.  Reads return only
+    durable records, which never change, so they go to the file without
+    the lock."""
 
     def __init__(self, path: str, latency: LatencyModel = LatencyModel(),
-                 flush_interval: int = 0, max_bytes: int | None = None):
+                 flush_interval: int = 0):
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
-        self.max_bytes = max_bytes
         self._tail = bytearray()         # log bytes [_durable, _end), not yet written
         self._starts = array("Q")        # record start offsets, ascending
         self._index: dict[int, int] = {}  # page id -> most recent lsn
         self._durable = 0                # log bytes persisted
         self._end = 0                    # log bytes appended
         self._since_flush = 0
-        self._truncated_lsn = NULL_LSN   # records below this are gone
         self._lock = threading.Lock()
         self.last_append_at = 0.0
         self._load(self.device.size())
@@ -161,8 +157,6 @@ class WriteAheadLog:
             raise WalError("delete carries no value")
         t = now
         with self._lock:
-            if self.max_bytes is not None and self._end >= self.max_bytes:
-                raise WalError("log device full")
             offset = self._end
             lsn = offset + _LSN_BASE
             prev = self._index.get(page_id, NULL_LSN)
@@ -208,21 +202,11 @@ class WriteAheadLog:
     def durable_lsn(self) -> int:
         return self._durable + _LSN_BASE
 
-    def head_lsn(self, page_id: int) -> int:
-        """Most recent LSN written for the page (NULL_LSN if never touched)."""
-        return self._index.get(page_id, NULL_LSN)
-
-    def recovery_index(self) -> dict[int, int]:
-        with self._lock:
-            return dict(self._index)
-
     def _first_record(self, from_lsn: int, limit: int) -> int:
         """Index in _starts of the first record with lsn >= from_lsn, for a
         read of the durable log bytes below limit."""
         if from_lsn > limit + _LSN_BASE:
             raise WalError(f"scan start {from_lsn} beyond durable end")
-        if self._truncated_lsn and from_lsn < self._truncated_lsn:
-            raise WalError(f"scan start {from_lsn} is truncated")
         return bisect_left(self._starts, from_lsn - _LSN_BASE) if from_lsn > NULL_LSN else 0
 
     def scan(self, from_lsn: int = 0):
@@ -252,42 +236,6 @@ class WriteAheadLog:
         start, end = starts[i], starts[j] if j < len(starts) else limit
         data, t = self.device.read(start, end - start, now)
         return list(_decode_records(data, start)), end + _LSN_BASE, t
-
-    def record_at(self, lsn: int) -> LogRecord:
-        if lsn <= NULL_LSN or lsn >= self.end_lsn():
-            raise BrokenChainError(f"no record at lsn {lsn}")
-        if self._truncated_lsn and lsn < self._truncated_lsn:
-            raise BrokenChainError(f"lsn {lsn} truncated from the log")
-        off = lsn - _LSN_BASE
-        with self._lock:
-            durable = self._durable
-            if off >= durable:
-                rec, _ = LogRecord.decode(self._tail, off - durable, base=durable)
-                return rec
-        # Read up to the next record start: exactly the record when off is
-        # one, and bytes that fail to decode when it is not.
-        i = bisect_right(self._starts, off)
-        end = self._starts[i] if i < len(self._starts) else durable
-        rec, _ = LogRecord.decode(self.device.pread(off, end - off), 0, base=off)
-        return rec
-
-    def page_chain(self, page_id: int, from_lsn: int | None = None):
-        """Yield the page's records newest-first following prev pointers."""
-        lsn = self.head_lsn(page_id) if from_lsn is None else from_lsn
-        while lsn != NULL_LSN:
-            rec = self.record_at(lsn)
-            if rec.page_id != page_id:
-                raise BrokenChainError(
-                    f"chain for page {page_id} hit record for page {rec.page_id} at lsn {lsn}")
-            yield rec
-            lsn = rec.prev_page_lsn
-
-    def truncate(self, below_lsn: int) -> None:
-        """Archive-driven truncation: records below below_lsn become unreadable."""
-        with self._lock:
-            if below_lsn > self.durable_lsn():
-                raise WalError("cannot truncate beyond durable end")
-            self._truncated_lsn = max(self._truncated_lsn, below_lsn)
 
     def close(self) -> None:
         self.device.close()

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .archive import ARCHIVE_MODES
 from .pages import VALUE_LEN, page_capacity
 from .restore import Policy
 
@@ -105,6 +106,8 @@ class WorkloadConfig:
                 raise ValueError(f"{name} must be positive")
         if self.skew < 0:
             raise ValueError("skew must be >= 0")
+        if self.archive_mode not in ARCHIVE_MODES:
+            raise ValueError(f"unknown archive_mode {self.archive_mode!r}")
         if self.failure_time_s is not None and self.failure_time_s >= self.duration_s:
             raise ValueError("failure_time must fall inside the run duration")
         ws = self.working_set()

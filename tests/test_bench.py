@@ -28,6 +28,14 @@ def test_config_rejected_when_failure_after_duration():
         run_benchmark(tiny_config(duration_s=1.0, failure_time_s=5.0))
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_unknown_archive_mode_rejected_before_files_open():
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValueError):
+        run_benchmark(tiny_config(archive_mode="bogus"))
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_run_benchmark_removes_its_scratch_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with pytest.raises(ValueError):

@@ -26,3 +26,5 @@ def test_demo_runs_clean(demo, tmp_path):
     assert os.listdir(tmp) == []
     if demo == "demo_policy_shapes.py":
         assert "byte-identical across policies: True" in proc.stdout
+    if demo == "demo_media_failure_restore.py":
+        assert "restored device equals brute-force recovery: True" in proc.stdout

@@ -10,11 +10,10 @@ from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.backup import BackupImage
 from segstore.bufferpool import Blocked, BufferPool
 from segstore.device import DeviceRole
-from segstore.errors import BrokenChainError, RestoreError, StorageError
+from segstore.errors import RestoreError, StorageError
 from segstore.pages import Page, page_capacity, segment_of
 from segstore.restore import (Policy, RestoreContext, SegmentBitmap,
-                              SegmentState, begin_restore, replay,
-                              single_page_repair)
+                              SegmentState, begin_restore, replay)
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
 from conftest import closing, make_volume, make_wal, value_bytes
@@ -673,34 +672,3 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     env.pool.flush_page(7)
     flushed, _ = env.repl.read_page(7)
     assert flushed.get(3) == value_bytes(999)
-
-
-# -- single-page repair ------------------------------------------------------------------
-
-def test_repair_untouched_page_returns_backup_image(workdir):
-    env = build_env(workdir, updates=0, fail=False)
-    page, _ = single_page_repair(env.wal, env.backup, 5)
-    backup_page, _ = env.backup.read_page(5)
-    assert page == backup_page
-
-
-def test_repair_matches_segment_restore(workdir):
-    env = build_env(workdir, seed=31)
-    mgr = begin_restore(env.context, start_thread=False)
-    mgr.drain()
-    for pid in random.Random(1).sample(range(env.page_count), 12):
-        repaired, _ = single_page_repair(env.wal, env.backup, pid)
-        restored, _ = env.repl.read_page(pid)
-        assert repaired == restored, f"repair and restore diverge on page {pid}"
-
-
-def test_repair_fails_on_truncated_chain(workdir):
-    env = build_env(workdir, seed=17, fail=False)
-    env.wal.flush()
-    env.archiver.archive_up_to(env.wal.end_lsn())
-    hot = max(range(env.page_count),
-              key=lambda p: sum(1 for r in env.wal.scan(0) if r.page_id == p))
-    # archive-driven truncation drops the history repair depends on
-    env.wal.truncate(env.wal.end_lsn())
-    with pytest.raises(BrokenChainError):
-        single_page_repair(env.wal, env.backup, hot)

@@ -7,7 +7,7 @@ import pytest
 
 from segstore import wal as wal_module
 from segstore.device import LatencyModel
-from segstore.errors import BrokenChainError, CorruptRecordError, WalError
+from segstore.errors import CorruptRecordError, WalError
 from segstore.wal import NULL_LSN, OP_SET, LogRecord, WriteAheadLog
 
 from conftest import make_wal, random_history, value_bytes
@@ -28,16 +28,6 @@ def test_chain_links_same_page(workdir):
     recs = list(wal.scan(0))
     assert recs[1].prev_page_lsn == l1
     assert l2 > l1
-
-
-def test_interleaved_chain_skips_other_pages(workdir):
-    wal = make_wal(workdir)
-    p1, _ = wal.append(1, 1, OP_SET, 0, value_bytes(1))
-    wal.append(2, 1, OP_SET, 0, value_bytes(2))
-    p2, _ = wal.append(1, 1, OP_SET, 1, value_bytes(3))
-    chain = list(wal.page_chain(1))
-    assert [r.lsn for r in chain] == [p2, p1]
-    assert all(r.page_id == 1 for r in chain)
 
 
 def test_scan_suffix_and_order(workdir):
@@ -61,38 +51,34 @@ def test_survives_reopen(workdir):
     wal = make_wal(workdir)
     history = random_history(wal, random.Random(3), 50, npages=5)
     end = wal.end_lsn()
-    index = wal.recovery_index()
+    last = {page: lsn for lsn, page, *_ in history}
     wal.flush()
     wal.close()
     wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
     assert [r.lsn for r in wal2.scan(0)] == [h[0] for h in history]
     assert wal2.end_lsn() == end
-    # page recovery index rebuilt by the open-time scan
-    assert wal2.recovery_index() == index
+    # the open-time scan rebuilds each page's newest lsn, so the next
+    # record of a page points back across the reopen
+    new = {page: wal2.append(page, 99, OP_SET, 0, value_bytes(page))[0] for page in last}
+    by_lsn = {r.lsn: r for r in wal2.scan(end)}
+    assert {page: by_lsn[lsn].prev_page_lsn for page, lsn in new.items()} == last
+    wal2.close()
 
 
 def test_chain_equals_filtered_scan_randomized(workdir):
+    """Each record points back to the previous record of its own page,
+    past the interleaved records of other pages."""
     wal = make_wal(workdir, flush_interval=500)
     rng = random.Random(11)
-    random_history(wal, rng, 10_000, npages=37, nkeys=12)
+    history = random_history(wal, rng, 10_000, npages=37, nkeys=12)
     wal.flush()
-    by_page = {}
-    for rec in wal.scan(0):
-        by_page.setdefault(rec.page_id, []).append(rec)
-    for page_id, recs in by_page.items():
-        chain = list(wal.page_chain(page_id))
-        assert chain == list(reversed(recs))
-    # recovery index equals max lsn per page
-    for page_id, recs in by_page.items():
-        assert wal.head_lsn(page_id) == recs[-1].lsn
-
-
-def test_recovery_index_tracks_heads(workdir):
-    wal = make_wal(workdir)
-    assert wal.head_lsn(9) == NULL_LSN
-    lsn, _ = wal.append(9, 1, OP_SET, 0, value_bytes(0))
-    assert wal.head_lsn(9) == lsn
-    assert wal.recovery_index() == {9: lsn}
+    last = {}
+    recs = list(wal.scan(0))
+    assert [r.lsn for r in recs] == [h[0] for h in history]
+    for rec in recs:
+        assert rec.prev_page_lsn == last.get(rec.page_id, NULL_LSN)
+        last[rec.page_id] = rec.lsn
+    assert len(last) == 37
 
 
 def test_corrupt_record_reports_offset(workdir):
@@ -107,9 +93,6 @@ def test_corrupt_record_reports_offset(workdir):
     with pytest.raises(CorruptRecordError) as exc:
         list(wal.scan(0))
     assert exc.value.offset == lsn2 - 1
-    with pytest.raises(CorruptRecordError) as exc:
-        wal.record_at(lsn2)
-    assert exc.value.offset == lsn2 - 1
     wal.close()
 
 
@@ -118,24 +101,6 @@ def test_scan_beyond_durable_rejected(workdir):
     wal.append(0, 1, OP_SET, 0, value_bytes(0))
     with pytest.raises(WalError):
         list(wal.scan(wal.end_lsn() + 100))
-
-
-def test_log_cap(workdir):
-    wal = make_wal(workdir, max_bytes=100)
-    wal.append(0, 1, OP_SET, 0, value_bytes(0))
-    with pytest.raises(WalError):
-        for i in range(10):
-            wal.append(0, 1, OP_SET, i, value_bytes(i))
-
-
-def test_truncate_breaks_chain(workdir):
-    wal = make_wal(workdir)
-    lsns = [wal.append(7, 1, OP_SET, i, value_bytes(i))[0] for i in range(5)]
-    wal.truncate(lsns[3])
-    with pytest.raises(BrokenChainError):
-        list(wal.page_chain(7))
-    with pytest.raises(WalError):
-        list(wal.scan(lsns[0]))
 
 
 def test_concurrent_appends_monotone(workdir):
@@ -216,17 +181,11 @@ def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
     wal.flush(lsns[9])
     assert wal.durable_lsn() == lsns[10]
     assert [r.lsn for r in wal.scan(0)] == lsns[:10]  # scan yields durable records only
-    recs = [wal.record_at(lsn) for lsn in lsns]  # both sides of the durable end
-    assert [(r.lsn, r.key) for r in recs] == [(lsn, i) for i, lsn in enumerate(lsns)]
-    assert [r.lsn for r in wal.page_chain(1)] == lsns[1::4][::-1]
-    for lsn in (lsns[5] + 3, lsns[15] + 3):  # not a record start, in the file and the tail
-        with pytest.raises(CorruptRecordError):
-            wal.record_at(lsn)
     wal.flush()
     wal.close()
     wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
-    assert [wal2.record_at(lsn) for lsn in lsns] == recs
-    assert list(wal2.scan(0)) == recs
+    recs = list(wal2.scan(0))
+    assert [(r.lsn, r.key) for r in recs] == [(lsn, i) for i, lsn in enumerate(lsns)]
     assert list(wal2.scan(lsns[7] + 1)) == recs[8:]
     assert wal2.end_lsn() == recs[-1].next_lsn
     assert (wal2.device.reads, wal2.device.bytes_read) == (0, 0)  # decoding is not charged
