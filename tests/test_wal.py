@@ -30,6 +30,18 @@ def test_chain_links_same_page(workdir):
     assert l2 > l1
 
 
+def test_interleaved_chain_skips_other_pages(workdir):
+    wal = make_wal(workdir)
+    p1, _ = wal.append(1, 1, OP_SET, 0, value_bytes(1))
+    o1, _ = wal.append(2, 1, OP_SET, 0, value_bytes(2))
+    p2, _ = wal.append(1, 1, OP_SET, 1, value_bytes(3))
+    by_lsn = {r.lsn: r for r in wal.scan(0)}
+    assert by_lsn[p2].prev_page_lsn == p1
+    assert by_lsn[p1].prev_page_lsn == NULL_LSN
+    assert by_lsn[o1].prev_page_lsn == NULL_LSN
+    assert by_lsn[p2].page_id == by_lsn[p1].page_id == 1
+
+
 def test_scan_suffix_and_order(workdir):
     wal = make_wal(workdir)
     lsns = [wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0] for i in range(10)]
