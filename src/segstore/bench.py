@@ -84,32 +84,38 @@ class BenchEngine:
         geo = Geometry(config.page_size, config.page_count, config.pages_per_segment)
         os.makedirs(workdir, exist_ok=True)
         db_latency = LatencyModel(*config.db_latency)
-        self.volume = Volume.create(os.path.join(workdir, "volume.db"), geo,
-                                    DeviceRole.DATABASE, db_latency)
-        # The blank replacement is a copy of the freshly formatted volume.
-        repl_path = shutil.copyfile(self.volume.device.path,
-                                    os.path.join(workdir, "replacement.db"))
-        self.replacement = Volume.open(repl_path, DeviceRole.REPLACEMENT, db_latency)
-        self.wal = WriteAheadLog(os.path.join(workdir, "wal.log"),
-                                 LatencyModel(*LOG_LATENCY))
-        self.archive_dir = ArchiveDirectory(os.path.join(workdir, "archive"),
-                                            LatencyModel(*config.archive_latency))
-        self.archiver = LogArchiver(self.wal, self.archive_dir,
-                                    run_size_limit=config.run_size_limit,
-                                    mode=config.archive_mode)
-        self.pool = BufferPool(self.volume, self.wal, config.pool_pages,
-                               replacement=self.replacement)
-        self.backup, _ = BackupImage.create(workdir, self.volume, self.wal,
-                                            LatencyModel(*config.backup_latency))
-        self.manager = None
-        self.failure_lsn = None
-        self.report = MetricsReport(duration_s=config.duration_s,
-                                    failure_time_s=config.failure_time_s)
-        self.pool.on_page_read = self.report.record_page_read
-        self.workers = [_Worker(i, WorkerStream(config, i))
-                        for i in range(config.worker_threads)]
-        for w in self.workers:
-            w.gen = self._txn_gen(w)
+        # Everything opened here is closed by close(), or at once if a later
+        # step of the set-up raises.
+        with contextlib.ExitStack() as opened:
+            own = lambda obj: opened.enter_context(contextlib.closing(obj))
+            self.volume = own(Volume.create(os.path.join(workdir, "volume.db"), geo,
+                                            DeviceRole.DATABASE, db_latency))
+            # The blank replacement is a copy of the freshly formatted volume.
+            repl_path = shutil.copyfile(self.volume.device.path,
+                                        os.path.join(workdir, "replacement.db"))
+            self.replacement = own(Volume.open(repl_path, DeviceRole.REPLACEMENT,
+                                               db_latency))
+            self.wal = own(WriteAheadLog(os.path.join(workdir, "wal.log"),
+                                         LatencyModel(*LOG_LATENCY)))
+            self.archive_dir = own(ArchiveDirectory(os.path.join(workdir, "archive"),
+                                                    LatencyModel(*config.archive_latency)))
+            self.archiver = LogArchiver(self.wal, self.archive_dir,
+                                        run_size_limit=config.run_size_limit,
+                                        mode=config.archive_mode)
+            self.pool = BufferPool(self.volume, self.wal, config.pool_pages,
+                                   replacement=self.replacement)
+            self.backup = own(BackupImage.create(workdir, self.volume, self.wal,
+                                                 LatencyModel(*config.backup_latency))[0])
+            self.manager = None
+            self.failure_lsn = None
+            self.report = MetricsReport(duration_s=config.duration_s,
+                                        failure_time_s=config.failure_time_s)
+            self.pool.on_page_read = self.report.record_page_read
+            self.workers = [_Worker(i, WorkerStream(config, i))
+                            for i in range(config.worker_threads)]
+            for w in self.workers:
+                w.gen = self._txn_gen(w)
+            self._opened = opened.pop_all()
         self._arch_clock = 0.0
         self._arch_next = 0.0
         self._cleaner_next = 0.0
@@ -324,11 +330,7 @@ class BenchEngine:
         return self.replacement if self.pool.failed else self.volume
 
     def close(self) -> None:
-        self.volume.close()
-        self.replacement.close()
-        self.wal.close()
-        self.archive_dir.close()
-        self.backup.close()
+        self._opened.close()
 
 
 # -- oracles ---------------------------------------------------------------------

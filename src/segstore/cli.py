@@ -13,6 +13,7 @@ import sys
 
 from .bench import measure_archiving_overhead, run_benchmark, verify_equivalence
 from .errors import StorageError
+from .metrics import percentiles
 from .restore import Policy
 from .workload import WorkloadConfig
 
@@ -71,11 +72,11 @@ def _cmd_run(args) -> int:
     post = report.post_failure_latencies()
     total_restored = sum(report.restored_bytes.values())
     print(f"transactions: {report.total_txns}")
-    if pre:
-        print(f"pre-failure mean latency: {sum(pre) / len(pre):.1f} us")
-    if post:
-        print(f"post-failure mean latency: {sum(post) / len(post):.1f} us "
-              f"(max {max(post):.1f} us)")
+    for name, lat in (("pre", pre), ("post", post)):
+        if lat:
+            p50, p99, p999 = percentiles(lat, (0.5, 0.99, 0.999))
+            print(f"{name}-failure latency: mean {sum(lat) / len(lat):.1f} us, p50 {p50:.1f} us, "
+                  f"p99 {p99:.1f} us, p999 {p999:.1f} us, max {max(lat):.1f} us")
     print(f"restored: {total_restored} bytes over "
           f"{len(report.restore_events)} restore batches")
     if config.out_dir:

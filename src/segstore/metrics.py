@@ -8,11 +8,32 @@ Three CSV files per run:
 
 The per-second series always has exactly one row per second of the
 configured duration, empty seconds included.
+
+Each transaction's sample is 17 B in three typed columns: txn_ids (array
+"q"), latencies_us (array "d") and post_flags (bytearray of 0/1), read back
+through latency_samples, a view of (txn_id, latency_us, post_failure) tuples.
 """
 
 import csv
 import os
+from array import array
 from dataclasses import dataclass, field
+
+
+class LatencySamples:
+    """The sample columns of a report, in recording order."""
+
+    def __init__(self, report: "MetricsReport"):
+        self._r = report
+
+    def __len__(self) -> int:
+        return len(self._r.txn_ids)
+
+    def __getitem__(self, i: int) -> tuple[int, float, bool]:
+        return self._r.txn_ids[i], self._r.latencies_us[i], bool(self._r.post_flags[i])
+
+    def __iter__(self):
+        return zip(self._r.txn_ids, self._r.latencies_us, map(bool, self._r.post_flags))
 
 
 @dataclass
@@ -26,13 +47,16 @@ class MetricsReport:
     restored_bytes: dict = field(default_factory=dict)  # sec -> bytes
     batch_sizes: dict = field(default_factory=dict)    # sec -> [sizes]
     queue_depths: dict = field(default_factory=dict)   # sec -> max depth seen
-    latency_samples: list = field(default_factory=list)  # (txn_id, us, post_failure)
+    txn_ids: array = field(default_factory=lambda: array("q"))
+    latencies_us: array = field(default_factory=lambda: array("d"))
+    post_flags: bytearray = field(default_factory=bytearray)
     restore_events: list = field(default_factory=list)   # (t_start, t_done, first, count, bytes)
     restore_begin_us: float | None = None
     restore_end_us: float | None = None
-    total_txns: int = 0
     invariants: dict = field(default_factory=dict)
     valid: bool = True
+    latency_samples = property(LatencySamples)  # (txn_id, us, post_failure) tuples
+    total_txns = property(lambda self: len(self.txn_ids))
 
     # -- recording ------------------------------------------------------------
 
@@ -42,8 +66,9 @@ class MetricsReport:
         self.txns[sec] = self.txns.get(sec, 0) + 1
         self.lat_sum[sec] = self.lat_sum.get(sec, 0.0) + latency_us
         self.lat_max[sec] = max(self.lat_max.get(sec, 0.0), latency_us)
-        self.latency_samples.append((txn_id, latency_us, post_failure))
-        self.total_txns += 1
+        self.txn_ids.append(txn_id)
+        self.latencies_us.append(latency_us)
+        self.post_flags.append(post_failure)
 
     def record_page_read(self, t_us: float) -> None:
         sec = int(t_us // 1_000_000)
@@ -89,10 +114,10 @@ class MetricsReport:
         return [self.txns.get(sec, 0) for sec in self.seconds()]
 
     def post_failure_latencies(self) -> list[float]:
-        return [lat for _, lat, post in self.latency_samples if post]
+        return [lat for lat, post in zip(self.latencies_us, self.post_flags) if post]
 
     def pre_failure_latencies(self) -> list[float]:
-        return [lat for _, lat, post in self.latency_samples if not post]
+        return [lat for lat, post in zip(self.latencies_us, self.post_flags) if not post]
 
 
 def emit_csv(report: MetricsReport, out_dir: str) -> None:
@@ -118,8 +143,11 @@ def load_csv(path: str) -> list[dict]:
 
 
 def percentile(values: list[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, max(0, int(round(p * (len(ordered) - 1)))))
-    return ordered[idx]
+    return percentiles(values, (p,))[0]
+
+
+def percentiles(values: list[float], ps) -> list[float]:
+    """The value at each fraction in ps, from one sort of values."""
+    ordered = sorted(values) or [0.0]
+    last = len(ordered) - 1
+    return [ordered[min(last, max(0, int(round(p * last))))] for p in ps]

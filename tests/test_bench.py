@@ -1,14 +1,17 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 import pytest
 
+from segstore import failpoints
 from segstore.bench import (BenchEngine, run_benchmark, verify_equivalence,
                             volume_file_bytes)
 from segstore.cli import main
+from segstore.errors import CrashInjected
 from segstore.metrics import emit_csv
 from segstore.restore import Policy
 from segstore.workload import WorkloadConfig
@@ -33,6 +36,17 @@ def test_unknown_archive_mode_rejected_before_files_open():
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(ValueError):
         run_benchmark(tiny_config(archive_mode="bogus"))
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_set_up_closes_what_it_opened():
+    """A set-up that fails after opening the volume, the replacement, the
+    WAL and the archive (here: while publishing the backup) closes them."""
+    fds = len(os.listdir("/proc/self/fd"))
+    failpoints.arm("backup:pre_rename")
+    with pytest.raises(CrashInjected):
+        run_benchmark(tiny_config())
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
@@ -107,6 +121,11 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "invariant" in out and "VIOLATED" not in out
     assert (tmp_path / "out" / "throughput.csv").exists()
+    # The summary gives each side of the failure its mean and percentiles.
+    assert re.search(r"^transactions: [1-9]\d*$", out, re.M), out
+    for side in ("pre", "post"):
+        assert re.search(rf"^{side}-failure latency: mean [\d.]+ us, p50 [\d.]+ us, "
+                         r"p99 [\d.]+ us, p999 [\d.]+ us, max [\d.]+ us$", out, re.M), out
 
 
 def test_cli_verify(capsys):

@@ -1,6 +1,9 @@
+import csv
 import os
+import random
+import tracemalloc
 
-from segstore.metrics import MetricsReport, emit_csv, load_csv, percentile
+from segstore.metrics import MetricsReport, emit_csv, load_csv, percentile, percentiles
 
 
 def test_empty_report_emits_headers_and_rows(workdir):
@@ -56,3 +59,64 @@ def test_percentile():
     assert percentile(vals, 1.0) == 100.0
     assert abs(percentile(vals, 0.99) - 99.0) <= 1.0
     assert percentile([], 0.5) == 0.0
+    ps = (0.0, 0.5, 0.99, 0.999, 1.0)
+    shuffled = random.Random(3).sample(vals, len(vals))
+    assert percentiles(shuffled, ps) == [percentile(vals, p) for p in ps]
+    assert percentiles([], ps) == [0.0] * len(ps)
+
+
+def test_memory_retained_per_txn_is_small():
+    """A committed transaction leaves 17 B in typed columns, not a tuple
+    of three objects."""
+    report = MetricsReport(duration_s=10, failure_time_s=5)
+    n = 50_000
+    ids = [7 * 10 ** 9 + i for i in range(n)]
+    lats = [100.0 + i / 7 for i in range(n)]
+    report.record_txn(0, 0.0, 1.0, False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            report.record_txn(ids[i], i * 100.0, lats[i], i >= n // 2)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.total_txns == n + 1
+    assert grown / n <= 24, f"{grown / n:.1f} B retained per transaction"
+
+
+def test_sample_view_is_exact(workdir):
+    """The view gives back exactly what was recorded: the same ids, the
+    same doubles bit for bit and bool flags, in order; the CSV and the
+    pre/post split are what a plain list of those tuples gives."""
+    rng = random.Random(8)
+    samples = []
+    for n in range(2000):
+        txn_id = rng.choice([rng.randrange(2 ** 63), rng.randrange(16) * 10 ** 9 + n, n])
+        lat = rng.choice([rng.uniform(0, 2e5), rng.expovariate(1e-3), 0.1 + n, 0.0])
+        samples.append((txn_id, lat, n >= 1200))
+    report = MetricsReport(duration_s=2, failure_time_s=1)
+    for txn_id, lat, post in samples:
+        report.record_txn(txn_id, 500_000 + 1_000_000 * post, lat, post)
+
+    view = report.latency_samples
+    assert len(view) == report.total_txns == len(samples)
+    got = list(view)
+    assert [(i, lat.hex(), p) for i, lat, p in got] == \
+        [(i, lat.hex(), p) for i, lat, p in samples]
+    assert all(type(p) is bool for _, _, p in got)
+    for i in (0, 1199, 1200, -1, -len(samples)):
+        assert view[i] == samples[i] and view[i][1].hex() == samples[i][1].hex()
+
+    emit_csv(report, workdir)
+    plain = os.path.join(workdir, "plain.csv")
+    with open(plain, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["txn_id", "latency_us", "post_failure"])
+        for txn_id, lat, post in samples:
+            w.writerow([txn_id, round(lat, 3), int(post)])
+    with open(os.path.join(workdir, "latency_samples.csv"), "rb") as a, open(plain, "rb") as b:
+        assert a.read() == b.read()
+
+    assert report.pre_failure_latencies() == [lat for _, lat, p in samples if not p]
+    assert report.post_failure_latencies() == [lat for _, lat, p in samples if p]
