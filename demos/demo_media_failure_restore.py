@@ -13,8 +13,7 @@ import time
 from contextlib import ExitStack, closing
 
 from segstore import (ArchiveDirectory, BackupImage, BufferPool, Geometry,
-                      LogArchiver, RestoreContext, Volume, WriteAheadLog,
-                      begin_restore)
+                      LogArchiver, RestoreManager, Volume, WriteAheadLog)
 from segstore.bench import oracle_volume_bytes, volume_file_bytes
 from segstore.device import DeviceRole
 from segstore.pages import page_capacity
@@ -57,25 +56,28 @@ with ExitStack() as opened:
     archiver.archive_up_to(failure_lsn)
     print(f"\ndatabase device FAILED at lsn {failure_lsn}; archive caught up")
 
-    manager = begin_restore(RestoreContext(
-        backup=backup, archive=directory, replacement=replacement,
-        failure_lsn=failure_lsn, policy=Policy.PREEMPTIVE,
-        batch_cap=8, buffer_pool=pool), start_thread=True)
+    manager = RestoreManager(backup, directory, replacement, failure_lsn,
+                             policy=Policy.PREEMPTIVE, batch_cap=8, buffer_pool=pool)
+    manager.start()
     opened.callback(manager.stop)
+
+    def progress():
+        return (f"{manager.bitmap.restored_count}/{manager.bitmap.total} segments, "
+                f"{manager.bytes_restored} bytes, queue depth {manager.queue_depth()}")
 
     # Transactions keep running: a fix on a lost page blocks only until its
     # segment is back, not until the whole device is.
     hot = 42
     handle, _ = pool.fix_page(hot, timeout=30.0)
     print(f"page {hot} served during restore: page_lsn={handle.page.page_lsn}, "
-          f"status={manager.status()}")
+          f"restored so far: {progress()}")
     pool.unfix_page(handle)
 
     # Meanwhile the sweep finishes the rest of the device on its own.
     while not manager.complete:
         time.sleep(0.005)
     manager.stop()
-    print(f"restore complete: {manager.status()}")
+    print(f"restore complete: {progress()}")
 
     # Once the pool's dirty pages are written back, the replacement must
     # hold exactly what replaying the whole log onto the backup produces.

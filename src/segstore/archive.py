@@ -28,7 +28,7 @@ from . import failpoints
 from .device import Device, DeviceRole, LatencyModel
 from .errors import ArchiveError
 from .runfile import DEFAULT_BLOCK_SIZE, RunReader, parse_run_name, write_run
-from .wal import LogRecord, WriteAheadLog
+from .wal import NULL_LSN, LogRecord, WriteAheadLog
 
 _SORT_KEY = lambda r: (r.page_id, r.lsn)
 
@@ -229,8 +229,8 @@ class LogArchiver:
         self.fan_in = fan_in
         self.mode = mode
         self._workspace: list[LogRecord] = []
-        self._consumed_lsn = 0      # WAL position up to which records were read
-        self._run_begin = 0         # begin_lsn of the next run to emit
+        self._consumed_lsn = NULL_LSN + 1  # LSN of the next WAL record to read
+        self._run_begin = 0                # begin_lsn of the next run to emit
 
     @property
     def archived_upto(self) -> int:
@@ -241,10 +241,6 @@ class LogArchiver:
     @property
     def consumed_lsn(self) -> int:
         return self._consumed_lsn
-
-    @property
-    def workspace_size(self) -> int:
-        return len(self._workspace)
 
     def archive_step(self, batch_budget: int, now: float = 0.0) -> tuple[int, float]:
         """Consume up to batch_budget records from the WAL; emit any full
@@ -264,16 +260,11 @@ class LogArchiver:
             raise ArchiveError(f"WAL durable only to {self.wal.durable_lsn()}, "
                                f"cannot archive to {target_lsn}")
         t = now
-        while max(self._consumed_lsn, 1) < min(target_lsn, self.wal.durable_lsn()):
+        while self._consumed_lsn < min(target_lsn, self.wal.durable_lsn()):
             _, t = self.archive_step(self.run_size_limit, t)
         if self._workspace and self.archived_upto < target_lsn:
             t = self._emit(len(self._workspace), t)
         return t
-
-    def caught_up(self, target_lsn: int) -> bool:
-        """True when every durable record below target_lsn sits in a run."""
-        return not self._workspace and \
-            max(self._consumed_lsn, 1) >= min(target_lsn, self.wal.durable_lsn())
 
     def _emit(self, nrecords: int, now: float) -> float:
         """Emit one run from the head of the workspace.

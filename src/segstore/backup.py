@@ -81,21 +81,6 @@ class BackupImage(Volume):
         t = image.device.charge_write(geo.page_count * geo.page_size, t)
         return image, t
 
-    @classmethod
-    def open_latest(cls, dir_path: str, latency: LatencyModel = LatencyModel()) -> "BackupImage":
-        best = None
-        for name in os.listdir(dir_path):
-            if name.startswith("backup_") and name.endswith(".img"):
-                try:
-                    min_lsn = int(name[len("backup_"):-len(".img")])
-                except ValueError:
-                    continue
-                if best is None or min_lsn > best[0]:
-                    best = (min_lsn, name)
-        if best is None:
-            raise StorageError(f"no backup image in {dir_path}")
-        return cls(os.path.join(dir_path, best[1]), latency)
-
     # Kept in this class body rather than inherited: restore calls it, the
     # benchmark's tracer patches BackupImage.__dict__["fetch_page_span"]
     # by name, and tests inject transfer faults through it.

@@ -31,9 +31,9 @@ from .device import DeviceRole, LatencyModel
 from .errors import StorageError
 from .metrics import MetricsReport, emit_csv
 from .pages import Page
-from .restore import Policy, RestoreContext, begin_restore
+from .restore import Policy, RestoreManager
 from .volume import Geometry, Volume
-from .wal import WriteAheadLog
+from .wal import OP_SET, WriteAheadLog
 from .workload import WorkloadConfig, WorkerStream
 
 _US = 1_000_000.0
@@ -151,7 +151,7 @@ class BenchEngine:
                 io_wait += max(0.0, t - w.clock)
                 w.clock = max(w.clock, t)
                 page = handle.page
-                if op == 0:
+                if op == OP_SET:
                     page.records[key] = value
                 else:
                     page.records.pop(key, None)
@@ -207,7 +207,7 @@ class BenchEngine:
                       if w.parked_on is None and not w.done and worker_active(w)]
             if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
-            if (max(self.archiver.consumed_lsn, 1) < self.wal.durable_lsn()
+            if (self.archiver.consumed_lsn < self.wal.durable_lsn()
                     or self.archiver.maintenance_due()):
                 actors.append((max(self._arch_clock, self._arch_next,
                                    self.wal.last_append_at), -1, self._archiver_step))
@@ -238,16 +238,10 @@ class BenchEngine:
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, t_fail))
         self._arch_clock = t_catch
-        ctx = RestoreContext(
-            backup=self.backup,
-            archive=self.archive_dir,
-            replacement=self.replacement,
-            failure_lsn=self.failure_lsn,
-            policy=self.config.policy,
-            batch_cap=self.config.batch_cap,
-            buffer_pool=self.pool,
-        )
-        self.manager = begin_restore(ctx, start_thread=False)
+        self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
+                                      self.failure_lsn, policy=self.config.policy,
+                                      batch_cap=self.config.batch_cap,
+                                      buffer_pool=self.pool)
         self.manager.on_restore = self.report.record_restore
         self._sched_clock = max(t_catch, t_fail)
         self.report.restore_begin_us = self._sched_clock
@@ -330,6 +324,10 @@ class BenchEngine:
         return self.replacement if self.pool.failed else self.volume
 
     def close(self) -> None:
+        # A worker's suspended generator frame holds the engine; closing
+        # it lets reference counting free a closed engine.
+        for w in self.workers:
+            w.gen.close()
         self._opened.close()
 
 
@@ -352,7 +350,7 @@ def oracle_volume_bytes(backup: BackupImage, wal: WriteAheadLog) -> bytes:
         page = pages[rec.page_id]
         if rec.lsn <= page.page_lsn:
             continue
-        if rec.op == 0:
+        if rec.op == OP_SET:
             page.records[rec.key] = rec.value
         else:
             page.records.pop(rec.key, None)

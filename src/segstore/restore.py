@@ -38,13 +38,13 @@ import enum
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 from .archive import ArchiveDirectory
 from .backup import BackupImage
 from .errors import RestoreError, StorageError
 from .pages import Page
 from .volume import Volume
+from .wal import OP_SET
 
 MAX_ATTEMPTS = 3  # failed attempts before a segment's waiters see the error
 
@@ -198,30 +198,6 @@ class SegmentBitmap:
         return self.restored_count >= self.total
 
 
-@dataclass
-class RestoreContext:
-    backup: BackupImage
-    archive: ArchiveDirectory
-    replacement: Volume
-    failure_lsn: int
-    policy: Policy = Policy.PREEMPTIVE
-    batch_cap: int = 64
-    buffer_pool: object = None
-
-    def validate(self) -> None:
-        if self.backup.geometry != self.replacement.geometry:
-            raise RestoreError("backup and replacement geometry differ")
-        if self.batch_cap < 1:
-            raise RestoreError("batch_cap must be at least 1")
-        # Restore may only begin once the archive covers the failure point.
-        if self.failure_lsn > 1 and self.archive.archived_upto < self.failure_lsn:
-            raise RestoreError(
-                f"archive caught up only to {self.archive.archived_upto}, "
-                f"failure at {self.failure_lsn}")
-        if self.buffer_pool is not None and not self.buffer_pool.failed:
-            raise RestoreError("database device has not failed")
-
-
 def replay(page: Page, records) -> Page:
     """Apply a page's log records in LSN order, gated by the page LSN so a
     replayed update is never applied twice and none is missed."""
@@ -231,7 +207,7 @@ def replay(page: Page, records) -> Page:
                 f"record for page {rec.page_id} replayed onto page {page.page_id}")
         if rec.lsn <= page.page_lsn:
             continue
-        if rec.op == 0:
+        if rec.op == OP_SET:
             page.records[rec.key] = rec.value
         else:
             page.records.pop(rec.key, None)
@@ -245,18 +221,38 @@ class RestoreManager:
     The scheduler can run as a dedicated thread (start()) or be driven
     stepwise by a simulation loop (step()); both paths execute the same
     code.  request_segment is safe from any thread.
+
+    Given a buffer pool, the manager checks that its device has failed and
+    becomes the pool's restore gate, rerouting its fix path through
+    request_segment; it keeps no reference to the pool.
     """
 
-    def __init__(self, context: RestoreContext):
-        context.validate()
-        self.context = context
-        geo = context.replacement.geometry
-        self.bitmap = SegmentBitmap(geo.segment_count)
+    def __init__(self, backup: BackupImage, archive: ArchiveDirectory,
+                 replacement: Volume, failure_lsn: int,
+                 policy: Policy = Policy.PREEMPTIVE, batch_cap: int = 64,
+                 buffer_pool=None):
+        if backup.geometry != replacement.geometry:
+            raise RestoreError("backup and replacement geometry differ")
+        if batch_cap < 1:
+            raise RestoreError("batch_cap must be at least 1")
+        # Restore may only begin once the archive covers the failure point.
+        if failure_lsn > 1 and archive.archived_upto < failure_lsn:
+            raise RestoreError(
+                f"archive caught up only to {archive.archived_upto}, "
+                f"failure at {failure_lsn}")
+        if buffer_pool is not None and not buffer_pool.failed:
+            raise RestoreError("database device has not failed")
+        self.backup = backup
+        self.archive = archive
+        self.replacement = replacement
+        self.policy = policy
+        self.batch_cap = batch_cap
+        self.bitmap = SegmentBitmap(replacement.geometry.segment_count)
         self._queue: deque[tuple[int, float]] = deque()
         self._qlock = threading.Lock()
         self._work = threading.Condition(self._qlock)
         self._cursor = 0
-        self._batch = context.batch_cap if context.policy == Policy.SINGLE_PASS else 1
+        self._batch = batch_cap if policy == Policy.SINGLE_PASS else 1
         self.bytes_restored = 0
         self.demand_requests = 0
         self.attempt_count = {}
@@ -264,8 +260,8 @@ class RestoreManager:
         self.on_restore = None  # callback(t_start, t_done, first, count, nbytes, qdepth)
         self._thread = None
         self._stopped = threading.Event()
-        if context.buffer_pool is not None:
-            context.buffer_pool.set_restore_gate(self)
+        if buffer_pool is not None:
+            buffer_pool.set_restore_gate(self)
 
     # -- demand side ---------------------------------------------------------
 
@@ -276,7 +272,7 @@ class RestoreManager:
         state = self.bitmap.state(seg)
         if state == SegmentState.RESTORED:
             return self.bitmap.handle(seg)
-        single_pass = self.context.policy == Policy.SINGLE_PASS
+        single_pass = self.policy == Policy.SINGLE_PASS
         if single_pass and seg >= self._cursor:
             # The sweep owns the segments it has yet to reach; wait on its signal.
             return self.bitmap.handle(seg)
@@ -310,7 +306,7 @@ class RestoreManager:
         with self._qlock:
             if self._queue:
                 return True
-        return (self.context.policy != Policy.ON_DEMAND
+        return (self.policy != Policy.ON_DEMAND
                 and self.bitmap.next_not_restored(self._cursor) >= 0)
 
     @property
@@ -329,10 +325,10 @@ class RestoreManager:
                 qdepth = len(self._queue) + 1
                 segs = [seg]
                 now = max(now, t_enq)
-        if not segs and self.context.policy != Policy.ON_DEMAND:
+        if not segs and self.policy != Policy.ON_DEMAND:
             segs, self._cursor = self.bitmap.claim_contiguous(self._cursor, self._batch)
             if segs:
-                self._batch = min(self._batch * 2, self.context.batch_cap)
+                self._batch = min(self._batch * 2, self.batch_cap)
         if not segs:
             return False, now
         t = self._restore_batch(segs[0], len(segs), now, qdepth)
@@ -381,7 +377,7 @@ class RestoreManager:
     # -- restoration pipeline ----------------------------------------------------
 
     def _restore_batch(self, first: int, count: int, now: float, qdepth: int) -> float:
-        geo = self.context.replacement.geometry
+        geo = self.replacement.geometry
         segs = list(range(first, first + count))
         first_page, _ = geo.segment_span(first)
         _, end_page = geo.segment_span(first + count - 1)
@@ -390,13 +386,13 @@ class RestoreManager:
                 self.attempt_count[seg] = self.attempt_count.get(seg, 0) + 1
             # Backup fetch and archive probe overlap; replay starts when
             # both transfers are in.
-            pages, t_fetch = self.context.backup.fetch_page_span(first_page, end_page, now)
-            probe = self.context.archive.probe(first_page, end_page - 1,
-                                               self.context.backup.min_lsn, now)
+            pages, t_fetch = self.backup.fetch_page_span(first_page, end_page, now)
+            probe = self.archive.probe(first_page, end_page - 1,
+                                       self.backup.min_lsn, now)
             t_ready = max(t_fetch, probe.done_at)
             for page_id, records in itertools.groupby(probe.records, key=lambda r: r.page_id):
                 replay(pages[page_id - first_page], records)
-            t_done = self.context.replacement.write_page_span(first_page, pages, t_ready)
+            t_done = self.replacement.write_page_span(first_page, pages, t_ready)
         except StorageError as exc:
             retry = [seg for seg in segs
                      if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS)]
@@ -413,23 +409,3 @@ class RestoreManager:
         if self.on_restore is not None:
             self.on_restore(now, t_done, first, count, nbytes, qdepth)
         return t_done
-
-    # -- progress ------------------------------------------------------------------
-
-    def status(self) -> dict:
-        return {
-            "restored_count": self.bitmap.restored_count,
-            "total": self.bitmap.total,
-            "bytes_restored": self.bytes_restored,
-            "queue_depth": self.queue_depth(),
-        }
-
-
-def begin_restore(context: RestoreContext, start_thread: bool = True) -> RestoreManager:
-    """Initialize the restore manager: bitmap zeroed, buffer-pool fix path
-    rerouted through request_segment, scheduler running (threaded unless the
-    caller drives step() itself)."""
-    manager = RestoreManager(context)
-    if start_thread:
-        manager.start()
-    return manager

@@ -94,16 +94,6 @@ class Volume:
         return self.device.write(self.geometry.page_offset(page.page_id),
                                  page.to_bytes(self.geometry.page_size), now)
 
-    def read_segment(self, segment_id: int, now: float = 0.0) -> tuple[list[Page], float]:
-        first, end = self.geometry.segment_span(segment_id)
-        return self.read_page_span(first, end, now)
-
-    def write_segment(self, segment_id: int, pages: list[Page], now: float = 0.0) -> float:
-        first, end = self.geometry.segment_span(segment_id)
-        if len(pages) != end - first:
-            raise StorageError(f"segment {segment_id} expects {end - first} pages")
-        return self.write_page_span(first, pages, now)
-
     def read_page_span(self, first: int, end: int, now: float = 0.0) -> tuple[list[Page], float]:
         """Contiguous multi-page read, one transfer."""
         self._check_page(first)

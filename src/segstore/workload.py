@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .archive import ARCHIVE_MODES
 from .pages import VALUE_LEN, page_capacity
 from .restore import Policy
+from .wal import OP_DELETE, OP_SET
 
 OPS_PER_TXN = (1, 8)  # updates per transaction, inclusive range
 
@@ -153,10 +154,10 @@ class WorkerStream:
             slot = self.rng.randrange(self.slots)
             key = self.worker_id + self.config.worker_threads * slot
             if self.rng.random() < 0.10:
-                ops.append((page_id, 1, key, b""))  # delete
+                ops.append((page_id, OP_DELETE, key, b""))
             else:
                 self.op_counter += 1
                 value = (self.worker_id.to_bytes(4, "little")
                          + self.op_counter.to_bytes(8, "little"))
-                ops.append((page_id, 0, key, value.ljust(VALUE_LEN, b"\0")))
+                ops.append((page_id, OP_SET, key, value.ljust(VALUE_LEN, b"\0")))
         return ops

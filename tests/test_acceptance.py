@@ -21,7 +21,7 @@ from segstore.backup import BackupImage
 from segstore.bench import BenchEngine, measure_archiving_overhead, verify_equivalence
 from segstore.errors import CrashInjected
 from segstore.metrics import percentile
-from segstore.restore import Policy, begin_restore
+from segstore.restore import Policy
 from segstore.workload import WorkloadConfig
 
 from conftest import make_wal, random_history
@@ -130,7 +130,8 @@ def test_c3_exactly_once_liveness(workdir):
     within a bound comfortably above the full-restore time)."""
     env = build_env(workdir, page_count=256, pages_per_segment=4,
                     pool_pages=32, updates=600, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=True)
+    mgr = env.manager
+    mgr.start()
     total = mgr.bitmap.total
     errors = []
     t0 = time.monotonic()

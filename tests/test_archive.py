@@ -38,12 +38,14 @@ def test_step_arithmetic_runs_and_workspace(workdir):
         wal.append(i, 1, OP_SET, 0, value_bytes(i))
     archiver.archive_step(batch_budget=100)
     assert directory.run_count == 2
-    assert archiver.workspace_size == 2
+    # the two records past the last run wait in the workspace
+    assert archiver.consumed_lsn == wal.end_lsn()
+    assert len(list(wal.scan(archiver.archived_upto))) == 2
     # empty suffix: nothing changes
     upto_before = archiver.archived_upto
     archiver.archive_step(batch_budget=100)
     assert archiver.archived_upto == upto_before
-    assert archiver.workspace_size == 2
+    assert archiver.consumed_lsn == wal.end_lsn()
 
 
 def test_emit_sort_order(workdir):
@@ -62,7 +64,7 @@ def test_multiset_preservation_randomized(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=50, fan_in=4)
     rng = random.Random(9)
     random_history(wal, rng, 3000, npages=64)
-    while not archiver.caught_up(wal.end_lsn()):
+    while archiver.consumed_lsn < wal.end_lsn():
         archiver.archive_step(rng.randrange(1, 300))
         if rng.random() < 0.3 and archiver.maintenance_due():
             archiver.run_maintenance()
@@ -179,7 +181,7 @@ def test_maintenance_policy_bounds_run_count(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=8, fan_in=3)
     rng = random.Random(5)
     random_history(wal, rng, 600, npages=20)
-    while not archiver.caught_up(wal.end_lsn()):
+    while archiver.consumed_lsn < wal.end_lsn():
         archiver.archive_step(rng.randrange(1, 64))
         archiver.run_maintenance()
     assert directory.run_count <= 2 * 3 + 1
@@ -301,8 +303,8 @@ def test_copy_mode_failed_write_leaves_no_shadow(workdir, monkeypatch):
     with pytest.raises(OSError):
         archiver.archive_step(8)
     assert os.listdir(directory.dir_path) == []
-    assert archiver.workspace_size == 8 and archiver.archived_upto == 0
+    assert archiver.consumed_lsn == wal.end_lsn() and archiver.archived_upto == 0
     monkeypatch.undo()
     archiver.archive_step(8)
-    assert archiver.workspace_size == 0 and archiver.archived_upto == wal.end_lsn()
+    assert archiver.archived_upto == wal.end_lsn()
     assert [n for n in os.listdir(directory.dir_path) if n.endswith(".copy")]

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 
@@ -80,6 +82,24 @@ def test_fresh_engine_set_up(tmp_path):
         engine.close()
 
 
+def test_closed_engine_freed_by_reference_counting(tmp_path):
+    """A closed engine holds no reference cycle: with the cyclic collector
+    off, dropping the last reference frees the engine, its pool, its
+    restore manager and its report."""
+    gc.disable()
+    try:
+        engine = BenchEngine(tiny_config(), str(tmp_path / "work"))
+        engine.run()
+        engine.close()
+        refs = {name: weakref.ref(obj) for name, obj in (
+            ("engine", engine), ("pool", engine.pool),
+            ("manager", engine.manager), ("report", engine.report))}
+        del engine
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
 def test_reproducible_wal_and_volume(tmp_path):
     digests = []
     for attempt in range(2):
@@ -136,6 +156,23 @@ def test_cli_verify(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+def test_cli_verify_closes_its_files(tmp_path):
+    """bench verify exits 0 under the interpreter's development mode with no
+    unclosed-file warning from either of its two engines."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                         os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "segstore.cli", "verify",
+         "--pages", "128", "--page-size", "1024", "--segment-pages", "8",
+         "--pool-pages", "32", "--threads", "2", "--duration", "2",
+         "--fail-at", "1", "--run-limit", "64", "--seed", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 def test_cli_rejects_bad_config(capsys):

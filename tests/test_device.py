@@ -69,12 +69,13 @@ def test_volume_create_open_round_trip(workdir):
 
 def test_segment_round_trip_and_order(workdir):
     vol = make_volume(workdir, page_count=16, page_size=1024, pages_per_segment=8)
-    pages, _ = vol.read_segment(0)
-    assert [p.page_id for p in pages] == list(range(8))
+    first, end = vol.geometry.segment_span(1)
+    pages, _ = vol.read_page_span(first, end)
+    assert [p.page_id for p in pages] == list(range(8, 16))
     for p in pages:
         p.set(1, value_bytes(p.page_id), capacity=8)
-    vol.write_segment(0, pages)
-    again, _ = vol.read_segment(0)
+    vol.write_page_span(first, pages)
+    again, _ = vol.read_page_span(first, end)
     assert again == pages
 
 
@@ -82,7 +83,7 @@ def test_segment_read_amortizes_fixed_cost(workdir):
     lat = LatencyModel(fixed_us=100.0, per_byte_us=0.0)
     vol = make_volume(workdir, page_count=16, page_size=1024,
                       pages_per_segment=8, latency=lat)
-    _, t_seg = vol.read_segment(0, now=0.0)
+    _, t_seg = vol.read_page_span(*vol.geometry.segment_span(0), now=0.0)
     vol.device._busy_until = 0.0
     t = 0.0
     for pid in range(8):
@@ -93,10 +94,10 @@ def test_segment_read_amortizes_fixed_cost(workdir):
 
 def test_misplaced_span_write_rejected(workdir):
     vol = make_volume(workdir, page_count=16, page_size=1024, pages_per_segment=8)
-    pages, _ = vol.read_segment(0)
+    pages, _ = vol.read_page_span(0, 8)
     pages[0], pages[1] = pages[1], pages[0]
     with pytest.raises(StorageError):
-        vol.write_segment(0, pages)
+        vol.write_page_span(0, pages)
 
 
 def test_invalid_page_id(workdir):

@@ -12,8 +12,8 @@ from segstore.bufferpool import Blocked, BufferPool
 from segstore.device import DeviceRole
 from segstore.errors import RestoreError, StorageError
 from segstore.pages import Page, page_capacity, segment_of
-from segstore.restore import (Policy, RestoreContext, SegmentBitmap,
-                              SegmentState, begin_restore, replay)
+from segstore.restore import (Policy, RestoreManager, SegmentBitmap,
+                              SegmentState, replay)
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
 from conftest import closing, make_volume, make_wal, value_bytes
@@ -30,7 +30,8 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
               updates=400, seed=1, policy=Policy.PREEMPTIVE, run_size_limit=32,
               batch_cap=4, fail=True):
     """Volume + WAL + pool + backup, a random committed workload, then a
-    media failure with the archive caught up."""
+    media failure with the archive caught up and a restore manager, not
+    started, attached to the pool."""
     vol = make_volume(workdir, page_count=page_count, page_size=PAGE_SIZE,
                       pages_per_segment=pages_per_segment)
     repl = make_volume(workdir, page_count=page_count, page_size=PAGE_SIZE,
@@ -62,10 +63,9 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
         failure_lsn = pool.fail_device()
         archiver.archive_up_to(failure_lsn)
         env.failure_lsn = failure_lsn
-        env.context = RestoreContext(
-            backup=backup, archive=directory, replacement=repl,
-            failure_lsn=failure_lsn, policy=policy,
-            batch_cap=batch_cap, buffer_pool=pool)
+        env.manager = RestoreManager(backup, directory, repl, failure_lsn,
+                                     policy=policy, batch_cap=batch_cap,
+                                     buffer_pool=pool)
     return env
 
 
@@ -73,9 +73,8 @@ def oracle_pages(backup, wal):
     """Independent recovery oracle: backup image plus one LSN-order replay
     of the whole log, gated per page."""
     pages = {}
-    for seg in range(backup.geometry.segment_count):
-        for p in backup.read_segment(seg)[0]:
-            pages[p.page_id] = p
+    for p in backup.read_page_span(0, backup.geometry.page_count)[0]:
+        pages[p.page_id] = p
     for rec in wal.scan(0):
         if rec.lsn < backup.min_lsn:
             continue
@@ -88,10 +87,6 @@ def oracle_pages(backup, wal):
             page.records.pop(rec.key, None)
         page.page_lsn = rec.lsn
     return pages
-
-
-def delete_leftover(records):
-    return records
 
 
 # -- replay ----------------------------------------------------------------------
@@ -205,31 +200,47 @@ def test_bitmap_failure_and_retry():
     assert won and not handle2.ready
 
 
-# -- begin_restore preconditions ----------------------------------------------------
+# -- restore manager preconditions ---------------------------------------------------
 
-def test_begin_restore_requires_caught_up_archive(workdir):
+def test_restore_requires_archive_past_failure(workdir):
     env = build_env(workdir, fail=False)
     failure_lsn = env.pool.fail_device()
-    ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                         replacement=env.repl, failure_lsn=failure_lsn,
-                         buffer_pool=env.pool)
     with pytest.raises(RestoreError):
-        begin_restore(ctx, start_thread=False)
+        RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
+                       buffer_pool=env.pool)
     env.archiver.archive_up_to(failure_lsn)
-    begin_restore(ctx, start_thread=False)
+    RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
+                   buffer_pool=env.pool)
 
 
-def test_begin_restore_requires_failed_device(workdir):
+def test_restore_requires_failed_device(workdir):
     env = build_env(workdir, fail=False)
     env.archiver.archive_up_to(env.wal.end_lsn())
-    ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                         replacement=env.repl, failure_lsn=env.wal.end_lsn(),
-                         buffer_pool=env.pool)
     with pytest.raises(RestoreError):
-        begin_restore(ctx, start_thread=False)
+        RestoreManager(env.backup, env.directory, env.repl, env.wal.end_lsn(),
+                       buffer_pool=env.pool)
 
 
-def test_begin_restore_on_empty_history(workdir):
+def test_restore_requires_matching_geometry(workdir):
+    env = build_env(workdir)
+    other = make_volume(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
+                        pages_per_segment=env.pages_per_segment * 2,
+                        name="other.db", role=DeviceRole.REPLACEMENT)
+    closing(other)
+    with pytest.raises(RestoreError, match="geometry"):
+        RestoreManager(env.backup, env.directory, other, env.failure_lsn)
+
+
+def test_restore_requires_positive_batch_cap(workdir):
+    env = build_env(workdir)
+    with pytest.raises(RestoreError, match="batch_cap"):
+        RestoreManager(env.backup, env.directory, env.repl, env.failure_lsn,
+                       batch_cap=0)
+    RestoreManager(env.backup, env.directory, env.repl, env.failure_lsn,
+                   batch_cap=1)
+
+
+def test_restore_on_empty_history(workdir):
     vol = make_volume(workdir, page_count=16, page_size=PAGE_SIZE, pages_per_segment=4)
     repl = make_volume(workdir, page_count=16, page_size=PAGE_SIZE,
                        pages_per_segment=4, name="repl.db",
@@ -240,10 +251,8 @@ def test_begin_restore_on_empty_history(workdir):
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     closing(vol, repl, wal, backup, directory)
     failure_lsn = pool.fail_device()
-    ctx = RestoreContext(backup=backup, archive=directory, replacement=repl,
-                         failure_lsn=failure_lsn, buffer_pool=pool,
-                         policy=Policy.SINGLE_PASS)
-    mgr = begin_restore(ctx, start_thread=False)
+    mgr = RestoreManager(backup, directory, repl, failure_lsn,
+                         policy=Policy.SINGLE_PASS, buffer_pool=pool)
     mgr.drain()
     assert mgr.complete
     for pid in range(16):
@@ -256,7 +265,7 @@ def test_begin_restore_on_empty_history(workdir):
 @pytest.mark.parametrize("policy", list(Policy))
 def test_full_restore_matches_oracle(workdir, policy):
     env = build_env(workdir, policy=policy, seed=hash(policy.value) % 1000)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     if policy == Policy.ON_DEMAND:
         for seg in range(mgr.bitmap.total):
             mgr.request_segment(seg)
@@ -278,10 +287,8 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
                            pages_per_segment=env.pages_per_segment,
                            name=f"repl_{policy.value}.db",
                            role=DeviceRole.REPLACEMENT)
-        ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                             replacement=repl, failure_lsn=env.failure_lsn,
+        mgr = RestoreManager(env.backup, env.directory, repl, env.failure_lsn,
                              policy=policy)
-        mgr = begin_restore(ctx, start_thread=False)
         if policy == Policy.ON_DEMAND:
             for seg in range(mgr.bitmap.total):
                 mgr.request_segment(seg)
@@ -304,17 +311,18 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
 
 def test_untouched_segment_restores_to_backup_bytes(workdir):
     env = build_env(workdir, updates=0)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     mgr.request_segment(3)
     mgr.drain()
-    pages, _ = env.repl.read_segment(3)
-    backup_pages, _ = env.backup.read_segment(3)
+    first, end = env.repl.geometry.segment_span(3)
+    pages, _ = env.repl.read_page_span(first, end)
+    backup_pages, _ = env.backup.read_page_span(first, end)
     assert pages == backup_pages
 
 
 def test_request_restored_segment_immediate(workdir):
     env = build_env(workdir)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     mgr.request_segment(2)
     mgr.drain()
     handle = mgr.request_segment(2)
@@ -324,7 +332,7 @@ def test_request_restored_segment_immediate(workdir):
 
 def test_demand_served_fifo(workdir):
     env = build_env(workdir, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     order = [5, 1, 7, 3]
     for seg in order:
         mgr.request_segment(seg)
@@ -338,21 +346,19 @@ def test_demand_served_fifo(workdir):
 
 def test_status_counters(workdir):
     env = build_env(workdir, policy=Policy.SINGLE_PASS)
-    mgr = begin_restore(env.context, start_thread=False)
-    st = mgr.status()
-    assert (st["restored_count"], st["total"]) == (0, 8)
+    mgr = env.manager
+    assert (mgr.bitmap.restored_count, mgr.bitmap.total) == (0, 8)
     mgr.drain()
-    st = mgr.status()
-    assert (st["restored_count"], st["total"]) == (8, 8)
+    assert (mgr.bitmap.restored_count, mgr.bitmap.total) == (8, 8)
     geo = env.repl.geometry
-    assert st["bytes_restored"] == geo.page_count * geo.page_size
-    assert st["queue_depth"] == 0
+    assert mgr.bytes_restored == geo.page_count * geo.page_size
+    assert mgr.queue_depth() == 0
 
 
 def test_preemptive_sweep_growth_and_completion(workdir):
     env = build_env(workdir, page_count=128, pages_per_segment=8,
                     policy=Policy.PREEMPTIVE, batch_cap=4)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     batches = []
     mgr.on_restore = lambda t0, t1, first, count, nb, qd: batches.append(count)
     mgr.drain()  # zero demand: pure sequential sweep
@@ -363,7 +369,7 @@ def test_preemptive_sweep_growth_and_completion(workdir):
 
 def test_saturated_queue_keeps_batches_at_one(workdir):
     env = build_env(workdir, policy=Policy.PREEMPTIVE, batch_cap=8)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     batches = []
     mgr.on_restore = lambda t0, t1, first, count, nb, qd: batches.append(count)
     for seg in range(mgr.bitmap.total):
@@ -375,7 +381,7 @@ def test_saturated_queue_keeps_batches_at_one(workdir):
 
 def test_singlepass_serves_waiters_without_queue(workdir):
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=2)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     handle = mgr.request_segment(6)
     assert mgr.queue_depth() == 0  # single-pass ignores the queue
     mgr.drain()
@@ -385,7 +391,8 @@ def test_singlepass_serves_waiters_without_queue(workdir):
 
 def test_preemptive_thread_completes_with_zero_demand(workdir):
     env = build_env(workdir, policy=Policy.PREEMPTIVE)
-    mgr = begin_restore(env.context, start_thread=True)
+    mgr = env.manager
+    mgr.start()
     deadline = 10.0
     import time
     t0 = time.monotonic()
@@ -399,7 +406,8 @@ def test_replacement_never_read_before_restored(workdir):
     """A page is only ever served from the replacement once its segment is
     restored."""
     env = build_env(workdir, pool_pages=4, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=True)
+    mgr = env.manager
+    mgr.start()
     real_read = env.repl.read_page
     violations = []
 
@@ -419,7 +427,8 @@ def test_replacement_never_read_before_restored(workdir):
 def test_exactly_once_under_16_threads(workdir):
     env = build_env(workdir, page_count=128, pages_per_segment=8,
                     policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=True)
+    mgr = env.manager
+    mgr.start()
     errors = []
 
     def hammer(seed):
@@ -444,7 +453,7 @@ def test_exactly_once_under_16_threads(workdir):
 
 def test_error_reverts_retries_then_fails_fast(workdir):
     env = build_env(workdir, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     real_fetch = env.backup.fetch_page_span
     failures = {"n": 0}
 
@@ -484,7 +493,7 @@ def test_error_reverts_retries_then_fails_fast(workdir):
 def test_single_pass_retries_transient_fetch_failure(workdir):
     """A failed sweep batch is swept again, not left behind the cursor."""
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=2)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     assert mgr.bitmap.total == 8
     real_fetch = env.backup.fetch_page_span
     failures = {"n": 1}
@@ -509,7 +518,7 @@ def test_thread_sleeps_once_a_segment_gives_up(workdir):
     """A segment that used up its attempts leaves restore incomplete; the
     scheduler thread then waits for new work instead of polling."""
     env = build_env(workdir, policy=Policy.PREEMPTIVE)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     bad = 3
     bad_first, bad_end = env.backup.geometry.segment_span(bad)
     real_fetch = env.backup.fetch_page_span
@@ -550,7 +559,7 @@ def test_given_up_segment_fails_alone_and_leaves_no_work(workdir, policy):
     is restored for its waiters, and once only the given-up segment is
     left the scheduler reports no work and does none."""
     env = build_env(workdir, policy=policy, batch_cap=4)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     assert mgr.bitmap.total == 8
     bad = 3
     bad_first, bad_end = env.backup.geometry.segment_span(bad)
@@ -582,7 +591,7 @@ def test_single_pass_request_reoffers_given_up_segment(workdir):
     """Behind the sweep cursor a request claims a given-up segment and
     queues it, so it is restored once its fault clears."""
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=4)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     assert mgr.bitmap.total == 8
     bad = 3
     bad_first, bad_end = env.backup.geometry.segment_span(bad)
@@ -617,7 +626,7 @@ def test_single_pass_request_reoffers_given_up_segment(workdir):
 
 def test_blocked_fix_resolves_after_restore(workdir):
     env = build_env(workdir, pool_pages=4, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=False)
+    mgr = env.manager
     # pick a page that is not resident so the fix must go through restore
     victim = next(pid for pid in range(env.page_count)
                   if not env.pool.resident(pid))
@@ -639,7 +648,8 @@ def test_blocked_fix_resolves_after_restore(workdir):
 
 def test_threaded_fix_blocks_until_restored(workdir):
     env = build_env(workdir, pool_pages=4, policy=Policy.ON_DEMAND)
-    mgr = begin_restore(env.context, start_thread=True)
+    mgr = env.manager
+    mgr.start()
     victim = next(pid for pid in range(env.page_count)
                   if not env.pool.resident(pid))
     handle, _ = env.pool.fix_page(victim, timeout=30.0)
@@ -660,10 +670,8 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     env.pool.unfix_page(h, mark_dirty=True)
     failure_lsn = env.pool.fail_device()
     env.archiver.archive_up_to(failure_lsn)
-    ctx = RestoreContext(backup=env.backup, archive=env.directory,
-                         replacement=env.repl, failure_lsn=failure_lsn,
+    mgr = RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
                          policy=Policy.PREEMPTIVE, buffer_pool=env.pool)
-    mgr = begin_restore(ctx, start_thread=False)
     mgr.drain()
     # the pool copy is untouched and newer-or-equal to the archived image
     assert env.pool._table[7].page.page_lsn == lsn
