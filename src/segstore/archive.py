@@ -288,7 +288,7 @@ class LogArchiver:
     def _emit_copy(self, batch: list[LogRecord], begin: int, end: int, now: float) -> float:
         blob = b"".join(r.encode() for r in batch)
         path = os.path.join(self.directory.dir_path, f"archive_{begin}_{end}.copy")
-        failpoints.publish(path, [blob])
+        failpoints.publish(path, lambda f: f.write(blob))
         return self.directory.device.charge_write(len(blob), now)
 
     def maintenance_due(self) -> bool:

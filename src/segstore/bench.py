@@ -90,11 +90,10 @@ class BenchEngine:
             own = lambda obj: opened.enter_context(contextlib.closing(obj))
             self.volume = own(Volume.create(os.path.join(workdir, "volume.db"), geo,
                                             DeviceRole.DATABASE, db_latency))
-            # The blank replacement is a copy of the freshly formatted volume.
-            repl_path = shutil.copyfile(self.volume.device.path,
-                                        os.path.join(workdir, "replacement.db"))
-            self.replacement = own(Volume.open(repl_path, DeviceRole.REPLACEMENT,
-                                               db_latency))
+            # The replacement starts blank; restore writes each of its
+            # segments before the restore gate lets a page be read.
+            self.replacement = own(Volume.blank(os.path.join(workdir, "replacement.db"),
+                                                geo, DeviceRole.REPLACEMENT, db_latency))
             self.wal = own(WriteAheadLog(os.path.join(workdir, "wal.log"),
                                          LatencyModel(*LOG_LATENCY)))
             self.archive_dir = own(ArchiveDirectory(os.path.join(workdir, "archive"),

@@ -107,6 +107,17 @@ class Device:
             raise StorageError(f"short read at offset {offset}: {len(data)} < {nbytes}")
         return data
 
+    def copy_into(self, fd: int, offset: int, nbytes: int) -> None:
+        """Copy nbytes at offset to the same offset of file fd, inside the
+        kernel and with no charge: the caller charges the transfers it
+        models.  Raises StorageError if this file ends first."""
+        done = 0
+        while done < nbytes:
+            n = os.copy_file_range(self._fd, fd, nbytes - done, offset + done, offset + done)
+            if n == 0:
+                raise StorageError(f"short copy at offset {offset + done}: {done} < {nbytes}")
+            done += n
+
     def write(self, offset: int, data: bytes, now: float = 0.0) -> float:
         done = self.charge_write(len(data), now)
         if os.pwrite(self._fd, data, offset) != len(data):

@@ -6,8 +6,9 @@ default a hit is free.  Tests arm a point to raise, usually CrashInjected,
 for a limited number of hits.
 
 ``publish`` is the one way a file enters the store: run files, backup
-images and copy-mode archive files are all written to a ``.tmp`` shadow,
-fsynced and renamed into place, so a reader sees the whole file or none.
+images and copy-mode archive files are all written to a ``.tmp`` shadow
+by a callback on the open shadow file, fsynced and renamed into place, so
+a reader sees the whole file or none.
 """
 
 import os
@@ -41,15 +42,14 @@ def hit(name: str) -> None:
     raise exc(f"failpoint {name}")
 
 
-def publish(path: str, chunks, point: str | None = None) -> None:
-    """Write the byte chunks to path + ".tmp", fsync it, hit the failpoint
-    (if named) and rename the shadow onto path.  On any error the shadow
-    file is removed and nothing is published."""
+def publish(path: str, write, point: str | None = None) -> None:
+    """Call write(f) on path + ".tmp" opened for binary writing, fsync it,
+    hit the failpoint (if named) and rename the shadow onto path.  On any
+    error the shadow file is removed and nothing is published."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         if point is not None:

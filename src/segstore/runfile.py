@@ -109,7 +109,7 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records,
     body += bloom.to_bytes()
     body += _FOOTER.pack(index_offset, bloom_offset, 0)[:-4]
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    failpoints.publish(path, [body], "run:pre_rename")
+    failpoints.publish(path, lambda f: f.write(body), "run:pre_rename")
     return path
 
 

@@ -6,7 +6,9 @@ A volume file is a 21-byte header followed by page_count raw page images:
 
 all little-endian.  Both the database volume and its replacement use this
 format; segment reads and writes are single contiguous transfers so the
-device cost model charges one fixed delay for the whole segment.
+device cost model charges one fixed delay for the whole segment.  A
+replacement starts blank: the header, then zeros that fail every page's
+checksum until restore writes the page.
 """
 
 import struct
@@ -19,6 +21,10 @@ from .pages import Page, empty_page_images, segment_count, segment_page_span
 MAGIC = b"SGRV1"
 _HEADER = struct.Struct("<5sIQI")
 HEADER_SIZE = _HEADER.size
+# Volume.create formats at most this many bytes of pages per write.  A
+# multi-MiB buffer, once freed, raises glibc's dynamic mmap threshold, and
+# later buffers of about 1 MiB (segment reads) then stay on the heap.
+FORMAT_SPAN_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,24 @@ class Volume:
         device.write(0, geometry.header_bytes())
         # Fresh pages are serialized empty pages, not raw zeros, so
         # checksums validate from the first read on.
-        span = 512
+        span = max(1, FORMAT_SPAN_BYTES // geometry.page_size)
         for first in range(0, geometry.page_count, span):
             end = min(first + span, geometry.page_count)
             device.write(geometry.page_offset(first),
                          empty_page_images(first, end, geometry.page_size))
         device.reset_accounting()
         return cls(device, geometry)
+
+    @classmethod
+    def blank(cls, path: str, geometry: Geometry, role: DeviceRole = DeviceRole.REPLACEMENT,
+              latency: LatencyModel = LatencyModel()) -> "Volume":
+        """A volume of full length whose pages are all zeros: only the
+        header is written, and no page reads as valid until it is written.
+        Restore fills such a replacement segment by segment."""
+        with open(path, "wb") as f:
+            f.write(geometry.header_bytes())
+            f.truncate(geometry.page_offset(geometry.page_count))
+        return cls(Device(role, path, latency), geometry)
 
     @classmethod
     def open(cls, path: str, role: DeviceRole = DeviceRole.DATABASE,

@@ -5,12 +5,13 @@ import pytest
 
 from segstore import failpoints
 from segstore.backup import BackupImage
+from segstore.device import LatencyModel
 from segstore.errors import CrashInjected, StorageError
 from segstore.pages import page_capacity
 from segstore.volume import Volume
 from segstore.wal import OP_SET
 
-from conftest import make_volume, make_wal, value_bytes
+from conftest import closing, make_volume, make_wal, value_bytes
 
 
 def seed_volume(workdir, rng, page_count=32, updates=200):
@@ -102,6 +103,38 @@ def test_crash_publishes_no_partial_backup(workdir):
     backup, _ = BackupImage.create(workdir, vol, wal)  # retry succeeds
     assert [n for n in os.listdir(workdir) if n.startswith("backup_")] == \
         [os.path.basename(backup.path)]
+
+
+def test_backup_charges_one_read_per_segment(workdir):
+    """The copy is charged as segment-wise transfers: one volume-device read
+    per segment (the last one short) and one backup-device write of the
+    pages.  The volume device's busy time is the set-up carry-over the
+    benchmark's warm window starts after."""
+    db, bk = LatencyModel(10.0, 0.5), LatencyModel(100.0, 0.25)
+    vol = make_volume(workdir, page_count=60, page_size=1024, pages_per_segment=8,
+                      latency=db)
+    wal = make_wal(workdir)
+    backup, t = BackupImage.create(workdir, vol, wal, bk)
+    closing(backup)
+    geo = vol.geometry
+    spans = [geo.segment_span(seg) for seg in range(geo.segment_count)]
+    read_us = sum(db.cost_us((end - first) * geo.page_size) for first, end in spans)
+    assert vol.device.reads == geo.segment_count == 8
+    assert vol.device.bytes_read == geo.page_count * geo.page_size
+    assert vol.device._busy_until == read_us
+    assert (backup.device.writes, backup.device.bytes_written) == \
+        (1, geo.page_count * geo.page_size)
+    assert t == backup.device._busy_until == read_us + bk.cost_us(geo.page_count * geo.page_size)
+
+
+def test_short_volume_file_publishes_no_backup(workdir):
+    vol = make_volume(workdir, page_count=32, page_size=1024, pages_per_segment=8)
+    wal = make_wal(workdir)
+    os.truncate(vol.device.path, os.path.getsize(vol.device.path) - 1024)
+    with pytest.raises(StorageError):
+        BackupImage.create(workdir, vol, wal)
+    assert not [n for n in os.listdir(workdir)
+                if n.startswith("backup_") or n.endswith(".tmp")]
 
 
 def test_image_is_volume_file_plus_trailer(workdir):

@@ -13,9 +13,10 @@ from segstore import failpoints
 from segstore.bench import (BenchEngine, run_benchmark, verify_equivalence,
                             volume_file_bytes)
 from segstore.cli import main
-from segstore.errors import CrashInjected
+from segstore.errors import ChecksumError, CrashInjected
 from segstore.metrics import emit_csv
 from segstore.restore import Policy
+from segstore.volume import HEADER_SIZE, Geometry
 from segstore.workload import WorkloadConfig
 
 
@@ -67,15 +68,22 @@ def test_shadow_execution_oracle():
 
 
 def test_fresh_engine_set_up(tmp_path):
-    """The replacement starts as a byte copy of the formatted volume with
-    no transfer charged to it, and the workers share one zipf CDF."""
-    engine = BenchEngine(tiny_config(), str(tmp_path / "work"))
+    """The replacement starts blank: its header, then zeros that fail every
+    page's checksum, with no transfer charged to it; and the workers share
+    one zipf CDF."""
+    config = tiny_config()
+    engine = BenchEngine(config, str(tmp_path / "work"))
     try:
-        assert (volume_file_bytes(engine.replacement.device.path)
-                == volume_file_bytes(engine.volume.device.path))
+        image = volume_file_bytes(engine.replacement.device.path)
+        assert len(image) == HEADER_SIZE + config.page_count * config.page_size
+        assert Geometry.from_header(image) == Geometry(
+            config.page_size, config.page_count, config.pages_per_segment)
+        assert image[HEADER_SIZE:] == bytes(len(image) - HEADER_SIZE)
         dev = engine.replacement.device
         assert (dev.reads, dev.writes, dev.bytes_read, dev.bytes_written) == (0, 0, 0, 0)
         assert dev._busy_until == 0.0
+        with pytest.raises(ChecksumError):
+            engine.replacement.read_page(config.page_count - 1)
         first, second = engine.workers[0].stream, engine.workers[1].stream
         assert first.zipf._cdf is second.zipf._cdf
     finally:

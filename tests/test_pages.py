@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from segstore.errors import ChecksumError, PageFullError, StorageError
 from segstore.pages import (VALUE_LEN, Page, empty_page_images, page_capacity,
                             segment_count, segment_of, segment_page_span)
+from segstore.volume import FORMAT_SPAN_BYTES
 
 from conftest import make_volume, value_bytes
 
@@ -75,11 +76,15 @@ def test_empty_page_images_match_page_encoder(workdir, page_size):
     # Ids whose carries cross page-id byte boundaries, up to the top byte.
     for edge in (256, 65536, 2 ** 24, 2 ** 56, 2 ** 64 - 2):
         assert empty_page_images(edge - 1, edge + 1, page_size) == reference(edge - 1, edge + 1)
-    # Volume.create formats 512 pages at a time; 700 pages end on a short chunk.
-    vol = make_volume(workdir, page_count=700, page_size=page_size, pages_per_segment=8)
+    # Volume.create formats FORMAT_SPAN_BYTES of pages at a time: cross a
+    # chunk boundary and end on a short chunk.
+    span = FORMAT_SPAN_BYTES // page_size
+    count = span + span // 2 + 1
+    assert 1 < span < count < 2 * span
+    vol = make_volume(workdir, page_count=count, page_size=page_size, pages_per_segment=8)
     vol.close()
     with open(os.path.join(workdir, "volume.db"), "rb") as f:
-        assert f.read() == vol.geometry.header_bytes() + reference(0, 700)
+        assert f.read() == vol.geometry.header_bytes() + reference(0, count)
 
 
 def test_empty_page_images_reject_too_small_pages():

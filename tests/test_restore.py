@@ -14,6 +14,7 @@ from segstore.errors import RestoreError, StorageError
 from segstore.pages import Page, page_capacity, segment_of
 from segstore.restore import (Policy, RestoreManager, SegmentBitmap,
                               SegmentState, replay)
+from segstore.volume import Volume
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
 from conftest import closing, make_volume, make_wal, value_bytes
@@ -34,9 +35,7 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
     started, attached to the pool."""
     vol = make_volume(workdir, page_count=page_count, page_size=PAGE_SIZE,
                       pages_per_segment=pages_per_segment)
-    repl = make_volume(workdir, page_count=page_count, page_size=PAGE_SIZE,
-                       pages_per_segment=pages_per_segment, name="repl.db",
-                       role=DeviceRole.REPLACEMENT)
+    repl = Volume.blank(os.path.join(workdir, "repl.db"), vol.geometry)
     wal = make_wal(workdir)
     pool = BufferPool(vol, wal, pool_pages, replacement=repl)
     backup, _ = BackupImage.create(workdir, vol, wal)
