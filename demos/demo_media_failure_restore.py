@@ -26,7 +26,7 @@ with ExitStack() as opened:
     volume = opened.enter_context(closing(
         Volume.create(os.path.join(workdir, "volume.db"), geo, DeviceRole.DATABASE)))
     replacement = opened.enter_context(closing(
-        Volume.blank(os.path.join(workdir, "replacement.db"), geo, DeviceRole.REPLACEMENT)))
+        Volume.blank(os.path.join(workdir, "replacement.db"), geo)))
     wal = opened.enter_context(closing(WriteAheadLog(os.path.join(workdir, "wal.log"))))
     pool = BufferPool(volume, wal, capacity=16, replacement=replacement)
 

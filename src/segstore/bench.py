@@ -93,7 +93,7 @@ class BenchEngine:
             # The replacement starts blank; restore writes each of its
             # segments before the restore gate lets a page be read.
             self.replacement = own(Volume.blank(os.path.join(workdir, "replacement.db"),
-                                                geo, DeviceRole.REPLACEMENT, db_latency))
+                                                geo, db_latency))
             self.wal = own(WriteAheadLog(os.path.join(workdir, "wal.log"),
                                          LatencyModel(*LOG_LATENCY)))
             self.archive_dir = own(ArchiveDirectory(os.path.join(workdir, "archive"),

@@ -107,15 +107,15 @@ class Device:
             raise StorageError(f"short read at offset {offset}: {len(data)} < {nbytes}")
         return data
 
-    def copy_into(self, fd: int, offset: int, nbytes: int) -> None:
-        """Copy nbytes at offset to the same offset of file fd, inside the
-        kernel and with no charge: the caller charges the transfers it
-        models.  Raises StorageError if this file ends first."""
+    def copy_into(self, fd: int, nbytes: int) -> None:
+        """Copy the first nbytes of this file to the start of file fd,
+        inside the kernel and with no charge: the caller charges the
+        transfers it models.  Raises StorageError if this file ends first."""
         done = 0
         while done < nbytes:
-            n = os.copy_file_range(self._fd, fd, nbytes - done, offset + done, offset + done)
+            n = os.copy_file_range(self._fd, fd, nbytes - done, done, done)
             if n == 0:
-                raise StorageError(f"short copy at offset {offset + done}: {done} < {nbytes}")
+                raise StorageError(f"short copy at offset {done}: {done} < {nbytes}")
             done += n
 
     def write(self, offset: int, data: bytes, now: float = 0.0) -> float:

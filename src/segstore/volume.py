@@ -79,15 +79,15 @@ class Volume:
         return cls(device, geometry)
 
     @classmethod
-    def blank(cls, path: str, geometry: Geometry, role: DeviceRole = DeviceRole.REPLACEMENT,
+    def blank(cls, path: str, geometry: Geometry,
               latency: LatencyModel = LatencyModel()) -> "Volume":
-        """A volume of full length whose pages are all zeros: only the
-        header is written, and no page reads as valid until it is written.
-        Restore fills such a replacement segment by segment."""
+        """A replacement volume of full length whose pages are all zeros:
+        only the header is written, and no page reads as valid until it is
+        written.  Restore fills it segment by segment."""
         with open(path, "wb") as f:
             f.write(geometry.header_bytes())
             f.truncate(geometry.page_offset(geometry.page_count))
-        return cls(Device(role, path, latency), geometry)
+        return cls(Device(DeviceRole.REPLACEMENT, path, latency), geometry)
 
     @classmethod
     def open(cls, path: str, role: DeviceRole = DeviceRole.DATABASE,

@@ -48,6 +48,14 @@ def make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8,
     return Volume.create(os.path.join(workdir, name), geo, role, latency)
 
 
+def make_replacement(workdir, page_count=64, page_size=1024, pages_per_segment=8,
+                     name="repl.db") -> Volume:
+    """A blank replacement, as the benchmark engine builds it: its pages
+    fail their checksum until restore writes them."""
+    geo = Geometry(page_size, page_count, pages_per_segment)
+    return Volume.blank(os.path.join(workdir, name), geo)
+
+
 def value_bytes(seed: int) -> bytes:
     return seed.to_bytes(8, "little").ljust(VALUE_LEN, b"\xab")
 

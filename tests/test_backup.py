@@ -11,7 +11,7 @@ from segstore.pages import page_capacity
 from segstore.volume import Volume
 from segstore.wal import OP_SET
 
-from conftest import closing, make_volume, make_wal, value_bytes
+from conftest import closing, make_replacement, make_volume, make_wal, value_bytes
 
 
 def seed_volume(workdir, rng, page_count=32, updates=200):
@@ -73,8 +73,8 @@ def test_zero_log_identity(workdir):
     rng = random.Random(6)
     vol, wal = seed_volume(workdir, rng)
     backup, _ = BackupImage.create(workdir, vol, wal)
-    repl = make_volume(workdir, page_count=32, page_size=1024,
-                       pages_per_segment=8, name="repl.db")
+    repl = make_replacement(workdir, page_count=32, page_size=1024,
+                            pages_per_segment=8)
     for seg in range(vol.geometry.segment_count):
         first, end = vol.geometry.segment_span(seg)
         pages, _ = backup.fetch_page_span(first, end)

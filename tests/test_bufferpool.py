@@ -6,12 +6,11 @@ import time
 import pytest
 
 from segstore.bufferpool import BufferPool
-from segstore.device import DeviceRole
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
 from segstore.pages import page_capacity
 from segstore.wal import OP_SET
 
-from conftest import make_volume, make_wal, value_bytes
+from conftest import make_replacement, make_volume, make_wal, value_bytes
 
 
 def make_pool(workdir, capacity=8, page_count=64, with_replacement=False):
@@ -20,9 +19,8 @@ def make_pool(workdir, capacity=8, page_count=64, with_replacement=False):
     wal = make_wal(workdir)
     repl = None
     if with_replacement:
-        repl = make_volume(workdir, page_count=page_count, page_size=1024,
-                           pages_per_segment=8, name="repl.db",
-                           role=DeviceRole.REPLACEMENT)
+        repl = make_replacement(workdir, page_count=page_count, page_size=1024,
+                                pages_per_segment=8)
     return BufferPool(vol, wal, capacity, replacement=repl), vol, wal
 
 

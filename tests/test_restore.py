@@ -9,15 +9,13 @@ import pytest
 from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.backup import BackupImage
 from segstore.bufferpool import Blocked, BufferPool
-from segstore.device import DeviceRole
 from segstore.errors import RestoreError, StorageError
 from segstore.pages import Page, page_capacity, segment_of
 from segstore.restore import (Policy, RestoreManager, SegmentBitmap,
                               SegmentState, replay)
-from segstore.volume import Volume
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
-from conftest import closing, make_volume, make_wal, value_bytes
+from conftest import closing, make_replacement, make_volume, make_wal, value_bytes
 
 PAGE_SIZE = 1024
 CAP = page_capacity(PAGE_SIZE)
@@ -35,7 +33,8 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
     started, attached to the pool."""
     vol = make_volume(workdir, page_count=page_count, page_size=PAGE_SIZE,
                       pages_per_segment=pages_per_segment)
-    repl = Volume.blank(os.path.join(workdir, "repl.db"), vol.geometry)
+    repl = make_replacement(workdir, page_count=page_count, page_size=PAGE_SIZE,
+                            pages_per_segment=pages_per_segment)
     wal = make_wal(workdir)
     pool = BufferPool(vol, wal, pool_pages, replacement=repl)
     backup, _ = BackupImage.create(workdir, vol, wal)
@@ -222,9 +221,9 @@ def test_restore_requires_failed_device(workdir):
 
 def test_restore_requires_matching_geometry(workdir):
     env = build_env(workdir)
-    other = make_volume(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
-                        pages_per_segment=env.pages_per_segment * 2,
-                        name="other.db", role=DeviceRole.REPLACEMENT)
+    other = make_replacement(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
+                             pages_per_segment=env.pages_per_segment * 2,
+                             name="other.db")
     closing(other)
     with pytest.raises(RestoreError, match="geometry"):
         RestoreManager(env.backup, env.directory, other, env.failure_lsn)
@@ -241,9 +240,8 @@ def test_restore_requires_positive_batch_cap(workdir):
 
 def test_restore_on_empty_history(workdir):
     vol = make_volume(workdir, page_count=16, page_size=PAGE_SIZE, pages_per_segment=4)
-    repl = make_volume(workdir, page_count=16, page_size=PAGE_SIZE,
-                       pages_per_segment=4, name="repl.db",
-                       role=DeviceRole.REPLACEMENT)
+    repl = make_replacement(workdir, page_count=16, page_size=PAGE_SIZE,
+                            pages_per_segment=4)
     wal = make_wal(workdir)
     pool = BufferPool(vol, wal, 4, replacement=repl)
     backup, _ = BackupImage.create(workdir, vol, wal)
@@ -282,10 +280,9 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
     env = build_env(workdir, seed=123)
     images = {}
     for policy in Policy:
-        repl = make_volume(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
-                           pages_per_segment=env.pages_per_segment,
-                           name=f"repl_{policy.value}.db",
-                           role=DeviceRole.REPLACEMENT)
+        repl = make_replacement(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
+                                pages_per_segment=env.pages_per_segment,
+                                name=f"repl_{policy.value}.db")
         mgr = RestoreManager(env.backup, env.directory, repl, env.failure_lsn,
                              policy=policy)
         if policy == Policy.ON_DEMAND:
@@ -298,9 +295,8 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
             images[policy] = f.read()
     assert len(set(images.values())) == 1
     oracle = oracle_pages(env.backup, env.wal)
-    vol = make_volume(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
-                      pages_per_segment=env.pages_per_segment, name="oracle.db",
-                      role=DeviceRole.REPLACEMENT)
+    vol = make_replacement(workdir, page_count=env.page_count, page_size=PAGE_SIZE,
+                           pages_per_segment=env.pages_per_segment, name="oracle.db")
     for pid in range(env.page_count):
         vol.write_page(oracle[pid])
     vol.close()
