@@ -30,7 +30,7 @@ from .bufferpool import Blocked, BufferPool
 from .device import DeviceRole, LatencyModel
 from .errors import StorageError
 from .metrics import MetricsReport, emit_csv
-from .pages import Page
+from .pages import Page, page_capacity
 from .restore import Policy, RestoreManager
 from .volume import Geometry, Volume
 from .wal import OP_SET, WriteAheadLog
@@ -128,6 +128,7 @@ class BenchEngine:
 
     def _txn_gen(self, w: _Worker):
         tick = self.config
+        capacity = page_capacity(tick.page_size)
         while True:
             ops = w.stream.next_txn()
             t_start = w.clock
@@ -151,9 +152,9 @@ class BenchEngine:
                 w.clock = max(w.clock, t)
                 page = handle.page
                 if op == OP_SET:
-                    page.records[key] = value
+                    page.set(key, value, capacity)
                 else:
-                    page.records.pop(key, None)
+                    page.delete(key)
                 page.page_lsn = lsn
                 self.pool.unfix_page(handle, mark_dirty=True)
             latency = w.clock - t_start
@@ -350,9 +351,9 @@ def oracle_volume_bytes(backup: BackupImage, wal: WriteAheadLog) -> bytes:
         if rec.lsn <= page.page_lsn:
             continue
         if rec.op == OP_SET:
-            page.records[rec.key] = rec.value
+            page.set(rec.key, rec.value)
         else:
-            page.records.pop(rec.key, None)
+            page.delete(rec.key)
         page.page_lsn = rec.lsn
     out = bytearray(geo.header_bytes())
     for pid in range(geo.page_count):

@@ -8,11 +8,26 @@ last update applied to it.  Serialization is exact:
     zero padding | u32 crc32 (last 4 bytes, over everything before them)
 
 so an image is always exactly page_size bytes and round-trips bit-for-bit.
+
+A Page in memory holds its records in that same form: one bytearray of
+the 20-byte (key, value) entries in ascending key order, plus an
+array('I') of the same keys to bisect.  Encoding is the header, the
+entries, the zero pad and the CRC, with no step per record; decoding
+checks the CRC, slices the entries out and gathers the keys from them
+with four strided copies.  get, set and delete bisect the keys; set
+overwrites a value in place or inserts one entry.  Every empty page
+shares one immutable empty pair, so it costs only its Page object.
+Page.records is a read-only map built on each call, not a second store.
 """
 
 import functools
 import struct
+import sys
 import zlib
+from array import array
+from bisect import bisect_left
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import ChecksumError, PageFullError, StorageError
 
@@ -21,6 +36,17 @@ VALUE_LEN = 16
 _HEADER = struct.Struct("<QQH")
 _ENTRY = struct.Struct(f"<I{VALUE_LEN}s")
 _CRC = struct.Struct("<I")
+_VALUE = struct.Struct(f"{VALUE_LEN}s")
+_KEY_LEN = 4
+
+# Keys are bisected in an array('I'), which must hold a u32 per item.
+if array("I").itemsize != _KEY_LEN:
+    raise ImportError("segstore.pages needs array('I') items of 4 bytes")
+
+# The records of every empty page: immutable, so an insert must replace
+# them rather than grow them.
+_NO_KEYS: tuple = ()
+_NO_ENTRIES = b""
 
 
 def page_capacity(page_size: int) -> int:
@@ -93,60 +119,113 @@ def empty_page_images(first: int, end: int, page_size: int) -> bytearray:
 
 
 class Page:
-    __slots__ = ("page_id", "page_lsn", "records")
+    """One page: its id, the LSN of its last update, and its records held
+    as the image stores them (see the module docstring)."""
 
-    def __init__(self, page_id: int, page_lsn: int = 0, records: dict[int, bytes] | None = None):
+    __slots__ = ("page_id", "page_lsn", "_keys", "_entries")
+
+    def __init__(self, page_id: int, page_lsn: int = 0, records: Mapping[int, bytes] | None = None):
         self.page_id = page_id
         self.page_lsn = page_lsn
-        self.records = records if records is not None else {}
+        self._keys = _NO_KEYS
+        self._entries = _NO_ENTRIES
+        if records:
+            for key in sorted(records):
+                self.set(key, records[key])
+
+    @property
+    def records(self) -> Mapping[int, bytes]:
+        """A read-only key -> value map of the records, built on each call."""
+        entries = bytes(self._entries)
+        return MappingProxyType({key: entries[off:off + VALUE_LEN] for key, off
+                                 in zip(self._keys, range(_KEY_LEN, len(entries), _ENTRY.size))})
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
     def get(self, key: int) -> bytes | None:
-        return self.records.get(key)
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            off = i * _ENTRY.size + _KEY_LEN
+            return bytes(self._entries[off:off + VALUE_LEN])
+        return None
 
-    def set(self, key: int, value: bytes, capacity: int) -> None:
+    def set(self, key: int, value: bytes, capacity: int | None = None) -> None:
+        """Insert or overwrite one record.  An insert beyond capacity
+        records raises PageFullError; without a capacity the bound is
+        checked when the page is encoded."""
         if len(value) != VALUE_LEN:
             raise StorageError(f"value must be exactly {VALUE_LEN} bytes")
-        if key not in self.records and len(self.records) >= capacity:
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            _VALUE.pack_into(self._entries, i * _ENTRY.size + _KEY_LEN, value)
+            return
+        if capacity is not None and len(keys) >= capacity:
             raise PageFullError(f"page {self.page_id} full at {capacity} records")
-        self.records[key] = value
+        entry = _ENTRY.pack(key, value)
+        if not keys:  # maybe the shared empty pair: replace, never grow it
+            self._keys = array("I", (key,))
+            self._entries = bytearray(entry)
+            return
+        keys.insert(i, key)
+        off = i * _ENTRY.size
+        self._entries[off:off] = entry
 
     def delete(self, key: int) -> None:
-        self.records.pop(key, None)
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            if len(keys) == 1:
+                self._keys = _NO_KEYS
+                self._entries = _NO_ENTRIES
+                return
+            del keys[i]
+            off = i * _ENTRY.size
+            del self._entries[off:off + _ENTRY.size]
 
     def copy(self) -> "Page":
-        return Page(self.page_id, self.page_lsn, dict(self.records))
+        page = Page(self.page_id, self.page_lsn)
+        page._keys = self._keys[:]
+        page._entries = self._entries[:]
+        return page
 
     def to_bytes(self, page_size: int) -> bytes:
-        if len(self.records) > page_capacity(page_size):
+        entries = self._entries
+        count = len(self._keys)
+        if count > page_capacity(page_size):
             raise PageFullError(f"page {self.page_id} exceeds capacity")
-        buf = bytearray(page_size)
-        _HEADER.pack_into(buf, 0, self.page_id, self.page_lsn, len(self.records))
-        off = _HEADER.size
-        for key in sorted(self.records):
-            _ENTRY.pack_into(buf, off, key, self.records[key])
-            off += _ENTRY.size
-        _CRC.pack_into(buf, page_size - _CRC.size, zlib.crc32(bytes(buf[: page_size - _CRC.size])))
-        return bytes(buf)
+        header = _HEADER.pack(self.page_id, self.page_lsn, count)
+        pad = bytes(page_size - _CRC.size - _HEADER.size - len(entries))
+        crc = zlib.crc32(pad, zlib.crc32(entries, zlib.crc32(header)))
+        return b"".join((header, entries, pad, _CRC.pack(crc)))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Page":
-        page_size = len(data)
-        (stored_crc,) = _CRC.unpack_from(data, page_size - _CRC.size)
-        if stored_crc != zlib.crc32(data[: page_size - _CRC.size]):
+        crc_at = len(data) - _CRC.size
+        (stored_crc,) = _CRC.unpack_from(data, crc_at)
+        if stored_crc != zlib.crc32(memoryview(data)[:crc_at]):
             page_id = _HEADER.unpack_from(data, 0)[0]
             raise ChecksumError(f"page {page_id} checksum mismatch")
         page_id, page_lsn, count = _HEADER.unpack_from(data, 0)
-        records = {}
-        off = _HEADER.size
-        for _ in range(count):
-            key, value = _ENTRY.unpack_from(data, off)
-            records[key] = value
-            off += _ENTRY.size
-        return cls(page_id, page_lsn, records)
+        page = cls(page_id, page_lsn)
+        if count:
+            end = _HEADER.size + count * _ENTRY.size
+            if end > crc_at:
+                raise StorageError(f"page {page_id} holds {count} records, more than fit")
+            page._entries = entries = bytearray(memoryview(data)[_HEADER.size:end])
+            key_bytes = bytearray(count * _KEY_LEN)
+            for b in range(_KEY_LEN):
+                key_bytes[b::_KEY_LEN] = entries[b::_ENTRY.size]
+            page._keys = keys = array("I", key_bytes)
+            if sys.byteorder == "big":
+                keys.byteswap()
+        return page
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Page) and self.page_id == other.page_id
-                and self.page_lsn == other.page_lsn and self.records == other.records)
+                and self.page_lsn == other.page_lsn and self._entries == other._entries)
 
     def __repr__(self) -> str:
-        return f"Page(id={self.page_id}, lsn={self.page_lsn}, nrec={len(self.records)})"
+        return f"Page(id={self.page_id}, lsn={self.page_lsn}, nrec={len(self._keys)})"

@@ -208,9 +208,9 @@ def replay(page: Page, records) -> Page:
         if rec.lsn <= page.page_lsn:
             continue
         if rec.op == OP_SET:
-            page.records[rec.key] = rec.value
+            page.set(rec.key, rec.value)
         else:
-            page.records.pop(rec.key, None)
+            page.delete(rec.key)
         page.page_lsn = rec.lsn
     return page
 

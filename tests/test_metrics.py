@@ -4,6 +4,9 @@ import random
 import tracemalloc
 
 from segstore.metrics import MetricsReport, emit_csv, load_csv, percentile, percentiles
+from segstore.pages import Page, page_capacity
+
+from conftest import value_bytes
 
 
 def test_empty_report_emits_headers_and_rows(workdir):
@@ -83,6 +86,59 @@ def test_memory_retained_per_txn_is_small():
         tracemalloc.stop()
     assert report.total_txns == n + 1
     assert grown / n <= 24, f"{grown / n:.1f} B retained per transaction"
+
+
+def _retained_bytes(build) -> int:
+    """Bytes allocated by build() and still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_retained_per_page_record_is_small():
+    """A resident page keeps a record as its 20-byte entry plus a 4-byte
+    key, whether the page was decoded or grown by set.  An empty page, new
+    or emptied by delete, has no record containers of its own, so it
+    takes at most the 120 B of a page object with an empty dict."""
+    npages, nrec = 200, 25
+    cap = page_capacity(4096)
+    ids = list(range(10 ** 6, 10 ** 6 + npages))
+    keys = random.Random(5).sample(range(10 ** 4), nrec)
+    image = Page(7, 1, {k: value_bytes(k) for k in keys}).to_bytes(4096)
+    pages = [None] * npages
+
+    def empty():
+        for i, pid in enumerate(ids):
+            pages[i] = Page(pid)
+
+    def emptied():
+        for i, pid in enumerate(ids):
+            page = Page(pid)
+            page.set(1, value_bytes(i), cap)
+            page.delete(1)
+            pages[i] = page
+
+    def grown():
+        for i, pid in enumerate(ids):
+            page = Page(pid)
+            for k in keys:
+                page.set(k, value_bytes(k + i), cap)
+            pages[i] = page
+
+    def decoded():
+        for i in range(npages):
+            pages[i] = Page.from_bytes(image)
+
+    per_empty = _retained_bytes(empty) / npages
+    assert per_empty <= 120, f"{per_empty:.1f} B retained per empty page"
+    assert _retained_bytes(emptied) / npages <= per_empty
+    for build in (grown, decoded):
+        per_record = (_retained_bytes(build) / npages - per_empty) / nrec
+        assert per_record <= 32, f"{build.__name__}: {per_record:.1f} B retained per record"
 
 
 def test_sample_view_is_exact(workdir):

@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,77 @@ def test_round_trip_random(records, lsn, page_id):
     data = page.to_bytes(8192)
     assert len(data) == 8192
     assert Page.from_bytes(data) == page
+
+
+def reference_image(page_id, page_lsn, records, page_size):
+    """The page format written out field by field."""
+    body = struct.pack("<QQH", page_id, page_lsn, len(records))
+    body += b"".join(struct.pack("<I", key) + records[key] for key in sorted(records))
+    body = body.ljust(page_size - 4, b"\0")
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# A 182-byte page holds 8 records, so sequences fill it; most keys come
+# from a small range so that overwrites and deletes hit stored keys.
+MODEL_PAGE_SIZE = 182
+_keys = st.integers(0, 11) | st.integers(0, 2 ** 32 - 1)
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("set"), _keys, st.binary(min_size=VALUE_LEN, max_size=VALUE_LEN)),
+    st.tuples(st.just("set"), _keys, st.binary(max_size=2 * VALUE_LEN)),
+    st.tuples(st.just("delete"), _keys, st.none())), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ops, st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+def test_page_matches_dict_model(ops, page_id, page_lsn):
+    cap = page_capacity(MODEL_PAGE_SIZE)
+    assert cap == 8
+    page = Page(page_id, page_lsn)
+    model = {}
+    for step, (op, key, value) in enumerate(ops):
+        if op == "delete":
+            page.delete(key)
+            model.pop(key, None)
+        elif len(value) != VALUE_LEN:
+            with pytest.raises(StorageError):
+                page.set(key, value, cap)
+        elif key not in model and len(model) == cap:
+            with pytest.raises(PageFullError):
+                page.set(key, value, cap)
+        else:
+            page.set(key, value, cap)
+            model[key] = value
+        assert len(page) == len(model)
+        assert page.records == model
+        for k in {key, *model}:
+            assert page.get(k) == model.get(k)
+        image = page.to_bytes(MODEL_PAGE_SIZE)
+        assert image == reference_image(page_id, page_lsn, model, MODEL_PAGE_SIZE)
+        back = Page.from_bytes(image)
+        assert back == page
+        if step % 2:  # go on with the decoded page, so its keys get bisected too
+            page = back
+    with pytest.raises(TypeError):
+        page.records[0] = bytes(VALUE_LEN)
+    image = page.to_bytes(MODEL_PAGE_SIZE)
+    clone = page.copy()
+    assert clone == page
+    for key in list(model):
+        clone.delete(key)
+    clone.set(2 ** 32 - 2, bytes(VALUE_LEN))
+    clone.set(3, b"\xff" * VALUE_LEN)
+    assert page.to_bytes(MODEL_PAGE_SIZE) == image and page.records == model
+
+
+def test_decode_rejects_record_count_past_capacity():
+    page = Page(4)
+    page.set(1, value_bytes(1))
+    data = bytearray(page.to_bytes(62))
+    assert page_capacity(62) == 2
+    struct.pack_into("<H", data, 16, 3)
+    struct.pack_into("<I", data, 58, zlib.crc32(data[:58]))
+    with pytest.raises(StorageError):
+        Page.from_bytes(bytes(data))
 
 
 def test_checksum_detects_corruption():

@@ -80,9 +80,9 @@ def oracle_pages(backup, wal):
         if rec.lsn <= page.page_lsn:
             continue
         if rec.op == OP_SET:
-            page.records[rec.key] = rec.value
+            page.set(rec.key, rec.value)
         else:
-            page.records.pop(rec.key, None)
+            page.delete(rec.key)
         page.page_lsn = rec.lsn
     return pages
 
