@@ -62,7 +62,7 @@ with ExitStack() as opened:
     opened.callback(manager.stop)
 
     def progress():
-        return (f"{manager.bitmap.restored_count}/{manager.bitmap.total} segments, "
+        return (f"{manager.restored_count}/{manager.segment_count} segments, "
                 f"{manager.bytes_restored} bytes, queue depth {manager.queue_depth()}")
 
     # Transactions keep running: a fix on a lost page blocks only until its

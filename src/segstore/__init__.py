@@ -9,7 +9,7 @@ from .bufferpool import BufferPool
 from .device import Device, DeviceRole, LatencyModel
 from .errors import StorageError
 from .pages import Page
-from .restore import Policy, RestoreManager, SegmentBitmap, replay
+from .restore import Policy, RestoreManager, replay
 from .volume import Geometry, Volume
 from .wal import LogRecord, WriteAheadLog
 from .workload import WorkloadConfig, ZipfianGenerator
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchiveDirectory", "BackupImage", "BufferPool", "Device", "DeviceRole",
     "Geometry", "LatencyModel", "LogArchiver", "LogRecord", "Page", "Policy",
-    "RestoreManager", "SegmentBitmap", "StorageError", "Volume",
+    "RestoreManager", "StorageError", "Volume",
     "WorkloadConfig", "WriteAheadLog", "ZipfianGenerator",
     "measure_archiving_overhead", "replay", "run_benchmark", "verify_equivalence",
 ]

@@ -57,7 +57,7 @@ class WallClock:
 
 class _Worker:
     __slots__ = ("worker_id", "stream", "clock", "gen", "parked_on",
-                 "txns_total", "txns_phase", "done")
+                 "txns_total", "txns_phase")
 
     def __init__(self, worker_id: int, stream: WorkerStream):
         self.worker_id = worker_id
@@ -67,7 +67,6 @@ class _Worker:
         self.parked_on = None
         self.txns_total = 0
         self.txns_phase = 0
-        self.done = False
 
 
 class BenchEngine:
@@ -204,7 +203,7 @@ class BenchEngine:
         while True:
             self._unpark()
             actors = [(w.clock, w.worker_id, w) for w in self.workers
-                      if w.parked_on is None and not w.done and worker_active(w)]
+                      if w.parked_on is None and worker_active(w)]
             if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
             if (self.archiver.consumed_lsn < self.wal.durable_lsn()
@@ -230,20 +229,17 @@ class BenchEngine:
     # -- failure injection ---------------------------------------------------------
 
     def _inject_failure(self) -> None:
-        t_fail = self._t_fail_us if self._t_fail_us is not None else \
-            max((w.clock for w in self.workers), default=0.0)
-        self._t_fail_us = t_fail
-        self.failure_lsn = self.pool.fail_device(now=t_fail)
+        self.failure_lsn = self.pool.fail_device(now=self._t_fail_us)
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
-                                              max(self._arch_clock, t_fail))
+                                              max(self._arch_clock, self._t_fail_us))
         self._arch_clock = t_catch
         self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
                                       self.failure_lsn, policy=self.config.policy,
                                       batch_cap=self.config.batch_cap,
                                       buffer_pool=self.pool)
         self.manager.on_restore = self.report.record_restore
-        self._sched_clock = max(t_catch, t_fail)
+        self._sched_clock = max(t_catch, self._t_fail_us)
         self.report.restore_begin_us = self._sched_clock
 
     # -- run -------------------------------------------------------------------------
@@ -279,12 +275,9 @@ class BenchEngine:
                 phase_b = lambda w: w.clock < duration_us
             self._run_phase(phase_b)
 
-        for w in self.workers:
-            w.done = True
-
         if self.manager is not None and self.finish_restore:
             if cfg.policy == Policy.ON_DEMAND:
-                for seg in range(self.manager.bitmap.total):
+                for seg in range(self.manager.segment_count):
                     self.manager.request_segment(seg, self._sched_clock)
             t = self.manager.drain(self._sched_clock)
             self._sched_clock = t

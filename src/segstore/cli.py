@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
         print(f"csv written to {config.out_dir}")
     for name, ok in sorted(report.invariants.items()):
         print(f"invariant {name}: {'ok' if ok else 'VIOLATED'}")
-    return 0 if report.valid and all(report.invariants.values()) else 1
+    return 0 if report.valid else 1
 
 
 def _cmd_overhead(args) -> int:

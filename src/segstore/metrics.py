@@ -54,7 +54,7 @@ class MetricsReport:
     restore_begin_us: float | None = None
     restore_end_us: float | None = None
     invariants: dict = field(default_factory=dict)
-    valid: bool = True
+    valid = property(lambda self: all(self.invariants.values()))
     latency_samples = property(LatencySamples)  # (txn_id, us, post_failure) tuples
     total_txns = property(lambda self: len(self.txn_ids))
 
@@ -84,8 +84,6 @@ class MetricsReport:
 
     def mark_invariant(self, name: str, ok: bool) -> None:
         self.invariants[name] = self.invariants.get(name, True) and ok
-        if not ok:
-            self.valid = False
 
     # -- series views ------------------------------------------------------------
 

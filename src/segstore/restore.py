@@ -1,13 +1,15 @@
 """Segment-granular media recovery driven by page demand.
 
-A three-state bitmap (not restored / restoring / restored) coordinates
-all parties: exactly one requester wins the atomic transition into
-"restoring" and enqueues the segment, everyone else waits on the
-segment's completion signal, and "restored" is terminal.  Restoring one
-segment means: fetch its backed-up pages, probe the archive for its
-records from the backup's min_lsn on (the two transfers overlap), replay
-them page by page, write the result to the replacement volume, and only
-then flip the bitmap and wake waiters.
+One state machine coordinates all parties: a state byte per segment (not
+restored / restoring / restored) and a queue of claimed segments, both
+kept by RestoreManager under one lock.  Exactly one requester wins the
+transition into "restoring" and enqueues the segment in the same
+critical section, everyone else waits on the segment's completion
+signal, and "restored" is terminal.  Restoring one segment means: fetch
+its backed-up pages, probe the archive for its records from the
+backup's min_lsn on (the two transfers overlap), replay them page by
+page, write the result to the replacement volume, and only then mark
+the segment restored and wake waiters.
 
 Scheduling policies:
 
@@ -18,17 +20,18 @@ Scheduling policies:
                to batch_cap), resetting to 1 whenever demand arrives.
                Latency first while demand is hot, bandwidth once it cools.
   SINGLE_PASS  sweep the whole device sequentially in batch_cap batches;
-               requesters wait on the bitmap without claiming, since the
-               sweep owns every segment it has yet to reach, so the queue
-               holds the sweep's own retries and the segments re-requested
-               behind it.  With one segment spanning the device this is
-               classic offline restore, and it doubles as the bandwidth
-               yardstick.
+               requesters wait without claiming, since the sweep owns
+               every segment it has yet to reach, so the queue holds the
+               sweep's own retries and the segments re-requested behind
+               it.  With one segment spanning the device this is classic
+               offline restore, and it doubles as the bandwidth yardstick.
 
 A failed segment restore keeps its claim: the segment stays "restoring"
 and goes back on the queue on its own, so only it is retried, and its
 waiters keep waiting.  Once MAX_ATTEMPTS attempts have failed it reverts
-to "not restored" and its waiters see the error.  A later request (or,
+to "not restored" and its waiters see the error.  Either way step()
+returns normally, so every driver (the scheduler thread, drain(), the
+benchmark engine) shares this one failure path.  A later request (or,
 under PREEMPTIVE, a sweep that has not reached it yet) may try the
 segment afresh; the single-pass sweep never moves back, so behind its
 cursor only a request does.
@@ -63,7 +66,7 @@ class SegmentState(enum.IntEnum):
 
 class RestoreHandle:
     """Completion signal for one segment's restoration, shared by every
-    waiter (the bitmap hands it out; a blocked fix returns it) until the
+    waiter (the manager hands it out; a blocked fix returns it) until the
     segment is restored or its attempts run out."""
 
     __slots__ = ("segment_id", "event", "error", "done_at", "attempts")
@@ -94,110 +97,6 @@ class RestoreHandle:
         return self.done_at
 
 
-class SegmentBitmap:
-    """Per-segment restore state with atomic transitions and waiter
-    signaling.  Initialized all zeros (nothing restored)."""
-
-    def __init__(self, total: int):
-        self.total = total
-        self._states = bytearray(total)
-        self._entries: dict[int, RestoreHandle] = {}
-        self._lock = threading.Lock()
-        self.restored_count = 0
-
-    def _entry_locked(self, seg: int) -> RestoreHandle:
-        entry = self._entries.get(seg)
-        if entry is None:
-            entry = self._entries[seg] = RestoreHandle(seg)
-        return entry
-
-    def _claim_locked(self, seg: int) -> RestoreHandle:
-        """NOT_RESTORED -> RESTORING.  A segment whose attempts ran out
-        starts over with a fresh handle; its old waiters keep the error."""
-        entry = self._entry_locked(seg)
-        if entry.error is not None:
-            entry = self._entries[seg] = RestoreHandle(seg)
-        self._states[seg] = SegmentState.RESTORING
-        return entry
-
-    def _check(self, seg: int) -> None:
-        if not 0 <= seg < self.total:
-            raise RestoreError(f"segment {seg} out of range")
-
-    def state(self, seg: int) -> SegmentState:
-        self._check(seg)
-        return SegmentState(self._states[seg])
-
-    def is_restored(self, seg: int) -> bool:
-        self._check(seg)
-        return self._states[seg] == SegmentState.RESTORED
-
-    def handle(self, seg: int) -> RestoreHandle:
-        with self._lock:
-            return self._entry_locked(seg)
-
-    def try_begin(self, seg: int) -> tuple[bool, RestoreHandle]:
-        """Atomic NOT_RESTORED -> RESTORING; returns (won, handle)."""
-        self._check(seg)
-        with self._lock:
-            if self._states[seg] == SegmentState.NOT_RESTORED:
-                return True, self._claim_locked(seg)
-            return False, self._entry_locked(seg)
-
-    def next_not_restored(self, cursor: int) -> int:
-        """First NOT_RESTORED segment at or after cursor, or -1."""
-        with self._lock:
-            return self._states.find(SegmentState.NOT_RESTORED, cursor)
-
-    def claim_contiguous(self, cursor: int, limit: int) -> tuple[list[int], int]:
-        """Claim up to limit contiguous NOT_RESTORED segments starting at or
-        after cursor; returns (claimed segments, new cursor)."""
-        with self._lock:
-            cursor = self._states.find(SegmentState.NOT_RESTORED, cursor)
-            if cursor < 0:
-                return [], self.total
-            segs = []
-            while (cursor < self.total and len(segs) < limit
-                   and self._states[cursor] == SegmentState.NOT_RESTORED):
-                self._claim_locked(cursor)
-                segs.append(cursor)
-                cursor += 1
-            return segs, cursor
-
-    def mark_restored(self, seg: int, done_at: float) -> None:
-        with self._lock:
-            if self._states[seg] != SegmentState.RESTORING:
-                raise RestoreError(f"segment {seg} restored without restoring state")
-            self._states[seg] = SegmentState.RESTORED
-            self.restored_count += 1
-            entry = self._entry_locked(seg)
-            entry.done_at = done_at
-            entry.error = None
-            entry.event.set()
-
-    def record_failure(self, seg: int, exc: Exception, max_attempts: int) -> bool:
-        """Count a failed attempt on a RESTORING segment.  Returns True while
-        attempts are left: the segment stays RESTORING, so the caller keeps
-        the claim and retries it, and waiters keep waiting.  The last
-        failed attempt reverts it to NOT_RESTORED, releases its waiters
-        with exc and returns False."""
-        with self._lock:
-            if self._states[seg] != SegmentState.RESTORING:
-                raise RestoreError(f"segment {seg} failed without restoring state")
-            entry = self._entry_locked(seg)
-            entry.attempts += 1
-            if entry.attempts < max_attempts:
-                return True
-            self._states[seg] = SegmentState.NOT_RESTORED
-            entry.error = exc
-            entry.event.set()
-            return False
-
-    @property
-    def complete(self) -> bool:
-        return self.restored_count >= self.total
-
-
 def replay(page: Page, records) -> Page:
     """Apply a page's log records in LSN order, gated by the page LSN so a
     replayed update is never applied twice and none is missed."""
@@ -216,7 +115,10 @@ def replay(page: Page, records) -> Page:
 
 
 class RestoreManager:
-    """Owns the bitmap, the demand queue, and the restoration pipeline.
+    """Owns the segment states, the demand queue, and the restoration
+    pipeline.  One condition, _work, guards every segment's state and
+    handle, the queue, the sweep cursor and the batch size; is_restored
+    alone reads a state byte without it.
 
     The scheduler can run as a dedicated thread (start()) or be driven
     stepwise by a simulation loop (step()); both paths execute the same
@@ -247,10 +149,12 @@ class RestoreManager:
         self.replacement = replacement
         self.policy = policy
         self.batch_cap = batch_cap
-        self.bitmap = SegmentBitmap(replacement.geometry.segment_count)
+        self.segment_count = replacement.geometry.segment_count
+        self.restored_count = 0
+        self._states = bytearray(self.segment_count)  # all NOT_RESTORED
+        self._handles: dict[int, RestoreHandle] = {}
         self._queue: deque[tuple[int, float]] = deque()
-        self._qlock = threading.Lock()
-        self._work = threading.Condition(self._qlock)
+        self._work = threading.Condition()
         self._cursor = 0
         self._batch = batch_cap if policy == Policy.SINGLE_PASS else 1
         self.bytes_restored = 0
@@ -263,85 +167,123 @@ class RestoreManager:
         if buffer_pool is not None:
             buffer_pool.set_restore_gate(self)
 
-    # -- demand side ---------------------------------------------------------
+    # -- segment states ------------------------------------------------------
 
-    def is_restored(self, seg: int) -> bool:
-        return self.bitmap.is_restored(seg)
+    def _check(self, seg: int) -> None:
+        if not 0 <= seg < self.segment_count:
+            raise RestoreError(f"segment {seg} out of range")
 
-    def request_segment(self, seg: int, now: float = 0.0) -> RestoreHandle:
-        state = self.bitmap.state(seg)
-        if state == SegmentState.RESTORED:
-            return self.bitmap.handle(seg)
-        single_pass = self.policy == Policy.SINGLE_PASS
-        if single_pass and seg >= self._cursor:
-            # The sweep owns the segments it has yet to reach; wait on its signal.
-            return self.bitmap.handle(seg)
-        won, handle = self.bitmap.try_begin(seg)
-        if won:
-            with self._work:
-                self._queue.append((seg, now))
-                self.demand_requests += 1
-                if not single_pass:
-                    self._batch = 1
-                self._work.notify_all()
+    def _handle_locked(self, seg: int) -> RestoreHandle:
+        handle = self._handles.get(seg)
+        if handle is None:
+            handle = self._handles[seg] = RestoreHandle(seg)
         return handle
 
+    def _claim_locked(self, seg: int) -> RestoreHandle:
+        """NOT_RESTORED -> RESTORING.  A segment whose attempts ran out
+        starts over with a fresh handle; its old waiters keep the error."""
+        handle = self._handle_locked(seg)
+        if handle.error is not None:
+            handle = self._handles[seg] = RestoreHandle(seg)
+        self._states[seg] = SegmentState.RESTORING
+        return handle
+
+    def state(self, seg: int) -> SegmentState:
+        self._check(seg)
+        return SegmentState(self._states[seg])
+
+    def is_restored(self, seg: int) -> bool:
+        # No lock: the buffer pool asks on every miss, and RESTORED is terminal.
+        self._check(seg)
+        return self._states[seg] == SegmentState.RESTORED
+
+    def handle(self, seg: int) -> RestoreHandle:
+        self._check(seg)
+        with self._work:
+            return self._handle_locked(seg)
+
+    @property
+    def complete(self) -> bool:
+        return self.restored_count >= self.segment_count
+
+    # -- demand side ---------------------------------------------------------
+
+    def request_segment(self, seg: int, now: float = 0.0) -> RestoreHandle:
+        """The handle to wait on for segment seg.  The first request for a
+        NOT_RESTORED segment claims it and queues it, in one critical
+        section; under SINGLE_PASS the sweep owns every segment at or after
+        its cursor, so a request there only waits."""
+        self._check(seg)
+        single_pass = self.policy == Policy.SINGLE_PASS
+        with self._work:
+            if (self._states[seg] != SegmentState.NOT_RESTORED
+                    or single_pass and seg >= self._cursor):
+                return self._handle_locked(seg)
+            handle = self._claim_locked(seg)
+            self._queue.append((seg, now))
+            self.demand_requests += 1
+            if not single_pass:
+                self._batch = 1
+            self._work.notify_all()
+            return handle
+
     def queue_depth(self) -> int:
-        with self._qlock:
+        with self._work:
             return len(self._queue)
 
     def next_queue_time(self) -> float | None:
-        with self._qlock:
+        with self._work:
             return self._queue[0][1] if self._queue else None
 
     # -- scheduler ------------------------------------------------------------
+
+    def _has_work_locked(self) -> bool:
+        return bool(self._queue) or (
+            self.policy != Policy.ON_DEMAND
+            and self._states.find(SegmentState.NOT_RESTORED, self._cursor) >= 0)
 
     def has_pending_work(self) -> bool:
         """True when step() has work: a queued segment, or for the sweep
         policies a NOT_RESTORED segment at or after the sweep cursor.  A
         segment that used up its attempts behind the cursor is not work
         until a request queues it: the sweep never moves back."""
-        if self.bitmap.complete:
+        if self.complete:
             return False
-        with self._qlock:
-            if self._queue:
-                return True
-        return (self.policy != Policy.ON_DEMAND
-                and self.bitmap.next_not_restored(self._cursor) >= 0)
-
-    @property
-    def complete(self) -> bool:
-        return self.bitmap.complete
+        with self._work:
+            return self._has_work_locked()
 
     def step(self, now: float = 0.0) -> tuple[bool, float]:
         """Execute one scheduler decision: the queue head (a demanded or a
         retried segment, already claimed), or one sweep batch.  Returns
-        (did_work, completion_time)."""
-        segs = []
-        qdepth = 0
-        with self._qlock:
+        (did_work, completion_time); a failed batch counts as work done
+        at now (see _restore_batch)."""
+        first = count = qdepth = 0
+        with self._work:
             if self._queue:
-                seg, t_enq = self._queue.popleft()
-                qdepth = len(self._queue) + 1
-                segs = [seg]
+                first, t_enq = self._queue.popleft()
+                count, qdepth = 1, len(self._queue) + 1
                 now = max(now, t_enq)
-        if not segs and self.policy != Policy.ON_DEMAND:
-            segs, self._cursor = self.bitmap.claim_contiguous(self._cursor, self._batch)
-            if segs:
-                self._batch = min(self._batch * 2, self.batch_cap)
-        if not segs:
+            elif self.policy != Policy.ON_DEMAND:
+                first = self._states.find(SegmentState.NOT_RESTORED, self._cursor)
+                if first < 0:
+                    self._cursor = self.segment_count
+                else:
+                    end = first
+                    while (end < self.segment_count and end - first < self._batch
+                           and self._states[end] == SegmentState.NOT_RESTORED):
+                        self._claim_locked(end)
+                        end += 1
+                    count, self._cursor = end - first, end
+                    self._batch = min(self._batch * 2, self.batch_cap)
+        if not count:
             return False, now
-        t = self._restore_batch(segs[0], len(segs), now, qdepth)
-        return True, t
+        return True, self._restore_batch(first, count, now, qdepth)
 
     def drain(self, now: float = 0.0) -> float:
         """Run the scheduler inline until nothing is left to do."""
-        t = now
         while self.has_pending_work():
-            worked, t = self.step(t)
-            if not worked:
-                break
-        return t
+            _, now = self.step(now)
+        return now
 
     def start(self) -> None:
         """Dedicated scheduler thread; stops when restore completes or on
@@ -362,28 +304,29 @@ class RestoreManager:
             self._thread = None
 
     def _thread_main(self) -> None:
-        while not self._stopped.is_set() and not self.bitmap.complete:
-            try:
-                worked, _ = self.step()
-            except StorageError:
-                continue  # failure already recorded against the segments
-            if not worked:
+        while not self._stopped.is_set() and not self.complete:
+            if not self.step()[0]:
                 # Every producer of work (request_segment, a failed
                 # batch's re-queue, stop) notifies under this lock.
                 with self._work:
-                    if not self._queue and not self._stopped.is_set():
-                        self._work.wait()
+                    self._work.wait_for(
+                        lambda: self._stopped.is_set() or self._has_work_locked())
 
     # -- restoration pipeline ----------------------------------------------------
 
     def _restore_batch(self, first: int, count: int, now: float, qdepth: int) -> float:
+        """Restore the claimed segments [first, first + count); returns the
+        completion time.  If a transfer fails, each segment counts a failed
+        attempt and either goes back on the queue, keeping its claim, or,
+        after MAX_ATTEMPTS, reverts to NOT_RESTORED and releases its
+        waiters with the error; the batch then returns now."""
         geo = self.replacement.geometry
-        segs = list(range(first, first + count))
+        segs = range(first, first + count)
         first_page, _ = geo.segment_span(first)
         _, end_page = geo.segment_span(first + count - 1)
+        for seg in segs:
+            self.attempt_count[seg] = self.attempt_count.get(seg, 0) + 1
         try:
-            for seg in segs:
-                self.attempt_count[seg] = self.attempt_count.get(seg, 0) + 1
             # Backup fetch and archive probe overlap; replay starts when
             # both transfers are in.
             pages, t_fetch = self.backup.fetch_page_span(first_page, end_page, now)
@@ -394,18 +337,30 @@ class RestoreManager:
                 replay(pages[page_id - first_page], records)
             t_done = self.replacement.write_page_span(first_page, pages, t_ready)
         except StorageError as exc:
-            retry = [seg for seg in segs
-                     if self.bitmap.record_failure(seg, exc, MAX_ATTEMPTS)]
-            if retry:
-                with self._work:
-                    self._queue.extend((seg, now) for seg in retry)
-                    self._work.notify_all()
-            raise
+            with self._work:
+                for seg in segs:
+                    handle = self._handle_locked(seg)
+                    handle.attempts += 1
+                    if handle.attempts < MAX_ATTEMPTS:
+                        self._queue.append((seg, now))
+                    else:
+                        self._states[seg] = SegmentState.NOT_RESTORED
+                        handle.error = exc
+                        handle.event.set()
+                self._work.notify_all()
+            return now
         nbytes = (end_page - first_page) * geo.page_size
         self.bytes_restored += nbytes
-        for seg in segs:
-            self.success_count[seg] = self.success_count.get(seg, 0) + 1
-            self.bitmap.mark_restored(seg, t_done)
+        with self._work:
+            for seg in segs:
+                if self._states[seg] != SegmentState.RESTORING:
+                    raise RestoreError(f"segment {seg} restored without restoring state")
+                self._states[seg] = SegmentState.RESTORED
+                self.restored_count += 1
+                self.success_count[seg] = self.success_count.get(seg, 0) + 1
+                handle = self._handle_locked(seg)
+                handle.done_at = t_done
+                handle.event.set()
         if self.on_restore is not None:
             self.on_restore(now, t_done, first, count, nbytes, qdepth)
         return t_done

@@ -102,14 +102,18 @@ class WorkloadConfig:
 
     def validate(self) -> None:
         for name in ("page_count", "page_size", "pages_per_segment", "pool_pages",
-                     "worker_threads", "run_size_limit", "batch_cap"):
+                     "worker_threads", "run_size_limit", "batch_cap", "duration_s",
+                     "cleaner_batch"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.skew < 0:
-            raise ValueError("skew must be >= 0")
+        for name in ("skew", "txn_think_us", "op_think_us", "cleaner_interval_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.txns_per_worker is not None and min(self.txns_per_worker) < 0:
+            raise ValueError("txns_per_worker counts must be >= 0")
         if self.archive_mode not in ARCHIVE_MODES:
             raise ValueError(f"unknown archive_mode {self.archive_mode!r}")
-        if self.failure_time_s is not None and self.failure_time_s >= self.duration_s:
+        if self.failure_time_s is not None and not 0 <= self.failure_time_s < self.duration_s:
             raise ValueError("failure_time must fall inside the run duration")
         ws = self.working_set()
         if not 1 <= ws <= self.page_count:

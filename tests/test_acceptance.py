@@ -132,7 +132,7 @@ def test_c3_exactly_once_liveness(workdir):
                     pool_pages=32, updates=600, policy=Policy.ON_DEMAND)
     mgr = env.manager
     mgr.start()
-    total = mgr.bitmap.total
+    total = mgr.segment_count
     errors = []
     t0 = time.monotonic()
 

@@ -5,17 +5,18 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 
 import pytest
 
 from segstore import failpoints
-from segstore.bench import (BenchEngine, run_benchmark, verify_equivalence,
-                            volume_file_bytes)
+from segstore.bench import (BenchEngine, oracle_volume_bytes, run_benchmark,
+                            verify_equivalence, volume_file_bytes)
 from segstore.cli import main
-from segstore.errors import ChecksumError, CrashInjected
+from segstore.errors import ChecksumError, CrashInjected, StorageError
 from segstore.metrics import emit_csv
-from segstore.restore import Policy
+from segstore.restore import Policy, RestoreManager
 from segstore.volume import HEADER_SIZE, Geometry
 from segstore.workload import WorkloadConfig
 
@@ -32,6 +33,16 @@ def tiny_config(**kw):
 def test_config_rejected_when_failure_after_duration():
     with pytest.raises(ValueError):
         run_benchmark(tiny_config(duration_s=1.0, failure_time_s=5.0))
+    # Nor may a run be empty, fail before time 0, or run time backwards.
+    for bad in (dict(duration_s=0.0, failure_time_s=None),
+                dict(duration_s=0.0, failure_time_s=-1.0),
+                dict(duration_s=-5.0, failure_time_s=-10.0),
+                dict(duration_s=3.0, failure_time_s=-2.0),
+                dict(txn_think_us=-1.0), dict(op_think_us=-1.0),
+                dict(cleaner_interval_us=-1.0), dict(cleaner_batch=0),
+                dict(txns_per_worker=(-1, 10)), dict(txns_per_worker=(10, -1))):
+        with pytest.raises(ValueError):
+            run_benchmark(tiny_config(**bad))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -184,9 +195,12 @@ def test_cli_verify_closes_its_files(tmp_path):
 
 
 def test_cli_rejects_bad_config(capsys):
-    rc = main(["run", "--pages", "64", "--duration", "1", "--fail-at", "5"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for argv in (["--duration", "1", "--fail-at", "5"],
+                 ["--duration", "0", "--fail-at", "-1"],
+                 ["--duration", "3", "--fail-at", "-2"]):
+        rc = main(["run", "--pages", "64"] + argv)
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_overhead(capsys):
@@ -220,6 +234,75 @@ def test_single_worker_tiny_config_shadow():
                                          pool_pages=16, worker_threads=1,
                                          txns_per_worker=(40, 40)))
     assert out["ok"]
+
+
+def _fault_backup_fetch(engine, fails) -> None:
+    """Make the engine's backup fetch of pages [first, end) raise
+    StorageError whenever fails(first, end) is true."""
+    real_fetch = engine.backup.fetch_page_span
+
+    def fetch(first, end, now=0.0):
+        if fails(first, end):
+            raise StorageError("injected backup fetch fault")
+        return real_fetch(first, end, now)
+
+    engine.backup.fetch_page_span = fetch
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_engine_retries_transient_fetch_faults(tmp_path, policy):
+    """Two failed backup fetches under a running workload are retried:
+    the run completes and the replacement ends byte-equal to brute-force
+    recovery."""
+    engine = BenchEngine(tiny_config(txns_per_worker=(100, 100), policy=policy),
+                         str(tmp_path / "work"), finish_restore=True)
+    try:
+        faults = [2]
+
+        def fails(first, end):
+            faults[0] -= 1
+            return faults[0] >= 0
+
+        _fault_backup_fetch(engine, fails)
+        report = engine.run()
+        engine.flush_all()
+        mgr = engine.manager
+        assert faults[0] < 0  # both faults fired
+        assert mgr.complete and all(report.invariants.values())
+        assert sum(mgr.attempt_count.values()) > sum(mgr.success_count.values())
+        assert (volume_file_bytes(engine.replacement.device.path)
+                == oracle_volume_bytes(engine.backup, engine.wal))
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_engine_reports_permanent_fetch_fault(tmp_path, monkeypatch, policy):
+    """A demanded segment whose backup fetch always fails ends the run
+    with a worker's restore error, in a bounded number of scheduler
+    steps, instead of hanging."""
+    real_step = RestoreManager.step
+    steps = [0]
+
+    def bounded_step(self, now=0.0):
+        steps[0] += 1
+        assert steps[0] <= 1000, "scheduler kept stepping"
+        return real_step(self, now)
+
+    monkeypatch.setattr(RestoreManager, "step", bounded_step)
+    engine = BenchEngine(tiny_config(txns_per_worker=(100, 100), policy=policy),
+                         str(tmp_path / "work"), finish_restore=True)
+    try:
+        # Page 0 holds zipf rank 0, the hottest page, so workers demand segment 0.
+        bad_first, bad_end = engine.replacement.geometry.segment_span(0)
+        _fault_backup_fetch(engine, lambda first, end: first < bad_end and bad_first < end)
+        t0 = time.monotonic()
+        with pytest.raises(StorageError, match=r"^worker \d+ saw restore failure: "):
+            engine.run()
+        assert time.monotonic() - t0 < 30.0
+        assert engine.manager.handle(0).error is not None
+    finally:
+        engine.close()
 
 
 def test_large_pool_hides_the_failure():

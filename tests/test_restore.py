@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 import threading
 import time
 import types
@@ -11,8 +12,7 @@ from segstore.backup import BackupImage
 from segstore.bufferpool import Blocked, BufferPool
 from segstore.errors import RestoreError, StorageError
 from segstore.pages import Page, page_capacity, segment_of
-from segstore.restore import (Policy, RestoreManager, SegmentBitmap,
-                              SegmentState, replay)
+from segstore.restore import Policy, RestoreManager, SegmentState, replay
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
 from conftest import closing, make_replacement, make_volume, make_wal, value_bytes
@@ -142,60 +142,94 @@ def test_replay_random_histories_match_fold(workdir):
         assert base.page_lsn == recs[-1].lsn
 
 
-# -- bitmap -----------------------------------------------------------------------
+# -- segment states ---------------------------------------------------------------
 
-def test_bitmap_transitions():
-    bm = SegmentBitmap(4)
-    assert bm.state(1) == SegmentState.NOT_RESTORED
-    won, handle = bm.try_begin(1)
-    assert won and bm.state(1) == SegmentState.RESTORING
-    won2, handle2 = bm.try_begin(1)
-    assert not won2
-    bm.mark_restored(1, done_at=5.0)
-    assert bm.is_restored(1)
-    assert handle.done and handle2.done and handle.done_at == 5.0
-    assert bm.restored_count == 1
-    with pytest.raises(RestoreError):
-        bm.mark_restored(1, 6.0)  # restored is terminal
-    with pytest.raises(RestoreError):
-        bm.state(4)
-
-
-def test_bitmap_single_winner_under_threads():
-    bm = SegmentBitmap(1)
-    wins = []
-    barrier = threading.Barrier(16)
-
-    def contend():
-        barrier.wait()
-        won, _ = bm.try_begin(0)
-        if won:
-            wins.append(1)
-
-    threads = [threading.Thread(target=contend) for _ in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(wins) == 1
+def test_bitmap_transitions(workdir):
+    """A segment goes NOT_RESTORED -> RESTORING -> RESTORED once: one
+    request claims it, a second only waits, and restored is terminal."""
+    env = build_env(workdir, page_count=32, pages_per_segment=8,
+                    policy=Policy.ON_DEMAND)
+    mgr = env.manager
+    assert mgr.segment_count == 4
+    assert mgr.state(1) == SegmentState.NOT_RESTORED and not mgr.is_restored(1)
+    handle = mgr.request_segment(1, 3.0)
+    assert mgr.state(1) == SegmentState.RESTORING and not mgr.is_restored(1)
+    handle2 = mgr.request_segment(1, 4.0)
+    assert handle2 is handle and mgr.queue_depth() == 1 and mgr.demand_requests == 1
+    worked, t_done = mgr.step()
+    assert worked and mgr.is_restored(1) and mgr.state(1) == SegmentState.RESTORED
+    assert handle.done and handle.done_at == t_done >= 3.0
+    assert mgr.restored_count == 1 and mgr.handle(1) is handle
+    # restored is terminal: a request neither claims nor queues it again,
+    # and a restore of it again is refused
+    assert mgr.request_segment(1) is handle and mgr.queue_depth() == 0
+    with pytest.raises(RestoreError, match="without restoring state"):
+        mgr._restore_batch(1, 1, 0.0, 0)
+    assert mgr.restored_count == 1
+    for bad in (4, -1):
+        with pytest.raises(RestoreError, match="out of range"):
+            mgr.state(bad)
+        with pytest.raises(RestoreError, match="out of range"):
+            mgr.request_segment(bad)
 
 
-def test_bitmap_failure_and_retry():
-    bm = SegmentBitmap(2)
-    bm.try_begin(0)
-    assert bm.record_failure(0, StorageError("boom"), max_attempts=3)
-    # a retried segment keeps its claim
-    assert bm.state(0) == SegmentState.RESTORING
-    assert not bm.try_begin(0)[0]
-    bm.try_begin(0)
-    assert bm.record_failure(0, StorageError("boom"), max_attempts=3)
-    won, handle = bm.try_begin(0)
-    assert not bm.record_failure(0, StorageError("boom"), max_attempts=3)
-    with pytest.raises(RestoreError):
+def test_bitmap_single_winner_under_threads(workdir):
+    """16 threads requesting one segment at once: one claims and queues
+    it, and all share its handle.  Repeated on every segment."""
+    env = build_env(workdir, policy=Policy.ON_DEMAND)
+    mgr = env.manager
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seg in range(mgr.segment_count):
+            barrier = threading.Barrier(16)
+            handles = []
+
+            def contend():
+                barrier.wait()
+                handles.append(mgr.request_segment(seg))
+
+            threads = [threading.Thread(target=contend) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert mgr.demand_requests == seg + 1 and mgr.queue_depth() == seg + 1
+            assert len(handles) == 16 and all(h is handles[0] for h in handles)
+            assert mgr.state(seg) == SegmentState.RESTORING
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_bitmap_failure_and_retry(workdir):
+    """A failed attempt keeps the segment's claim and re-queues it; the
+    last attempt gives it up and releases its waiters with the error; a
+    later request starts it afresh with a new handle."""
+    env = build_env(workdir, policy=Policy.ON_DEMAND)
+    mgr = env.manager
+
+    def always_fails(first, end, now=0.0):
+        raise StorageError("boom")
+
+    env.backup.fetch_page_span = always_fails
+    handle = mgr.request_segment(0)
+    for attempt in range(1, 3):
+        assert mgr.step()[0]
+        # a retried segment keeps its claim
+        assert mgr.state(0) == SegmentState.RESTORING
+        assert handle.attempts == attempt and not handle.ready
+        assert mgr.request_segment(0) is handle and mgr.queue_depth() == 1
+        assert mgr.demand_requests == 1
+    assert mgr.step()[0]
+    assert mgr.state(0) == SegmentState.NOT_RESTORED and mgr.queue_depth() == 0
+    assert handle.attempts == 3 and mgr.attempt_count[0] == 3
+    with pytest.raises(RestoreError, match="boom"):
         handle.wait(0.1)
     # a fresh attempt gets a clean incarnation
-    won, handle2 = bm.try_begin(0)
-    assert won and not handle2.ready
+    handle2 = mgr.request_segment(0)
+    assert handle2 is not handle and not handle2.ready and handle2.attempts == 0
+    assert mgr.state(0) == SegmentState.RESTORING and mgr.demand_requests == 2
 
 
 # -- restore manager preconditions ---------------------------------------------------
@@ -264,7 +298,7 @@ def test_full_restore_matches_oracle(workdir, policy):
     env = build_env(workdir, policy=policy, seed=hash(policy.value) % 1000)
     mgr = env.manager
     if policy == Policy.ON_DEMAND:
-        for seg in range(mgr.bitmap.total):
+        for seg in range(mgr.segment_count):
             mgr.request_segment(seg)
     mgr.drain()
     assert mgr.complete
@@ -286,7 +320,7 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
         mgr = RestoreManager(env.backup, env.directory, repl, env.failure_lsn,
                              policy=policy)
         if policy == Policy.ON_DEMAND:
-            for seg in range(mgr.bitmap.total):
+            for seg in range(mgr.segment_count):
                 mgr.request_segment(seg)
         mgr.drain()
         assert mgr.complete
@@ -335,16 +369,16 @@ def test_demand_served_fifo(workdir):
     mgr.on_restore = lambda t0, t1, first, count, nb, qd: restored_order.append(first)
     mgr.drain()
     assert restored_order == order
-    assert mgr.bitmap.restored_count == len(order)  # on-demand restores only demand
+    assert mgr.restored_count == len(order)  # on-demand restores only demand
     assert not mgr.has_pending_work()
 
 
 def test_status_counters(workdir):
     env = build_env(workdir, policy=Policy.SINGLE_PASS)
     mgr = env.manager
-    assert (mgr.bitmap.restored_count, mgr.bitmap.total) == (0, 8)
+    assert (mgr.restored_count, mgr.segment_count) == (0, 8)
     mgr.drain()
-    assert (mgr.bitmap.restored_count, mgr.bitmap.total) == (8, 8)
+    assert (mgr.restored_count, mgr.segment_count) == (8, 8)
     geo = env.repl.geometry
     assert mgr.bytes_restored == geo.page_count * geo.page_size
     assert mgr.queue_depth() == 0
@@ -367,7 +401,7 @@ def test_saturated_queue_keeps_batches_at_one(workdir):
     mgr = env.manager
     batches = []
     mgr.on_restore = lambda t0, t1, first, count, nb, qd: batches.append(count)
-    for seg in range(mgr.bitmap.total):
+    for seg in range(mgr.segment_count):
         mgr.request_segment(seg)
     mgr.drain()
     assert mgr.complete
@@ -430,7 +464,7 @@ def test_exactly_once_under_16_threads(workdir):
         rng = random.Random(seed)
         try:
             for _ in range(60):
-                seg = rng.randrange(mgr.bitmap.total)
+                seg = rng.randrange(mgr.segment_count)
                 mgr.request_segment(seg).wait(timeout=30.0)
         except StorageError as exc:
             errors.append(str(exc))
@@ -461,19 +495,20 @@ def test_error_reverts_retries_then_fails_fast(workdir):
     env.backup.fetch_page_span = flaky
     # one transient failure: retried transparently, waiter succeeds
     failures["n"] = 1
-    handle = mgr.request_segment(1)
-    with pytest.raises(StorageError):
-        mgr.step()
-    assert mgr.bitmap.state(1) != SegmentState.RESTORED
+    handle = mgr.request_segment(1, 7.0)
+    assert mgr.step() == (True, 7.0)  # the failed attempt is work done at its start
+    assert mgr.state(1) == SegmentState.RESTORING and mgr.queue_depth() == 1
+    assert handle.attempts == 1 and not handle.ready
     mgr.drain()
     assert handle.done
     assert mgr.attempt_count[1] == 2 and mgr.success_count[1] == 1
     # persistent failure: three attempts, then the waiter sees the error
     failures["n"] = 99
     handle2 = mgr.request_segment(2)
-    for _ in range(3):
-        with pytest.raises(StorageError):
-            mgr.step()
+    for attempt in range(1, 4):
+        assert mgr.step()[0]
+        assert handle2.attempts == attempt and mgr.attempt_count[2] == attempt
+    assert handle2.ready and mgr.state(2) == SegmentState.NOT_RESTORED
     with pytest.raises(RestoreError):
         handle2.wait(0.1)
     assert failures["n"] == 96
@@ -489,7 +524,7 @@ def test_single_pass_retries_transient_fetch_failure(workdir):
     """A failed sweep batch is swept again, not left behind the cursor."""
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=2)
     mgr = env.manager
-    assert mgr.bitmap.total == 8
+    assert mgr.segment_count == 8
     real_fetch = env.backup.fetch_page_span
     failures = {"n": 1}
 
@@ -500,10 +535,11 @@ def test_single_pass_retries_transient_fetch_failure(workdir):
         return real_fetch(first, end, now)
 
     env.backup.fetch_page_span = flaky
-    with pytest.raises(StorageError):
-        mgr.step()
+    assert mgr.step()[0]
+    assert [mgr.state(seg) for seg in (0, 1)] == [SegmentState.RESTORING] * 2
+    assert mgr.queue_depth() == 2 and mgr.handle(0).attempts == 1
     mgr.drain()
-    assert mgr.complete and mgr.bitmap.restored_count == 8
+    assert mgr.complete and mgr.restored_count == 8
     assert mgr.queue_depth() == 0
     assert not mgr.has_pending_work()
     assert [mgr.success_count.get(seg) for seg in range(8)] == [1] * 8
@@ -535,11 +571,11 @@ def test_thread_sleeps_once_a_segment_gives_up(workdir):
     mgr.start()
     try:
         deadline = time.monotonic() + 10.0
-        handle = mgr.bitmap.handle(bad)
-        while not (handle.ready and mgr.bitmap.restored_count == mgr.bitmap.total - 1):
+        handle = mgr.handle(bad)
+        while not (handle.ready and mgr.restored_count == mgr.segment_count - 1):
             assert time.monotonic() < deadline, "restore never settled"
             time.sleep(0.005)
-            handle = mgr.bitmap.handle(bad)
+            handle = mgr.handle(bad)
         assert handle.error is not None
         before = len(steps)
         time.sleep(0.3)
@@ -555,7 +591,7 @@ def test_given_up_segment_fails_alone_and_leaves_no_work(workdir, policy):
     left the scheduler reports no work and does none."""
     env = build_env(workdir, policy=policy, batch_cap=4)
     mgr = env.manager
-    assert mgr.bitmap.total == 8
+    assert mgr.segment_count == 8
     bad = 3
     bad_first, bad_end = env.backup.geometry.segment_span(bad)
     real_fetch = env.backup.fetch_page_span
@@ -566,16 +602,14 @@ def test_given_up_segment_fails_alone_and_leaves_no_work(workdir, policy):
         return real_fetch(first, end, now)
 
     env.backup.fetch_page_span = broken
-    handles = [mgr.bitmap.handle(seg) for seg in range(8)]
+    handles = [mgr.handle(seg) for seg in range(8)]
     t = 0.0
     for _ in range(50):  # bounded: a scheduler that keeps reporting work spins
         if not mgr.has_pending_work():
             break
-        try:
-            _, t = mgr.step(t)
-        except StorageError:
-            pass
-    assert mgr.bitmap.restored_count == 7
+        worked, t = mgr.step(t)
+        assert worked
+    assert mgr.restored_count == 7
     assert [h.done for h in handles] == [seg != bad for seg in range(8)]
     assert handles[bad].error is not None
     assert not mgr.has_pending_work()
@@ -587,7 +621,7 @@ def test_single_pass_request_reoffers_given_up_segment(workdir):
     queues it, so it is restored once its fault clears."""
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=4)
     mgr = env.manager
-    assert mgr.bitmap.total == 8
+    assert mgr.segment_count == 8
     bad = 3
     bad_first, bad_end = env.backup.geometry.segment_span(bad)
     real_fetch = env.backup.fetch_page_span
@@ -603,18 +637,16 @@ def test_single_pass_request_reoffers_given_up_segment(workdir):
     for _ in range(50):
         if not mgr.has_pending_work():
             break
-        try:
-            _, t = mgr.step(t)
-        except StorageError:
-            pass
-    assert mgr.bitmap.restored_count == 7
-    assert mgr.bitmap.handle(bad).error is not None
+        worked, t = mgr.step(t)
+        assert worked
+    assert mgr.restored_count == 7
+    assert mgr.handle(bad).error is not None
     faulty[0] = False
     handle = mgr.request_segment(bad, t)
     assert not handle.ready and mgr.queue_depth() == 1
     mgr.drain(t)
     assert handle.done
-    assert mgr.complete and mgr.bitmap.restored_count == 8
+    assert mgr.complete and mgr.restored_count == 8
 
 
 # -- buffer pool integration -----------------------------------------------------------
