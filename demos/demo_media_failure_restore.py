@@ -28,7 +28,7 @@ with ExitStack() as opened:
     replacement = opened.enter_context(closing(
         Volume.blank(os.path.join(workdir, "replacement.db"), geo)))
     wal = opened.enter_context(closing(WriteAheadLog(os.path.join(workdir, "wal.log"))))
-    pool = BufferPool(volume, wal, capacity=16, replacement=replacement)
+    pool = BufferPool(volume, wal, capacity=16)
 
     backup, _ = BackupImage.create(workdir, volume, wal)
     opened.enter_context(closing(backup))
@@ -56,8 +56,11 @@ with ExitStack() as opened:
     archiver.archive_up_to(failure_lsn)
     print(f"\ndatabase device FAILED at lsn {failure_lsn}; archive caught up")
 
+    # Attaching the manager sends the pool's misses and write-back to its
+    # replacement, each page once its segment is restored.
     manager = RestoreManager(backup, directory, replacement, failure_lsn,
-                             policy=Policy.PREEMPTIVE, batch_cap=8, buffer_pool=pool)
+                             policy=Policy.PREEMPTIVE, batch_cap=8)
+    pool.set_restore_gate(manager)
     manager.start()
     opened.callback(manager.stop)
 

@@ -100,8 +100,7 @@ class BenchEngine:
             self.archiver = LogArchiver(self.wal, self.archive_dir,
                                         run_size_limit=config.run_size_limit,
                                         mode=config.archive_mode)
-            self.pool = BufferPool(self.volume, self.wal, config.pool_pages,
-                                   replacement=self.replacement)
+            self.pool = BufferPool(self.volume, self.wal, config.pool_pages)
             self.backup = own(BackupImage.create(workdir, self.volume, self.wal,
                                                  LatencyModel(*config.backup_latency))[0])
             self.manager = None
@@ -190,7 +189,7 @@ class BenchEngine:
                 if handle.error is not None:
                     raise StorageError(f"worker {w.worker_id} saw restore failure: "
                                        f"{handle.error}")
-                w.parked_on = w.gen.send(max(w.clock, handle.done_at or w.clock))
+                w.parked_on = w.gen.send(max(w.clock, handle.done_at))
 
     def _run_phase(self, worker_active) -> None:
         """Advance actors until every worker has either left the phase (per
@@ -236,8 +235,8 @@ class BenchEngine:
         self._arch_clock = t_catch
         self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
                                       self.failure_lsn, policy=self.config.policy,
-                                      batch_cap=self.config.batch_cap,
-                                      buffer_pool=self.pool)
+                                      batch_cap=self.config.batch_cap)
+        self.pool.set_restore_gate(self.manager)
         self.manager.on_restore = self.report.record_restore
         self._sched_clock = max(t_catch, self._t_fail_us)
         self.report.restore_begin_us = self._sched_clock
@@ -314,7 +313,7 @@ class BenchEngine:
         self.wal.flush()
 
     def final_volume(self) -> Volume:
-        return self.replacement if self.pool.failed else self.volume
+        return self.pool.live_volume
 
     def close(self) -> None:
         # A worker's suspended generator frame holds the engine; closing

@@ -3,10 +3,10 @@
 fix/unfix pin pages and take a shared or exclusive frame latch; a pinned
 frame is never evicted and eviction of a dirty frame enforces the
 write-ahead rule (log flushed through the page's LSN before the page is
-written).  After the database device fails, reads and dirty write-back
-reroute to the pre-attached replacement volume, gated per segment by the
-restore manager: the page is only read from (or flushed to) the
-replacement once its segment is restored.
+written).  Misses and dirty write-back go to the live volume: the
+database volume, then, once a restore manager attaches to the failed
+device (set_restore_gate), its replacement, gated per segment: a page is
+read from (or flushed to) the replacement only once its segment is restored.
 
 Two fix flavors exist so both threaded servers and the deterministic
 benchmark engine can share this code:
@@ -21,8 +21,7 @@ benchmark engine can share this code:
 
 import threading
 
-from .errors import InvalidPageIdError, MediaFailureError, StorageError
-from .pages import segment_of
+from .errors import InvalidPageIdError, MediaFailureError, RestoreError, StorageError
 from .restore import RestoreHandle
 from .volume import Volume
 from .wal import WriteAheadLog
@@ -65,12 +64,11 @@ Blocked = RestoreHandle
 
 
 class BufferPool:
-    def __init__(self, volume: Volume, wal: WriteAheadLog, capacity: int,
-                 replacement: Volume | None = None):
+    def __init__(self, volume: Volume, wal: WriteAheadLog, capacity: int):
         if capacity <= 0:
             raise StorageError("pool needs at least one frame")
         self.volume = volume
-        self.replacement = replacement
+        self.live_volume = volume  # misses read and write-back writes here
         self.wal = wal
         self.capacity = capacity
         self._frames = [BufferFrame(i) for i in range(capacity)]
@@ -78,7 +76,7 @@ class BufferPool:
         self._table: dict[int, BufferFrame] = {}
         self._hand = 0
         self._cond = threading.Condition()
-        self._gate = None  # restore manager: is_restored(seg), request_segment(seg, now)
+        self._gate = None  # restore manager: replacement, is_restored, request_segment
         self._dirty_n = 0
         self.page_reads = 0
         self.evictions = 0
@@ -94,7 +92,13 @@ class BufferPool:
         return self.wal.end_lsn()
 
     def set_restore_gate(self, gate) -> None:
+        """Attach the restore manager of the failed device: from now on
+        misses and write-back go to its replacement, segment by segment."""
+        if not self.failed:
+            raise RestoreError("database device has not failed")
         with self._cond:
+            # Any fix that sees the gate also sees the replacement.
+            self.live_volume = gate.replacement
             self._gate = gate
             self._cond.notify_all()
 
@@ -103,7 +107,7 @@ class BufferPool:
         return self.volume.device.failed
 
     def _segment_ready(self, page_id: int) -> bool:
-        seg = segment_of(page_id, self.volume.geometry.pages_per_segment)
+        seg = self.volume.geometry.segment_of(page_id)
         return self._gate is not None and self._gate.is_restored(seg)
 
     def _blocked(self, page_id: int, now: float) -> Blocked:
@@ -111,8 +115,7 @@ class BufferPool:
             raise MediaFailureError(
                 f"database device failed and no restore manager is attached "
                 f"(page {page_id})")
-        seg = segment_of(page_id, self.volume.geometry.pages_per_segment)
-        return self._gate.request_segment(seg, now)
+        return self._gate.request_segment(self.volume.geometry.segment_of(page_id), now)
 
     # -- fix / unfix ----------------------------------------------------------
 
@@ -122,8 +125,7 @@ class BufferPool:
         while True:
             out = self._fix_inner(page_id, mode, now, blocking=True)
             if isinstance(out, Blocked):
-                out.wait(timeout)
-                now = max(now, out.done_at or now)
+                now = max(now, out.wait(timeout))
                 continue
             return out
 
@@ -186,8 +188,7 @@ class BufferPool:
                 continue
             if loader is not None:
                 try:
-                    src = self.replacement if self.failed else self.volume
-                    page, t_done = src.read_page(page_id, now)
+                    page, t_done = self.live_volume.read_page(page_id, now)
                 except BaseException:
                     with self._cond:
                         del self._table[page_id]
@@ -278,13 +279,10 @@ class BufferPool:
         self.evictions += 1
 
     def _flush_frame(self, frame: BufferFrame, now: float) -> float:
-        """Write-ahead rule, then write the page to the live destination."""
+        """Write-ahead rule, then write the page to the live volume."""
         page = frame.page
         t = self.wal.flush(page.page_lsn, now)
-        dest = self.replacement if self.failed else self.volume
-        if dest is None:
-            raise MediaFailureError("no writable device for dirty page")
-        t = dest.write_page(page, t)
+        t = self.live_volume.write_page(page, t)
         with self._cond:
             if frame.dirty:
                 frame.dirty = False
@@ -324,8 +322,7 @@ class BufferPool:
                     frame.pin_count += 1
                     blocked = None
             if blocked is not None:
-                blocked.wait(timeout)
-                now = max(now, blocked.done_at or now)
+                now = max(now, blocked.wait(timeout))
                 continue
             return self._write_back(frame, now)[1]
 

@@ -20,7 +20,9 @@ from .workload import WorkloadConfig
 _POLICIES = {p.value: p for p in Policy}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, failure: bool, csv: bool) -> None:
+    """Register the flags a subcommand reads: the workload's, and the
+    failure's and --out where it runs a failure or writes CSVs."""
     p.add_argument("--pages", type=int, default=4096, help="volume size in pages")
     p.add_argument("--page-size", type=int, default=8192, help="page size in bytes")
     p.add_argument("--segment-pages", type=int, default=128,
@@ -30,22 +32,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--skew", type=float, default=0.8, help="zipfian skew (0 = uniform)")
     p.add_argument("--duration", type=float, default=30.0,
                    help="run length, simulated seconds")
-    p.add_argument("--fail-at", type=float, default=10.0,
-                   help="failure time, simulated seconds")
-    p.add_argument("--policy", choices=sorted(_POLICIES), default="preemptive")
     p.add_argument("--run-limit", type=int, default=4096,
                    help="records per archive run")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workset", type=int, default=None,
                    help="working-set pages (default: whole volume)")
-    p.add_argument("--batch-cap", type=int, default=64,
-                   help="max segments per preemptive batch")
     p.add_argument("--wall-clock", action="store_true",
                    help="pace the run against real time")
-    p.add_argument("--out", default=None, help="directory for CSV output")
+    if failure:
+        p.add_argument("--fail-at", type=float, default=10.0,
+                       help="failure time, simulated seconds")
+        p.add_argument("--policy", choices=sorted(_POLICIES), default="preemptive")
+        p.add_argument("--batch-cap", type=int, default=64,
+                       help="max segments per preemptive batch")
+    if csv:
+        p.add_argument("--out", default=None, help="directory for CSV output")
 
 
-def _config(args, with_failure: bool = True) -> WorkloadConfig:
+def _failure(args) -> dict:
+    return dict(failure_time_s=args.fail_at, policy=_POLICIES[args.policy],
+                batch_cap=args.batch_cap)
+
+
+def _config(args, **kw) -> WorkloadConfig:
     return WorkloadConfig(
         page_count=args.pages,
         page_size=args.page_size,
@@ -54,19 +63,16 @@ def _config(args, with_failure: bool = True) -> WorkloadConfig:
         worker_threads=args.threads,
         skew=args.skew,
         duration_s=args.duration,
-        failure_time_s=args.fail_at if with_failure else None,
-        policy=_POLICIES[args.policy],
         run_size_limit=args.run_limit,
         seed=args.seed,
         working_set_pages=args.workset,
-        batch_cap=args.batch_cap,
         wall_clock=args.wall_clock,
-        out_dir=args.out,
+        **kw,
     )
 
 
 def _cmd_run(args) -> int:
-    config = _config(args)
+    config = _config(args, **_failure(args), out_dir=args.out)
     report = run_benchmark(config)
     pre = report.pre_failure_latencies()
     post = report.post_failure_latencies()
@@ -87,7 +93,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    config = _config(args, with_failure=False)
+    config = _config(args, failure_time_s=None)
     result = measure_archiving_overhead(config)
     print(f"sorted+indexed archiving: {result['sorted_indexed_tps']:.1f} txn/s median")
     print(f"plain copy archiving:     {result['plain_copy_tps']:.1f} txn/s median")
@@ -96,7 +102,7 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args)
+    config = _config(args, **_failure(args))
     result = verify_equivalence(config)
     print(f"oracle byte equality:   {'PASS' if result['oracle_match'] else 'FAIL'}")
     print(f"shadow-run equivalence: {'PASS' if result['shadow_match'] else 'FAIL'}")
@@ -110,10 +116,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", _cmd_run), ("overhead", _cmd_overhead),
-                     ("verify", _cmd_verify)):
+    for name, fn, failure, csv in (("run", _cmd_run, True, True),
+                                   ("overhead", _cmd_overhead, False, False),
+                                   ("verify", _cmd_verify, True, False)):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_flags(p, failure, csv)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -57,22 +57,6 @@ def page_capacity(page_size: int) -> int:
     return usable // _ENTRY.size
 
 
-def segment_of(page_id: int, pages_per_segment: int) -> int:
-    return page_id // pages_per_segment
-
-
-def segment_count(page_count: int, pages_per_segment: int) -> int:
-    return -(-page_count // pages_per_segment)
-
-
-def segment_page_span(segment_id: int, pages_per_segment: int, page_count: int) -> tuple[int, int]:
-    """Half-open page-id range [first, end) of a segment; the last segment may be short."""
-    first = segment_id * pages_per_segment
-    if first >= page_count:
-        raise StorageError(f"segment {segment_id} out of range")
-    return first, min(first + pages_per_segment, page_count)
-
-
 @functools.lru_cache(maxsize=8)
 def _empty_page_crcs(page_size: int) -> tuple[int, tuple]:
     """The CRC of an empty page with id 0, and 8 tables of 256 values.

@@ -1,9 +1,9 @@
 """Segment-granular media recovery driven by page demand.
 
 One state machine coordinates all parties: a state byte per segment (not
-restored / restoring / restored) and a queue of claimed segments, both
-kept by RestoreManager under one lock.  Exactly one requester wins the
-transition into "restoring" and enqueues the segment in the same
+restored / restoring / restored) and a queue of claimed segment ranges,
+both kept by RestoreManager under one lock.  Exactly one requester wins
+the transition into "restoring" and enqueues the segment in the same
 critical section, everyone else waits on the segment's completion
 signal, and "restored" is terminal.  Restoring one segment means: fetch
 its backed-up pages, probe the archive for its records from the
@@ -26,15 +26,17 @@ Scheduling policies:
                it.  With one segment spanning the device this is classic
                offline restore, and it doubles as the bandwidth yardstick.
 
-A failed segment restore keeps its claim: the segment stays "restoring"
-and goes back on the queue on its own, so only it is retried, and its
-waiters keep waiting.  Once MAX_ATTEMPTS attempts have failed it reverts
-to "not restored" and its waiters see the error.  Either way step()
-returns normally, so every driver (the scheduler thread, drain(), the
-benchmark engine) shares this one failure path.  A later request (or,
-under PREEMPTIVE, a sweep that has not reached it yet) may try the
-segment afresh; the single-pass sweep never moves back, so behind its
-cursor only a request does.
+A failed batch keeps its claim: its segments stay "restoring" and their
+waiters keep waiting.  After its first failure the batch goes back on
+the queue as one range, so a transient fault costs one retry at the
+same sequential bandwidth; after a later failure each segment goes back
+alone, so a lasting fault stays with its own segment.  Once MAX_ATTEMPTS
+attempts have failed a segment reverts to "not restored" and its waiters
+see the error.  Either way step() returns normally, so every driver (the
+scheduler thread, drain(), the benchmark engine) shares this one failure
+path.  A later request (or, under PREEMPTIVE, a sweep that has not
+reached it yet) may try the segment afresh; the single-pass sweep never
+moves back, so behind its cursor only a request does.
 """
 
 import enum
@@ -123,16 +125,11 @@ class RestoreManager:
     The scheduler can run as a dedicated thread (start()) or be driven
     stepwise by a simulation loop (step()); both paths execute the same
     code.  request_segment is safe from any thread.
-
-    Given a buffer pool, the manager checks that its device has failed and
-    becomes the pool's restore gate, rerouting its fix path through
-    request_segment; it keeps no reference to the pool.
     """
 
     def __init__(self, backup: BackupImage, archive: ArchiveDirectory,
                  replacement: Volume, failure_lsn: int,
-                 policy: Policy = Policy.PREEMPTIVE, batch_cap: int = 64,
-                 buffer_pool=None):
+                 policy: Policy = Policy.PREEMPTIVE, batch_cap: int = 64):
         if backup.geometry != replacement.geometry:
             raise RestoreError("backup and replacement geometry differ")
         if batch_cap < 1:
@@ -142,8 +139,6 @@ class RestoreManager:
             raise RestoreError(
                 f"archive caught up only to {archive.archived_upto}, "
                 f"failure at {failure_lsn}")
-        if buffer_pool is not None and not buffer_pool.failed:
-            raise RestoreError("database device has not failed")
         self.backup = backup
         self.archive = archive
         self.replacement = replacement
@@ -153,7 +148,7 @@ class RestoreManager:
         self.restored_count = 0
         self._states = bytearray(self.segment_count)  # all NOT_RESTORED
         self._handles: dict[int, RestoreHandle] = {}
-        self._queue: deque[tuple[int, float]] = deque()
+        self._queue: deque[tuple[int, int, float]] = deque()  # (first, count, t_enq)
         self._work = threading.Condition()
         self._cursor = 0
         self._batch = batch_cap if policy == Policy.SINGLE_PASS else 1
@@ -164,8 +159,6 @@ class RestoreManager:
         self.on_restore = None  # callback(t_start, t_done, first, count, nbytes, qdepth)
         self._thread = None
         self._stopped = threading.Event()
-        if buffer_pool is not None:
-            buffer_pool.set_restore_gate(self)
 
     # -- segment states ------------------------------------------------------
 
@@ -220,7 +213,7 @@ class RestoreManager:
                     or single_pass and seg >= self._cursor):
                 return self._handle_locked(seg)
             handle = self._claim_locked(seg)
-            self._queue.append((seg, now))
+            self._queue.append((seg, 1, now))
             self.demand_requests += 1
             if not single_pass:
                 self._batch = 1
@@ -228,12 +221,13 @@ class RestoreManager:
             return handle
 
     def queue_depth(self) -> int:
+        """Segments queued, counting every segment of a queued range."""
         with self._work:
-            return len(self._queue)
+            return sum(count for _, count, _ in self._queue)
 
     def next_queue_time(self) -> float | None:
         with self._work:
-            return self._queue[0][1] if self._queue else None
+            return self._queue[0][2] if self._queue else None
 
     # -- scheduler ------------------------------------------------------------
 
@@ -253,15 +247,15 @@ class RestoreManager:
             return self._has_work_locked()
 
     def step(self, now: float = 0.0) -> tuple[bool, float]:
-        """Execute one scheduler decision: the queue head (a demanded or a
-        retried segment, already claimed), or one sweep batch.  Returns
-        (did_work, completion_time); a failed batch counts as work done
-        at now (see _restore_batch)."""
+        """Execute one scheduler decision: the queue head (a demanded
+        segment or a retried range, already claimed), or one sweep batch.
+        Returns (did_work, completion_time); a failed batch counts as work
+        done at now (see _restore_batch)."""
         first = count = qdepth = 0
         with self._work:
             if self._queue:
-                first, t_enq = self._queue.popleft()
-                count, qdepth = 1, len(self._queue) + 1
+                qdepth = sum(n for _, n, _ in self._queue)
+                first, count, t_enq = self._queue.popleft()
                 now = max(now, t_enq)
             elif self.policy != Policy.ON_DEMAND:
                 first = self._states.find(SegmentState.NOT_RESTORED, self._cursor)
@@ -317,11 +311,16 @@ class RestoreManager:
     def _restore_batch(self, first: int, count: int, now: float, qdepth: int) -> float:
         """Restore the claimed segments [first, first + count); returns the
         completion time.  If a transfer fails, each segment counts a failed
-        attempt and either goes back on the queue, keeping its claim, or,
-        after MAX_ATTEMPTS, reverts to NOT_RESTORED and releases its
-        waiters with the error; the batch then returns now."""
+        attempt and the batch returns now: the range goes back on the queue
+        whole after its first failure and segment by segment after a later
+        one, keeping its claim, and a segment with MAX_ATTEMPTS failures
+        reverts to NOT_RESTORED and releases its waiters with the error."""
         geo = self.replacement.geometry
         segs = range(first, first + count)
+        with self._work:
+            for seg in segs:
+                if self._states[seg] != SegmentState.RESTORING:
+                    raise RestoreError(f"segment {seg} restore begun without restoring state")
         first_page, _ = geo.segment_span(first)
         _, end_page = geo.segment_span(first + count - 1)
         for seg in segs:
@@ -338,23 +337,26 @@ class RestoreManager:
             t_done = self.replacement.write_page_span(first_page, pages, t_ready)
         except StorageError as exc:
             with self._work:
-                for seg in segs:
-                    handle = self._handle_locked(seg)
+                handles = [self._handle_locked(seg) for seg in segs]
+                for handle in handles:
                     handle.attempts += 1
-                    if handle.attempts < MAX_ATTEMPTS:
-                        self._queue.append((seg, now))
-                    else:
-                        self._states[seg] = SegmentState.NOT_RESTORED
-                        handle.error = exc
-                        handle.event.set()
+                # The segments of a range share their attempt count.
+                if handles[0].attempts == 1:
+                    self._queue.append((first, count, now))
+                else:
+                    for seg, handle in zip(segs, handles):
+                        if handle.attempts < MAX_ATTEMPTS:
+                            self._queue.append((seg, 1, now))
+                        else:
+                            self._states[seg] = SegmentState.NOT_RESTORED
+                            handle.error = exc
+                            handle.event.set()
                 self._work.notify_all()
             return now
         nbytes = (end_page - first_page) * geo.page_size
         self.bytes_restored += nbytes
         with self._work:
             for seg in segs:
-                if self._states[seg] != SegmentState.RESTORING:
-                    raise RestoreError(f"segment {seg} restored without restoring state")
                 self._states[seg] = SegmentState.RESTORED
                 self.restored_count += 1
                 self.success_count[seg] = self.success_count.get(seg, 0) + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .device import Device, DeviceRole, LatencyModel
 from .errors import InvalidPageIdError, StorageError
-from .pages import Page, empty_page_images, segment_count, segment_page_span
+from .pages import Page, empty_page_images
 
 MAGIC = b"SGRV1"
 _HEADER = struct.Struct("<5sIQI")
@@ -39,10 +39,17 @@ class Geometry:
 
     @property
     def segment_count(self) -> int:
-        return segment_count(self.page_count, self.pages_per_segment)
+        return -(-self.page_count // self.pages_per_segment)
+
+    def segment_of(self, page_id: int) -> int:
+        return page_id // self.pages_per_segment
 
     def segment_span(self, segment_id: int) -> tuple[int, int]:
-        return segment_page_span(segment_id, self.pages_per_segment, self.page_count)
+        """Half-open page-id range [first, end); the last segment may be short."""
+        first = segment_id * self.pages_per_segment
+        if first >= self.page_count:
+            raise StorageError(f"segment {segment_id} out of range")
+        return first, min(first + self.pages_per_segment, self.page_count)
 
     def page_offset(self, page_id: int) -> int:
         return HEADER_SIZE + page_id * self.page_size

@@ -123,7 +123,7 @@ class WorkloadConfig:
             raise ValueError("more workers than key slots per page")
 
     def working_set(self) -> int:
-        return self.working_set_pages or self.page_count
+        return self.page_count if self.working_set_pages is None else self.working_set_pages
 
     def key_slots_per_worker(self) -> int:
         budget = min(page_capacity(self.page_size), 64)

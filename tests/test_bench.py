@@ -40,7 +40,8 @@ def test_config_rejected_when_failure_after_duration():
                 dict(duration_s=3.0, failure_time_s=-2.0),
                 dict(txn_think_us=-1.0), dict(op_think_us=-1.0),
                 dict(cleaner_interval_us=-1.0), dict(cleaner_batch=0),
-                dict(txns_per_worker=(-1, 10)), dict(txns_per_worker=(10, -1))):
+                dict(txns_per_worker=(-1, 10)), dict(txns_per_worker=(10, -1)),
+                dict(working_set_pages=0)):
         with pytest.raises(ValueError):
             run_benchmark(tiny_config(**bad))
 
@@ -177,21 +178,46 @@ def test_cli_verify(capsys):
     assert out.count("PASS") == 3 and "FAIL" not in out
 
 
-def test_cli_verify_closes_its_files(tmp_path):
-    """bench verify exits 0 under the interpreter's development mode with no
-    unclosed-file warning from either of its two engines."""
+_CLI_WORKLOAD = ["--pages", "128", "--page-size", "1024", "--segment-pages", "8",
+                 "--pool-pages", "32", "--threads", "2", "--skew", "0.8",
+                 "--duration", "2", "--run-limit", "64", "--seed", "5",
+                 "--workset", "96"]
+_CLI_FAILURE = ["--fail-at", "1", "--policy", "preemptive", "--batch-cap", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"] + _CLI_WORKLOAD + _CLI_FAILURE + ["--out", "out"],
+    ["verify"] + _CLI_WORKLOAD + _CLI_FAILURE,
+    ["overhead"] + _CLI_WORKLOAD,
+], ids=["run", "verify", "overhead"])
+def test_cli_closes_its_files(tmp_path, argv):
+    """Each subcommand, given every flag it takes, exits 0 under the
+    interpreter's development mode with no unclosed-file warning."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
                                                          os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-m", "segstore.cli", "verify",
-         "--pages", "128", "--page-size", "1024", "--segment-pages", "8",
-         "--pool-pages", "32", "--threads", "2", "--duration", "2",
-         "--fail-at", "1", "--run-limit", "64", "--seed", "5"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "segstore.cli"] + argv,
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "out"],
+    ["overhead", "--out", "out"],
+    ["overhead", "--fail-at", "1"],
+    ["overhead", "--policy", "ondemand"],
+    ["overhead", "--batch-cap", "4"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cli_rejects_flags_the_subcommand_ignores(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + _CLI_WORKLOAD + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_rejects_bad_config(capsys):

@@ -10,18 +10,14 @@ from segstore.errors import ChecksumError, MediaFailureError, StorageError
 from segstore.pages import page_capacity
 from segstore.wal import OP_SET
 
-from conftest import make_replacement, make_volume, make_wal, value_bytes
+from conftest import make_volume, make_wal, value_bytes
 
 
-def make_pool(workdir, capacity=8, page_count=64, with_replacement=False):
+def make_pool(workdir, capacity=8, page_count=64):
     vol = make_volume(workdir, page_count=page_count, page_size=1024,
                       pages_per_segment=8)
     wal = make_wal(workdir)
-    repl = None
-    if with_replacement:
-        repl = make_replacement(workdir, page_count=page_count, page_size=1024,
-                                pages_per_segment=8)
-    return BufferPool(vol, wal, capacity, replacement=repl), vol, wal
+    return BufferPool(vol, wal, capacity), vol, wal
 
 
 def test_fix_pin_counts(workdir):
@@ -219,7 +215,7 @@ def test_checksum_error_surfaces(workdir):
 
 
 def test_fail_device_blocks_traffic(workdir):
-    pool, vol, wal = make_pool(workdir, capacity=4, with_replacement=True)
+    pool, vol, wal = make_pool(workdir, capacity=4)
     h, _ = pool.fix_page(0)
     pool.unfix_page(h)
     assert pool.fail_device() == wal.end_lsn()

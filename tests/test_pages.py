@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segstore.errors import ChecksumError, PageFullError, StorageError
-from segstore.pages import (VALUE_LEN, Page, empty_page_images, page_capacity,
-                            segment_count, segment_of, segment_page_span)
-from segstore.volume import FORMAT_SPAN_BYTES
+from segstore.pages import VALUE_LEN, Page, empty_page_images, page_capacity
+from segstore.volume import FORMAT_SPAN_BYTES, Geometry
 
 from conftest import make_volume, value_bytes
 
@@ -167,14 +166,15 @@ def test_empty_page_images_reject_too_small_pages():
 
 
 def test_segment_helpers():
-    assert segment_of(0, 8) == 0
-    assert segment_of(7, 8) == 0
-    assert segment_of(8, 8) == 1
-    assert segment_count(64, 8) == 8
-    assert segment_count(65, 8) == 9
-    assert segment_page_span(0, 8, 64) == (0, 8)
-    assert segment_page_span(7, 8, 64) == (56, 64)
+    even, odd = Geometry(1024, 64, 8), Geometry(1024, 65, 8)
+    assert even.segment_of(0) == 0
+    assert even.segment_of(7) == 0
+    assert even.segment_of(8) == 1
+    assert even.segment_count == 8
+    assert odd.segment_count == 9
+    assert even.segment_span(0) == (0, 8)
+    assert even.segment_span(7) == (56, 64)
     # short final segment
-    assert segment_page_span(8, 8, 65) == (64, 65)
+    assert odd.segment_span(8) == (64, 65)
     with pytest.raises(StorageError):
-        segment_page_span(9, 8, 65)
+        odd.segment_span(9)

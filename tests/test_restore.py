@@ -11,7 +11,7 @@ from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.backup import BackupImage
 from segstore.bufferpool import Blocked, BufferPool
 from segstore.errors import RestoreError, StorageError
-from segstore.pages import Page, page_capacity, segment_of
+from segstore.pages import Page, page_capacity
 from segstore.restore import Policy, RestoreManager, SegmentState, replay
 from segstore.wal import OP_DELETE, OP_SET, LogRecord
 
@@ -36,7 +36,7 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
     repl = make_replacement(workdir, page_count=page_count, page_size=PAGE_SIZE,
                             pages_per_segment=pages_per_segment)
     wal = make_wal(workdir)
-    pool = BufferPool(vol, wal, pool_pages, replacement=repl)
+    pool = BufferPool(vol, wal, pool_pages)
     backup, _ = BackupImage.create(workdir, vol, wal)
     rng = random.Random(seed)
     for i in range(updates):
@@ -62,8 +62,8 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
         archiver.archive_up_to(failure_lsn)
         env.failure_lsn = failure_lsn
         env.manager = RestoreManager(backup, directory, repl, failure_lsn,
-                                     policy=policy, batch_cap=batch_cap,
-                                     buffer_pool=pool)
+                                     policy=policy, batch_cap=batch_cap)
+        pool.set_restore_gate(env.manager)
     return env
 
 
@@ -161,11 +161,13 @@ def test_bitmap_transitions(workdir):
     assert handle.done and handle.done_at == t_done >= 3.0
     assert mgr.restored_count == 1 and mgr.handle(1) is handle
     # restored is terminal: a request neither claims nor queues it again,
-    # and a restore of it again is refused
+    # and a restore of it again is refused before any transfer
     assert mgr.request_segment(1) is handle and mgr.queue_depth() == 0
+    io = (env.repl.device.writes, env.backup.device.reads)
     with pytest.raises(RestoreError, match="without restoring state"):
         mgr._restore_batch(1, 1, 0.0, 0)
     assert mgr.restored_count == 1
+    assert (env.repl.device.writes, env.backup.device.reads) == io
     for bad in (4, -1):
         with pytest.raises(RestoreError, match="out of range"):
             mgr.state(bad)
@@ -238,19 +240,27 @@ def test_restore_requires_archive_past_failure(workdir):
     env = build_env(workdir, fail=False)
     failure_lsn = env.pool.fail_device()
     with pytest.raises(RestoreError):
-        RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
-                       buffer_pool=env.pool)
+        RestoreManager(env.backup, env.directory, env.repl, failure_lsn)
     env.archiver.archive_up_to(failure_lsn)
-    RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
-                   buffer_pool=env.pool)
+    env.pool.set_restore_gate(
+        RestoreManager(env.backup, env.directory, env.repl, failure_lsn))
+    assert env.pool.live_volume is env.repl
 
 
 def test_restore_requires_failed_device(workdir):
+    """A live pool refuses a restore manager and keeps serving misses from
+    its database volume."""
     env = build_env(workdir, fail=False)
     env.archiver.archive_up_to(env.wal.end_lsn())
-    with pytest.raises(RestoreError):
-        RestoreManager(env.backup, env.directory, env.repl, env.wal.end_lsn(),
-                       buffer_pool=env.pool)
+    mgr = RestoreManager(env.backup, env.directory, env.repl, env.wal.end_lsn())
+    with pytest.raises(RestoreError, match="has not failed"):
+        env.pool.set_restore_gate(mgr)
+    assert env.pool.live_volume is env.vol
+    reads = (env.vol.device.reads, env.repl.device.reads)
+    miss = next(pid for pid in range(env.page_count) if not env.pool.resident(pid))
+    handle, _ = env.pool.fix_page(miss)
+    env.pool.unfix_page(handle)
+    assert (env.vol.device.reads, env.repl.device.reads) == (reads[0] + 1, reads[1])
 
 
 def test_restore_requires_matching_geometry(workdir):
@@ -277,13 +287,14 @@ def test_restore_on_empty_history(workdir):
     repl = make_replacement(workdir, page_count=16, page_size=PAGE_SIZE,
                             pages_per_segment=4)
     wal = make_wal(workdir)
-    pool = BufferPool(vol, wal, 4, replacement=repl)
+    pool = BufferPool(vol, wal, 4)
     backup, _ = BackupImage.create(workdir, vol, wal)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     closing(vol, repl, wal, backup, directory)
     failure_lsn = pool.fail_device()
     mgr = RestoreManager(backup, directory, repl, failure_lsn,
-                         policy=Policy.SINGLE_PASS, buffer_pool=pool)
+                         policy=Policy.SINGLE_PASS)
+    pool.set_restore_gate(mgr)
     mgr.drain()
     assert mgr.complete
     for pid in range(16):
@@ -441,7 +452,7 @@ def test_replacement_never_read_before_restored(workdir):
     violations = []
 
     def checked(page_id, now=0.0):
-        if not mgr.is_restored(segment_of(page_id, env.pages_per_segment)):
+        if not mgr.is_restored(env.vol.geometry.segment_of(page_id)):
             violations.append(page_id)
         return real_read(page_id, now)
 
@@ -521,7 +532,8 @@ def test_error_reverts_retries_then_fails_fast(workdir):
 
 
 def test_single_pass_retries_transient_fetch_failure(workdir):
-    """A failed sweep batch is swept again, not left behind the cursor."""
+    """A failed sweep batch is swept again, whole, not left behind the
+    cursor."""
     env = build_env(workdir, policy=Policy.SINGLE_PASS, batch_cap=2)
     mgr = env.manager
     assert mgr.segment_count == 8
@@ -538,7 +550,11 @@ def test_single_pass_retries_transient_fetch_failure(workdir):
     assert mgr.step()[0]
     assert [mgr.state(seg) for seg in (0, 1)] == [SegmentState.RESTORING] * 2
     assert mgr.queue_depth() == 2 and mgr.handle(0).attempts == 1
+    batches = []
+    mgr.on_restore = lambda t0, t1, first, count, nb, qd: batches.append((first, count, qd))
     mgr.drain()
+    # the retry is one two-segment batch, both segments queued when it began
+    assert batches == [(0, 2, 2), (2, 2, 0), (4, 2, 0), (6, 2, 0)]
     assert mgr.complete and mgr.restored_count == 8
     assert mgr.queue_depth() == 0
     assert not mgr.has_pending_work()
@@ -659,7 +675,7 @@ def test_blocked_fix_resolves_after_restore(workdir):
                   if not env.pool.resident(pid))
     out = env.pool.try_fix_page(victim)
     assert isinstance(out, Blocked)
-    assert out.segment_id == segment_of(victim, env.pages_per_segment)
+    assert out.segment_id == env.vol.geometry.segment_of(victim)
     # cooperative retry loop: drain whatever the pool demands (the read
     # segment first, possibly an eviction victim's segment after)
     while True:
@@ -680,7 +696,7 @@ def test_threaded_fix_blocks_until_restored(workdir):
     victim = next(pid for pid in range(env.page_count)
                   if not env.pool.resident(pid))
     handle, _ = env.pool.fix_page(victim, timeout=30.0)
-    assert mgr.is_restored(segment_of(victim, env.pages_per_segment))
+    assert mgr.is_restored(env.vol.geometry.segment_of(victim))
     want = oracle_pages(env.backup, env.wal)[victim]
     assert handle.page == want
     env.pool.unfix_page(handle)
@@ -698,7 +714,8 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     failure_lsn = env.pool.fail_device()
     env.archiver.archive_up_to(failure_lsn)
     mgr = RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
-                         policy=Policy.PREEMPTIVE, buffer_pool=env.pool)
+                         policy=Policy.PREEMPTIVE)
+    env.pool.set_restore_gate(mgr)
     mgr.drain()
     # the pool copy is untouched and newer-or-equal to the archived image
     assert env.pool._table[7].page.page_lsn == lsn
