@@ -14,8 +14,8 @@ from segstore import ArchiveDirectory, LogArchiver, WriteAheadLog
 from segstore.wal import OP_SET
 
 with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
-      closing(WriteAheadLog(os.path.join(workdir, "wal.log"))) as wal,
-      closing(ArchiveDirectory(os.path.join(workdir, "archive"))) as directory):
+      closing(WriteAheadLog(os.path.join(workdir, "wal.log"))) as wal):
+    directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     archiver = LogArchiver(wal, directory, run_size_limit=64, fan_in=4)
 
     # A randomized update history over 26 pages (think of them as A..Z).

@@ -34,8 +34,7 @@ with ExitStack() as opened:
     opened.enter_context(closing(backup))
     print(f"full backup taken (replay starts at lsn {backup.min_lsn})")
 
-    directory = opened.enter_context(closing(
-        ArchiveDirectory(os.path.join(workdir, "archive"))))
+    directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     archiver = LogArchiver(wal, directory, run_size_limit=128)
 
     cap = page_capacity(geo.page_size)

@@ -3,10 +3,11 @@
 The archiver drains the write-ahead log into an in-memory workspace and,
 every run_size_limit records, emits one sorted indexed run.  Runs cover
 contiguous, disjoint LSN intervals whose union is exactly the archived
-prefix of the log, so archiving can restart anywhere and garbage
-collection is a range check.  A maintenance policy merges the eldest
-fan_in adjacent runs whenever more than 2 * fan_in runs exist, bounding
-probe fan-in without merging continuously.
+prefix of the log, so an archiver given a reloaded directory resumes
+where its last run ends, and garbage collection is a range check.  A
+maintenance policy merges the eldest fan_in adjacent runs whenever more
+than 2 * fan_in runs exist, bounding probe fan-in without merging
+continuously.
 
 probe(first_page, last_page, min_lsn) k-way-merges every run that may
 hold matching records - runs ending at or before min_lsn are skipped
@@ -57,7 +58,8 @@ class ProbeResult:
 
 
 class ArchiveDirectory:
-    """Immutable run files plus an in-memory snapshot of the listing."""
+    """The one owner of the archive's runs: it writes each run file,
+    keeps an in-memory snapshot of the listing, and reads runs on demand."""
 
     def __init__(self, dir_path: str, latency: LatencyModel = LatencyModel(),
                  block_size: int = DEFAULT_BLOCK_SIZE):
@@ -82,22 +84,18 @@ class ArchiveDirectory:
             candidates.append((span[0], -span[1], os.path.join(dir_path, name)))
         candidates.sort()
         covered_upto = 0
-        try:
-            for begin, neg_end, path in candidates:
-                end = -neg_end
-                if end <= covered_upto:
-                    # subsumed by an already accepted covering run
-                    os.unlink(path)
-                    continue
-                if begin > covered_upto:
-                    raise ArchiveError(f"archive gap before {os.path.basename(path)}")
-                if begin < covered_upto:
-                    raise ArchiveError(f"archive overlap at {os.path.basename(path)}")
-                directory._runs.append(RunReader(path))
-                covered_upto = end
-        except BaseException:
-            directory.close()  # the readers opened so far
-            raise
+        for begin, neg_end, path in candidates:
+            end = -neg_end
+            if end <= covered_upto:
+                # subsumed by an already accepted covering run
+                os.unlink(path)
+                continue
+            if begin > covered_upto:
+                raise ArchiveError(f"archive gap before {os.path.basename(path)}")
+            if begin < covered_upto:
+                raise ArchiveError(f"archive overlap at {os.path.basename(path)}")
+            directory._runs.append(RunReader(path))
+            covered_upto = end
         return directory
 
     @property
@@ -116,6 +114,14 @@ class ArchiveDirectory:
 
     def lsn_ranges(self) -> list[tuple[int, int]]:
         return [(r.begin_lsn, r.end_lsn) for r in self.snapshot()]
+
+    def write(self, begin: int, end: int, records,
+              now: float) -> tuple[RunReader, float]:
+        """Write the run file for [begin, end) from records sorted by
+        (page id, LSN) and charge the archive device for its size.  The
+        caller registers the returned reader with publish or swap."""
+        path = write_run(self.dir_path, begin, end, records, self.block_size)
+        return RunReader(path), self.device.charge_write(os.path.getsize(path), now)
 
     def publish(self, reader: RunReader) -> None:
         with self._lock:
@@ -166,10 +172,10 @@ class ArchiveDirectory:
         """Merge adjacent runs into one covering their union LSN range.
 
         Publication order is: rename output into place, swap the manifest,
-        then unlink inputs.  The inputs' readers are closed, so a snapshot
-        taken before the merge cannot be probed after it: probes and merges
-        must not overlap.  The engine keeps them apart by stepping the
-        archiver and the restore scheduler from one thread.
+        then unlink inputs.  The inputs' files are gone afterwards, so a
+        snapshot taken before the merge cannot be probed after it: probes
+        and merges must not overlap.  The engine keeps them apart by
+        stepping the archiver and the restore scheduler from one thread.
         """
         if not inputs:
             raise ArchiveError("nothing to merge")
@@ -185,28 +191,15 @@ class ArchiveDirectory:
             records, t_run = run.scan_all(self.device, now)
             t = max(t, t_run)
             lists.append(records)
-        merged = list(heapq.merge(*lists, key=_SORT_KEY))
-        begin, end = inputs[0].begin_lsn, inputs[-1].end_lsn
-        path = write_run(self.dir_path, begin, end, merged, self.block_size)
-        nbytes = os.path.getsize(path)
-        t = self.device.charge_write(nbytes, t)
-        output = RunReader(path)
-        try:
-            failpoints.hit("merge:pre_swap")
-            self.swap(inputs, output)
-        except BaseException:
-            output.close()
-            raise
+        output, t = self.write(inputs[0].begin_lsn, inputs[-1].end_lsn,
+                               heapq.merge(*lists, key=_SORT_KEY), t)
+        failpoints.hit("merge:pre_swap")
+        self.swap(inputs, output)
         failpoints.hit("merge:pre_unlink")
         for run in inputs:
-            run.close()
             if run.path != output.path:
                 os.unlink(run.path)
         return output, t
-
-    def close(self) -> None:
-        for run in self.snapshot():
-            run.close()
 
 
 class LogArchiver:
@@ -229,14 +222,14 @@ class LogArchiver:
         self.fan_in = fan_in
         self.mode = mode
         self._workspace: list[LogRecord] = []
-        self._consumed_lsn = NULL_LSN + 1  # LSN of the next WAL record to read
-        self._run_begin = 0                # begin_lsn of the next run to emit
+        # begin_lsn of the next run to emit, and LSN of the next WAL record
+        # to read: both resume where the directory's last run ends.
+        self._run_begin = directory.archived_upto
+        self._consumed_lsn = self._run_begin or NULL_LSN + 1
 
     @property
     def archived_upto(self) -> int:
-        if self.mode == "copy":
-            return self._run_begin
-        return self.directory.archived_upto
+        return self._run_begin
 
     @property
     def consumed_lsn(self) -> int:
@@ -277,10 +270,8 @@ class LogArchiver:
         if self.mode == "copy":
             t = self._emit_copy(batch, begin, end, now)
         else:
-            path = write_run(self.directory.dir_path, begin, end,
-                             sorted(batch, key=_SORT_KEY), self.directory.block_size)
-            t = self.directory.device.charge_write(os.path.getsize(path), now)
-            self.directory.publish(RunReader(path))
+            run, t = self.directory.write(begin, end, sorted(batch, key=_SORT_KEY), now)
+            self.directory.publish(run)
         del self._workspace[:nrecords]
         self._run_begin = end
         return t

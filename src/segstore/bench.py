@@ -95,8 +95,8 @@ class BenchEngine:
                                                 geo, db_latency))
             self.wal = own(WriteAheadLog(os.path.join(workdir, "wal.log"),
                                          LatencyModel(*LOG_LATENCY)))
-            self.archive_dir = own(ArchiveDirectory(os.path.join(workdir, "archive"),
-                                                    LatencyModel(*config.archive_latency)))
+            self.archive_dir = ArchiveDirectory(os.path.join(workdir, "archive"),
+                                                LatencyModel(*config.archive_latency))
             self.archiver = LogArchiver(self.wal, self.archive_dir,
                                         run_size_limit=config.run_size_limit,
                                         mode=config.archive_mode)
@@ -423,6 +423,8 @@ def verify_equivalence(config: WorkloadConfig) -> dict:
     """The headline correctness check: a run that loses its database device
     mid-way and restores on demand must end byte-identical to brute-force
     recovery and logically identical to the same run without a failure."""
+    if config.failure_time_s is None:
+        raise ValueError("verify_equivalence needs a failure to restore from")
     cfg = config if config.txns_per_worker is not None else \
         replace(config, txns_per_worker=(200, 200))
     out = {}

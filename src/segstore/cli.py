@@ -20,9 +20,10 @@ from .workload import WorkloadConfig
 _POLICIES = {p.value: p for p in Policy}
 
 
-def _add_flags(p: argparse.ArgumentParser, failure: bool, csv: bool) -> None:
-    """Register the flags a subcommand reads: the workload's, and the
-    failure's and --out where it runs a failure or writes CSVs."""
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Register the flags a subcommand reads: the workload's everywhere,
+    --duration where the run is timed (verify counts transactions), the
+    restore's where a failure is injected, and --fail-at and --out for run."""
     p.add_argument("--pages", type=int, default=4096, help="volume size in pages")
     p.add_argument("--page-size", type=int, default=8192, help="page size in bytes")
     p.add_argument("--segment-pages", type=int, default=128,
@@ -30,8 +31,6 @@ def _add_flags(p: argparse.ArgumentParser, failure: bool, csv: bool) -> None:
     p.add_argument("--pool-pages", type=int, default=1024, help="buffer pool frames")
     p.add_argument("--threads", type=int, default=4, help="workload workers")
     p.add_argument("--skew", type=float, default=0.8, help="zipfian skew (0 = uniform)")
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="run length, simulated seconds")
     p.add_argument("--run-limit", type=int, default=4096,
                    help="records per archive run")
     p.add_argument("--seed", type=int, default=1)
@@ -39,19 +38,21 @@ def _add_flags(p: argparse.ArgumentParser, failure: bool, csv: bool) -> None:
                    help="working-set pages (default: whole volume)")
     p.add_argument("--wall-clock", action="store_true",
                    help="pace the run against real time")
-    if failure:
-        p.add_argument("--fail-at", type=float, default=10.0,
-                       help="failure time, simulated seconds")
+    if command != "verify":
+        p.add_argument("--duration", type=float, default=30.0,
+                       help="run length, simulated seconds")
+    if command != "overhead":
         p.add_argument("--policy", choices=sorted(_POLICIES), default="preemptive")
         p.add_argument("--batch-cap", type=int, default=64,
                        help="max segments per preemptive batch")
-    if csv:
+    if command == "run":
+        p.add_argument("--fail-at", type=float, default=10.0,
+                       help="failure time, simulated seconds")
         p.add_argument("--out", default=None, help="directory for CSV output")
 
 
-def _failure(args) -> dict:
-    return dict(failure_time_s=args.fail_at, policy=_POLICIES[args.policy],
-                batch_cap=args.batch_cap)
+def _restore(args) -> dict:
+    return dict(policy=_POLICIES[args.policy], batch_cap=args.batch_cap)
 
 
 def _config(args, **kw) -> WorkloadConfig:
@@ -62,7 +63,6 @@ def _config(args, **kw) -> WorkloadConfig:
         pool_pages=args.pool_pages,
         worker_threads=args.threads,
         skew=args.skew,
-        duration_s=args.duration,
         run_size_limit=args.run_limit,
         seed=args.seed,
         working_set_pages=args.workset,
@@ -72,7 +72,8 @@ def _config(args, **kw) -> WorkloadConfig:
 
 
 def _cmd_run(args) -> int:
-    config = _config(args, **_failure(args), out_dir=args.out)
+    config = _config(args, duration_s=args.duration, failure_time_s=args.fail_at,
+                     **_restore(args), out_dir=args.out)
     report = run_benchmark(config)
     pre = report.pre_failure_latencies()
     post = report.post_failure_latencies()
@@ -93,7 +94,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_overhead(args) -> int:
-    config = _config(args, failure_time_s=None)
+    config = _config(args, duration_s=args.duration, failure_time_s=None)
     result = measure_archiving_overhead(config)
     print(f"sorted+indexed archiving: {result['sorted_indexed_tps']:.1f} txn/s median")
     print(f"plain copy archiving:     {result['plain_copy_tps']:.1f} txn/s median")
@@ -102,7 +103,9 @@ def _cmd_overhead(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _config(args, **_failure(args))
+    # Count mode: the failure lands once every worker has run its
+    # pre-failure transactions, whatever the config's failure time.
+    config = _config(args, **_restore(args))
     result = verify_equivalence(config)
     print(f"oracle byte equality:   {'PASS' if result['oracle_match'] else 'FAIL'}")
     print(f"shadow-run equivalence: {'PASS' if result['shadow_match'] else 'FAIL'}")
@@ -116,11 +119,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bench", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, failure, csv in (("run", _cmd_run, True, True),
-                                   ("overhead", _cmd_overhead, False, False),
-                                   ("verify", _cmd_verify, True, False)):
+    for name, fn in (("run", _cmd_run), ("overhead", _cmd_overhead),
+                     ("verify", _cmd_verify)):
         p = sub.add_parser(name)
-        _add_flags(p, failure, csv)
+        _add_flags(p, name)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

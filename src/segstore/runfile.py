@@ -14,7 +14,9 @@ One run holds the log records of a contiguous LSN interval, re-sorted by
 
 A run is one self-describing file named archive_<begin>_<end>.run and is
 published with failpoints.publish (shadow file plus atomic rename);
-anything still carrying the .tmp suffix is garbage to be ignored.
+anything still carrying the .tmp suffix is garbage to be ignored.  A
+RunReader holds no open file, so a merge unlinks a run with nothing to
+close.
 """
 
 import os
@@ -114,36 +116,33 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records,
 
 
 class RunReader:
-    """Open handle on one published run: header, block index, and bloom
-    filter live in memory; record blocks are read on demand."""
+    """One published run: header, block index and bloom filter live in
+    memory; record blocks are read on demand, each read opening and
+    closing the file, so a reader holds no file between reads."""
 
     def __init__(self, path: str):
         self.path = path
         self.name = os.path.basename(path)
-        self._f = open(path, "rb")
-        try:
-            raw = self._f.read()
-            if len(raw) < _HEADER.size + _FOOTER.size:
-                raise CorruptRunError(self.name, "file too small")
-            (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-            if crc != zlib.crc32(raw[:-4]):
-                raise CorruptRunError(self.name, "file crc mismatch")
-            magic, self.begin_lsn, self.end_lsn, self.record_count, self.block_size = \
-                _HEADER.unpack_from(raw)
-            if magic != MAGIC:
-                raise CorruptRunError(self.name, f"bad magic {magic!r}")
-            footer = len(raw) - _FOOTER.size
-            self._index_offset, bloom_offset, _ = _FOOTER.unpack_from(raw, footer)
-            self.index = list(_INDEX_ENTRY.iter_unpack(raw[self._index_offset:bloom_offset]))
-            self._firsts = [first for first, _ in self.index]  # block_span's search keys
-            self.bloom = BloomFilter.from_bytes(raw[bloom_offset:footer])
-        except BaseException:
-            self._f.close()
-            raise
+        with open(path, "rb") as f:
+            raw = f.read()
+        if len(raw) < _HEADER.size + _FOOTER.size:
+            raise CorruptRunError(self.name, "file too small")
+        (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+        if crc != zlib.crc32(raw[:-4]):
+            raise CorruptRunError(self.name, "file crc mismatch")
+        magic, self.begin_lsn, self.end_lsn, self.record_count, self.block_size = \
+            _HEADER.unpack_from(raw)
+        if magic != MAGIC:
+            raise CorruptRunError(self.name, f"bad magic {magic!r}")
+        footer = len(raw) - _FOOTER.size
+        self._index_offset, bloom_offset, _ = _FOOTER.unpack_from(raw, footer)
+        self.index = list(_INDEX_ENTRY.iter_unpack(raw[self._index_offset:bloom_offset]))
+        self._firsts = [first for first, _ in self.index]  # block_span's search keys
+        self.bloom = BloomFilter.from_bytes(raw[bloom_offset:footer])
 
     def _pread(self, offset: int, nbytes: int) -> bytes:
-        self._f.seek(offset)
-        data = self._f.read(nbytes)
+        with open(self.path, "rb", buffering=0) as f:
+            data = os.pread(f.fileno(), nbytes, offset)
         if len(data) != nbytes:
             raise CorruptRunError(self.name, "short read")
         return data
@@ -203,6 +202,3 @@ class RunReader:
         t = device.charge_read(nbytes, now) if device is not None else now
         data = self._pread(_HEADER.size, nbytes)
         return self._decode_blocks(data), t
-
-    def close(self) -> None:
-        self._f.close()

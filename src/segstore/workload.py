@@ -115,6 +115,8 @@ class WorkloadConfig:
             raise ValueError(f"unknown archive_mode {self.archive_mode!r}")
         if self.failure_time_s is not None and not 0 <= self.failure_time_s < self.duration_s:
             raise ValueError("failure_time must fall inside the run duration")
+        if self.failure_time_s is not None and self.archive_mode == "copy":
+            raise ValueError("copy-mode archives cannot serve a restore")
         ws = self.working_set()
         if not 1 <= ws <= self.page_count:
             raise ValueError("working set must fit in the volume")

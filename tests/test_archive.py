@@ -19,7 +19,7 @@ def build(workdir, run_size_limit=64, fan_in=8, mode="sorted", flush_interval=0)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
     archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit,
                            fan_in=fan_in, mode=mode)
-    closing(wal, directory)
+    closing(wal)
     return wal, directory, archiver
 
 
@@ -224,12 +224,10 @@ def test_reload_ignores_tmp_and_resolves_merge_crash(workdir):
     inputs = list(directory.snapshot()[:3])
     with pytest.raises(CrashInjected):
         directory.merge_runs(inputs, fan_in=4)
-    closing(*inputs)  # the crash left them open and out of the manifest
     with open(os.path.join(arch_path, "archive_9999_10000.run.tmp"), "wb") as f:
         f.write(b"junk")
 
     reloaded = ArchiveDirectory.load(arch_path, block_size=512)
-    closing(reloaded)
     ranges = reloaded.lsn_ranges()
     assert ranges[0][0] == 0
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
@@ -250,7 +248,6 @@ def test_reload_after_merge_pre_swap_crash(workdir):
     with pytest.raises(CrashInjected):
         directory.merge_runs(inputs, fan_in=4)
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
-    closing(reloaded)
     assert probe_oracle(reloaded, 0, 9, 0) == oracle_before
 
 
@@ -280,6 +277,47 @@ def test_failed_merge_swap_closes_its_output(workdir):
             directory.merge_runs(list(directory.snapshot()[:2]), fan_in=4)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_runs_hold_no_files(workdir):
+    """Writing, merging, reloading and probing an archive of many runs
+    leaves no file open."""
+    wal, directory, archiver = build(workdir, run_size_limit=10, fan_in=4)
+    fds = len(os.listdir("/proc/self/fd"))
+    random_history(wal, random.Random(10), 120, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    assert directory.run_count >= 8
+    directory.merge_runs(list(directory.snapshot()[:4]), fan_in=4)
+    reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
+    assert list(reloaded.probe(0, 9, 0)) == probe_oracle(reloaded, 0, 9, 0)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_archiver_resumes_on_reloaded_archive(workdir):
+    """A new archiver over a reloaded directory continues at its last run,
+    re-reading the records the old archiver held in its workspace."""
+    wal, directory, archiver = build(workdir, run_size_limit=40, fan_in=3)
+    rng = random.Random(17)
+    random_history(wal, rng, 300, npages=30)
+    archiver.archive_step(1000)
+    assert 0 < archiver.archived_upto < wal.end_lsn()
+    reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
+    resumed = LogArchiver(wal, reloaded, run_size_limit=40, fan_in=3)
+    assert resumed.archived_upto == resumed.consumed_lsn == archiver.archived_upto
+    random_history(wal, rng, 300, npages=30)
+    resumed.archive_up_to(wal.end_lsn())
+    resumed.run_maintenance()
+    ranges = reloaded.lsn_ranges()
+    assert ranges[0][0] == 0 and ranges[-1][1] == resumed.archived_upto == wal.end_lsn()
+    assert all(b == c for (_, b), (c, _) in zip(ranges, ranges[1:]))
+    archived = [r for run in reloaded.snapshot() for r in run.scan_all()[0]]
+    assert sorted(archived, key=lambda r: r.lsn) == list(wal.scan(0))
+    for _ in range(40):
+        a = rng.randrange(30)
+        b = min(29, a + rng.randrange(6))
+        min_lsn = rng.choice([0, rng.randrange(wal.end_lsn())])
+        assert list(reloaded.probe(a, b, min_lsn)) == probe_oracle(reloaded, a, b, min_lsn)
 
 
 def test_copy_mode_tracks_progress_without_runs(workdir):

@@ -41,7 +41,9 @@ def test_config_rejected_when_failure_after_duration():
                 dict(txn_think_us=-1.0), dict(op_think_us=-1.0),
                 dict(cleaner_interval_us=-1.0), dict(cleaner_batch=0),
                 dict(txns_per_worker=(-1, 10)), dict(txns_per_worker=(10, -1)),
-                dict(working_set_pages=0)):
+                dict(working_set_pages=0),
+                # a copy-mode archive cannot serve the restore a failure needs
+                dict(archive_mode="copy")):
         with pytest.raises(ValueError):
             run_benchmark(tiny_config(**bad))
 
@@ -71,6 +73,15 @@ def test_run_benchmark_removes_its_scratch_dir(tmp_path, monkeypatch):
         run_benchmark(tiny_config(duration_s=1.0, failure_time_s=5.0))
     assert os.listdir(tmp_path) == []
     run_benchmark(tiny_config(duration_s=1.0, failure_time_s=None))
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_equivalence_needs_a_failure(tmp_path, monkeypatch):
+    """Without a failure there is nothing to restore: the call is refused
+    before it makes a scratch directory."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ValueError):
+        verify_equivalence(tiny_config(failure_time_s=None))
     assert os.listdir(tmp_path) == []
 
 
@@ -171,8 +182,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 def test_cli_verify(capsys):
     rc = main(["verify", "--pages", "128", "--page-size", "1024",
                "--segment-pages", "8", "--pool-pages", "32", "--threads", "2",
-               "--duration", "2", "--fail-at", "1", "--run-limit", "64",
-               "--seed", "5"])
+               "--run-limit", "64", "--seed", "5"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
@@ -180,15 +190,16 @@ def test_cli_verify(capsys):
 
 _CLI_WORKLOAD = ["--pages", "128", "--page-size", "1024", "--segment-pages", "8",
                  "--pool-pages", "32", "--threads", "2", "--skew", "0.8",
-                 "--duration", "2", "--run-limit", "64", "--seed", "5",
-                 "--workset", "96"]
-_CLI_FAILURE = ["--fail-at", "1", "--policy", "preemptive", "--batch-cap", "4"]
+                 "--run-limit", "64", "--seed", "5", "--workset", "96"]
+_CLI_TIMED = ["--duration", "2"]  # run and overhead; verify counts transactions
+_CLI_RESTORE = ["--policy", "preemptive", "--batch-cap", "4"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["run"] + _CLI_WORKLOAD + _CLI_FAILURE + ["--out", "out"],
-    ["verify"] + _CLI_WORKLOAD + _CLI_FAILURE,
-    ["overhead"] + _CLI_WORKLOAD,
+    ["run"] + _CLI_WORKLOAD + _CLI_TIMED + ["--fail-at", "1"] + _CLI_RESTORE
+    + ["--out", "out"],
+    ["verify"] + _CLI_WORKLOAD + _CLI_RESTORE,
+    ["overhead"] + _CLI_WORKLOAD + _CLI_TIMED,
 ], ids=["run", "verify", "overhead"])
 def test_cli_closes_its_files(tmp_path, argv):
     """Each subcommand, given every flag it takes, exits 0 under the
@@ -206,6 +217,8 @@ def test_cli_closes_its_files(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--out", "out"],
+    ["verify", "--fail-at", "1"],
+    ["verify", "--duration", "2"],
     ["overhead", "--out", "out"],
     ["overhead", "--fail-at", "1"],
     ["overhead", "--policy", "ondemand"],

@@ -52,7 +52,7 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
         h.page.page_lsn = lsn
         pool.unfix_page(h, mark_dirty=True)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
-    closing(vol, repl, wal, backup, directory)
+    closing(vol, repl, wal, backup)
     archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit)
     env = Env(vol=vol, repl=repl, wal=wal, pool=pool, backup=backup,
               directory=directory, archiver=archiver, rng=rng,
@@ -290,7 +290,7 @@ def test_restore_on_empty_history(workdir):
     pool = BufferPool(vol, wal, 4)
     backup, _ = BackupImage.create(workdir, vol, wal)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
-    closing(vol, repl, wal, backup, directory)
+    closing(vol, repl, wal, backup)
     failure_lsn = pool.fail_device()
     mgr = RestoreManager(backup, directory, repl, failure_lsn,
                          policy=Policy.SINGLE_PASS)
