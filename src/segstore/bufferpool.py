@@ -8,12 +8,15 @@ database volume, then, once a restore manager attaches to the failed
 device (set_restore_gate), its replacement, gated per segment: a page is
 read from (or flushed to) the replacement only once its segment is restored.
 
-Two fix flavors exist so both threaded servers and the deterministic
+All page I/O (a miss's read, a dirty victim's log flush and write, and
+explicit write-back) runs under the pool's one condition, so a frame is
+either free or resident.  Only waits on a restore happen outside it, and
+two fix flavors exist so both threaded servers and the deterministic
 benchmark engine can share this code:
 
-  fix_page      blocks until the page is resident (waiting on the restore
-                manager's completion signal when needed), never holding a
-                pool-wide lock while it waits;
+  fix_page      blocks until the page is resident, releasing the pool's
+                condition while it waits on the restore manager's
+                completion signal, so it waits only for its own segment;
   try_fix_page  never blocks on restore - it returns the segment's
                 RestoreHandle (Blocked) so a cooperative caller can park
                 on it and retry.
@@ -28,8 +31,7 @@ from .wal import WriteAheadLog
 
 
 class BufferFrame:
-    __slots__ = ("frame_id", "page", "pin_count", "dirty", "ref",
-                 "loading", "evicting", "readers", "writer")
+    __slots__ = ("frame_id", "page", "pin_count", "dirty", "ref", "readers", "writer")
 
     def __init__(self, frame_id: int):
         self.frame_id = frame_id
@@ -37,8 +39,6 @@ class BufferFrame:
         self.pin_count = 0
         self.dirty = False
         self.ref = False
-        self.loading = False
-        self.evicting = False
         # Shared/exclusive latch, guarded by the pool's condition.
         self.readers = 0
         self.writer = False
@@ -121,7 +121,9 @@ class BufferPool:
 
     def fix_page(self, page_id: int, mode: str = "exclusive",
                  now: float = 0.0, timeout: float | None = 60.0):
-        """Blocking fix; returns (PageHandle, t)."""
+        """Blocking fix; returns (PageHandle, t).  A miss is read under the
+        pool's condition; a wait for the page's segment to be restored
+        happens outside it."""
         while True:
             out = self._fix_inner(page_id, mode, now, blocking=True)
             if isinstance(out, Blocked):
@@ -138,75 +140,41 @@ class BufferPool:
             raise InvalidPageIdError(f"page {page_id} out of range")
         if mode not in ("shared", "exclusive"):
             raise StorageError(f"bad latch mode {mode}")
-        while True:
-            victim = None
-            loader = None
-            with self._cond:
+        with self._cond:
+            while True:
                 frame = self._table.get(page_id)
                 if frame is not None:
-                    if frame.loading or frame.evicting:
-                        if not blocking:
-                            raise StorageError("cooperative fix raced a concurrent load")
-                        self._cond.wait(0.05)
-                        continue
                     frame.pin_count += 1
                     frame.ref = True
                     self._latch_locked(frame, mode)
                     return PageHandle(frame, mode), now
-                else:
-                    if self.failed and not self._segment_ready(page_id):
-                        return self._blocked(page_id, now)
-                    if not self._free:
-                        pick = self._clock_pick_locked()
-                        if pick is None:
-                            if not blocking:
-                                raise StorageError("every frame pinned; pool too small")
-                            self._cond.wait(0.05)
-                            continue
-                        kind, payload = pick
-                        if kind == "blocked":
-                            return self._blocked(payload, now)
-                        if kind == "clean":
-                            self._retire_locked(payload)
-                        else:
-                            payload.evicting = True
-                            victim = payload
-                    if victim is None:
-                        loader = self._frames[self._free.pop()]
-                        loader.page = None
-                        loader.pin_count = 1
-                        loader.dirty = False
-                        loader.loading = True
-                        self._table[page_id] = loader
-            if victim is not None:
-                t = self._flush_frame(victim, now)
-                with self._cond:
-                    self._retire_locked(victim)
-                    victim.evicting = False
-                    self._cond.notify_all()
-                now = t
-                continue
-            if loader is not None:
-                try:
-                    page, t_done = self.live_volume.read_page(page_id, now)
-                except BaseException:
-                    with self._cond:
-                        del self._table[page_id]
-                        loader.loading = False
-                        loader.pin_count = 0
-                        self._free.append(loader.frame_id)
-                        self._cond.notify_all()
-                    raise
-                with self._cond:
-                    loader.page = page
-                    loader.loading = False
-                    loader.ref = True
-                    self._latch_locked(loader, mode)
-                    self._cond.notify_all()
-                self.page_reads += 1
-                if self.on_page_read is not None:
-                    self.on_page_read(t_done)
-                return PageHandle(loader, mode), t_done
+                if self.failed and not self._segment_ready(page_id):
+                    return self._blocked(page_id, now)
+                if self._free:
+                    break
+                pick = self._clock_pick_locked()
+                if pick is None:
+                    if not blocking:
+                        raise StorageError("every frame pinned; pool too small")
+                    self._cond.wait()
+                    continue
+                kind, victim = pick
+                if kind == "blocked":
+                    return self._blocked(victim, now)
+                if kind == "dirty":
+                    now = self._write_back_locked(victim, now)
+                self._retire_locked(victim)
+            page, now = self.live_volume.read_page(page_id, now)
+            frame = self._frames[self._free.pop()]
+            frame.page = page
+            frame.pin_count = 1
+            frame.ref = True
+            self._table[page_id] = frame
+            self._latch_locked(frame, mode)
+            self.page_reads += 1
+            if self.on_page_read is not None:
+                self.on_page_read(now)
+            return PageHandle(frame, mode), now
 
     def unfix_page(self, handle: PageHandle, mark_dirty: bool = False) -> None:
         if handle.released:
@@ -246,14 +214,14 @@ class BufferPool:
     # -- eviction internals ---------------------------------------------------
 
     def _clock_pick_locked(self):
-        """One CLOCK sweep.  Returns ("clean", frame), ("dirty", frame),
-        ("blocked", page_id) when only restore-gated dirty frames remain,
-        or None when everything is pinned."""
+        """One CLOCK sweep over a full pool.  Returns ("clean", frame),
+        ("dirty", frame), ("blocked", page_id) when only restore-gated dirty
+        frames remain, or None when everything is pinned."""
         blocked_page = None
         for _ in range(2 * self.capacity):
             frame = self._frames[self._hand]
             self._hand = (self._hand + 1) % self.capacity
-            if frame.page is None or frame.pin_count > 0 or frame.loading or frame.evicting:
+            if frame.pin_count > 0:
                 continue
             if frame.ref:
                 frame.ref = False
@@ -269,94 +237,70 @@ class BufferPool:
         return None
 
     def _retire_locked(self, frame: BufferFrame) -> None:
-        self._table.pop(frame.page.page_id, None)
+        """Free a clean, unpinned frame."""
+        del self._table[frame.page.page_id]
         frame.page = None
-        if frame.dirty:
-            frame.dirty = False
-            self._dirty_n -= 1
         frame.ref = False
         self._free.append(frame.frame_id)
         self.evictions += 1
 
-    def _flush_frame(self, frame: BufferFrame, now: float) -> float:
-        """Write-ahead rule, then write the page to the live volume."""
+    def _write_back_locked(self, frame: BufferFrame, now: float) -> float:
+        """Write-ahead rule, then write the dirty page to the live volume.
+        The caller holds the condition and no writer holds the frame's
+        latch.  A failed write leaves the frame dirty."""
         page = frame.page
         t = self.wal.flush(page.page_lsn, now)
         t = self.live_volume.write_page(page, t)
-        with self._cond:
-            if frame.dirty:
-                frame.dirty = False
-                self._dirty_n -= 1
+        frame.dirty = False
+        self._dirty_n -= 1
         return t
-
-    def _write_back(self, frame: BufferFrame, now: float) -> tuple[bool, float]:
-        """Flush a frame the caller pinned, under its shared latch, if it is
-        still dirty; then unpin it.  Returns (written, completion time)."""
-        with self._cond:
-            self._latch_locked(frame, "shared")
-        try:
-            written = frame.dirty
-            t = self._flush_frame(frame, now) if written else now
-        finally:
-            with self._cond:
-                self._unlatch_unpin_locked(frame, "shared")
-        return written, t
 
     # -- explicit flushes -------------------------------------------------------
 
     def flush_page(self, page_id: int, now: float = 0.0,
                    timeout: float | None = 60.0) -> float:
-        """Durably write one page if it is dirty in the pool.  Blocks on the
-        restore gate when the replacement segment is not restored yet."""
+        """Durably write one page if it is dirty in the pool, once no writer
+        holds its latch.  Releases the pool's condition to wait on the restore
+        gate when the replacement segment is not restored yet."""
         while True:
             with self._cond:
                 frame = self._table.get(page_id)
-                if frame is None or frame.page is None or not frame.dirty:
+                if frame is None or not frame.dirty:
                     return now
-                if frame.loading or frame.evicting:
-                    self._cond.wait(0.05)
-                    continue
                 if self.failed and not self._segment_ready(page_id):
                     blocked = self._blocked(page_id, now)
+                elif frame.writer:
+                    self._cond.wait()
+                    continue
                 else:
-                    frame.pin_count += 1
-                    blocked = None
-            if blocked is not None:
-                now = max(now, blocked.wait(timeout))
-                continue
-            return self._write_back(frame, now)[1]
+                    return self._write_back_locked(frame, now)
+            now = max(now, blocked.wait(timeout))
 
     def flush_all(self, now: float = 0.0) -> float:
         t = now
         with self._cond:
-            dirty = [f.page.page_id for f in self._frames
-                     if f.page is not None and f.dirty]
+            dirty = [f.page.page_id for f in self._frames if f.dirty]
         for page_id in dirty:
             t = max(t, self.flush_page(page_id, t))
         return t
 
     def flush_some(self, limit: int, now: float = 0.0) -> tuple[int, float]:
         """Background page cleaning: write back up to limit dirty, unpinned
-        pages, skipping anything the restore gate is not ready for.  Never
-        blocks; returns (pages flushed, completion time)."""
+        pages under the pool's condition, skipping anything the restore gate
+        is not ready for.  Never waits on a restore; returns (pages flushed,
+        completion time)."""
+        flushed = 0
         with self._cond:
-            candidates = []
             for frame in self._frames:
-                if len(candidates) >= limit:
+                if flushed >= limit:
                     break
-                if (frame.page is None or not frame.dirty or frame.pin_count
-                        or frame.loading or frame.evicting):
+                if not frame.dirty or frame.pin_count:
                     continue
                 if self.failed and not self._segment_ready(frame.page.page_id):
                     continue
-                frame.pin_count += 1
-                candidates.append(frame)
-        t = now
-        flushed = 0
-        for frame in candidates:
-            written, t = self._write_back(frame, t)
-            flushed += written
-        return flushed, t
+                now = self._write_back_locked(frame, now)
+                flushed += 1
+        return flushed, now
 
     def dirty_count(self) -> int:
         return self._dirty_n
@@ -365,8 +309,7 @@ class BufferPool:
 
     def resident(self, page_id: int) -> bool:
         with self._cond:
-            frame = self._table.get(page_id)
-            return frame is not None and frame.page is not None
+            return page_id in self._table
 
     def pin_count(self, page_id: int) -> int:
         with self._cond:

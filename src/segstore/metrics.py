@@ -7,7 +7,7 @@ Three CSV files per run:
     latency_samples.csv  txn_id, latency_us, post_failure
 
 The per-second series always has exactly one row per second of the
-configured duration, empty seconds included.
+configured duration, empty seconds and a last, partial second included.
 
 Each transaction's sample is 17 B in three typed columns: txn_ids (array
 "q"), latencies_us (array "d") and post_flags (bytearray of 0/1), read back
@@ -15,6 +15,7 @@ through latency_samples, a view of (txn_id, latency_us, post_failure) tuples.
 """
 
 import csv
+import math
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -88,7 +89,7 @@ class MetricsReport:
     # -- series views ------------------------------------------------------------
 
     def seconds(self) -> range:
-        return range(int(self.duration_s))
+        return range(math.ceil(self.duration_s))
 
     def throughput_rows(self) -> list[tuple]:
         rows = []

@@ -148,13 +148,14 @@ def test_c3_exactly_once_liveness(workdir):
         except Exception as exc:  # noqa: BLE001 - collected for the assert
             errors.append(repr(exc))
 
-    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(16)]
+    threads = [threading.Thread(target=hammer, args=(t,), daemon=True) for t in range(16)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(60.0)
     elapsed = time.monotonic() - t0
     mgr.stop()
+    assert not any(t.is_alive() for t in threads)
     once = all(n == 1 for n in mgr.success_count.values())
     complete = mgr.complete and len(mgr.success_count) == total
     _announce("C3 exactly-once + liveness",

@@ -156,6 +156,13 @@ def test_report_series_shape():
     assert report.pre_failure_latencies() and report.post_failure_latencies()
 
 
+def test_fractional_duration_keeps_its_last_second():
+    report = run_benchmark(tiny_config(duration_s=2.5, failure_time_s=1.0))
+    rows = report.throughput_rows()
+    assert len(rows) == len(report.restore_rows()) == 3
+    assert sum(row[1] for row in rows) == report.total_txns
+
+
 def test_csv_emission(tmp_path):
     out_dir = str(tmp_path / "csv")
     run_benchmark(tiny_config(duration_s=2.0, out_dir=out_dir))

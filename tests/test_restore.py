@@ -480,12 +480,13 @@ def test_exactly_once_under_16_threads(workdir):
         except StorageError as exc:
             errors.append(str(exc))
 
-    threads = [threading.Thread(target=hammer, args=(s,)) for s in range(16)]
+    threads = [threading.Thread(target=hammer, args=(s,), daemon=True) for s in range(16)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(60.0)
     mgr.stop()
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(n == 1 for n in mgr.success_count.values())
     assert all(n == 1 for n in mgr.attempt_count.values())

@@ -128,11 +128,12 @@ def test_concurrent_appends_monotone(workdir):
         with lock:
             hits.append(got)
 
-    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(6)]
+    threads = [threading.Thread(target=hammer, args=(t,), daemon=True) for t in range(6)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(60.0)
+    assert not any(t.is_alive() for t in threads)
     wal.flush()
     all_lsns = [lsn for got in hits for lsn in got]
     assert len(set(all_lsns)) == len(all_lsns)  # no duplicates across threads
