@@ -31,10 +31,9 @@ from .wal import WriteAheadLog
 
 
 class BufferFrame:
-    __slots__ = ("frame_id", "page", "pin_count", "dirty", "ref", "readers", "writer")
+    __slots__ = ("page", "pin_count", "dirty", "ref", "readers", "writer")
 
-    def __init__(self, frame_id: int):
-        self.frame_id = frame_id
+    def __init__(self):
         self.page = None
         self.pin_count = 0
         self.dirty = False
@@ -71,8 +70,8 @@ class BufferPool:
         self.live_volume = volume  # misses read and write-back writes here
         self.wal = wal
         self.capacity = capacity
-        self._frames = [BufferFrame(i) for i in range(capacity)]
-        self._free = list(reversed(range(capacity)))
+        self._frames = [BufferFrame() for _ in range(capacity)]
+        self._free = self._frames[::-1]  # popped from the end: frame 0 first
         self._table: dict[int, BufferFrame] = {}
         self._hand = 0
         self._cond = threading.Condition()
@@ -165,7 +164,7 @@ class BufferPool:
                     now = self._write_back_locked(victim, now)
                 self._retire_locked(victim)
             page, now = self.live_volume.read_page(page_id, now)
-            frame = self._frames[self._free.pop()]
+            frame = self._free.pop()
             frame.page = page
             frame.pin_count = 1
             frame.ref = True
@@ -241,7 +240,7 @@ class BufferPool:
         del self._table[frame.page.page_id]
         frame.page = None
         frame.ref = False
-        self._free.append(frame.frame_id)
+        self._free.append(frame)
         self.evictions += 1
 
     def _write_back_locked(self, frame: BufferFrame, now: float) -> float:

@@ -101,18 +101,24 @@ class RestoreHandle:
 
 def replay(page: Page, records) -> Page:
     """Apply a page's log records in LSN order, gated by the page LSN so a
-    replayed update is never applied twice and none is missed."""
+    replayed update is never applied twice and none is missed.  Only each
+    key's last applied record decides its value, so the records are folded
+    per key first and each surviving key is written to the page once."""
+    lsn = page.page_lsn
+    last = {}  # key -> its last record past the gate
     for rec in records:
         if rec.page_id != page.page_id:
             raise AssertionError(
                 f"record for page {rec.page_id} replayed onto page {page.page_id}")
-        if rec.lsn <= page.page_lsn:
-            continue
+        if rec.lsn > lsn:
+            last[rec.key] = rec
+            lsn = rec.lsn
+    for key, rec in last.items():
         if rec.op == OP_SET:
-            page.set(rec.key, rec.value)
+            page.set(key, rec.value)
         else:
-            page.delete(rec.key)
-        page.page_lsn = rec.lsn
+            page.delete(key)
+    page.page_lsn = lsn
     return page
 
 

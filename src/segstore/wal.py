@@ -11,18 +11,18 @@ free as the null LSN while scan(from) stays a direct seek.  Every record
 carries the LSN of the previous record that touched the same page.
 
 The log file on the log device is the only full copy of the log, as in
-ARIES: memory holds the tail not yet written, the start offset of every
-record (8 bytes each) and each page's most recent LSN, which fills the
-next record's back pointer and is rebuilt on open.  Writes and the
-archiver's batch reads are charged to the log device under its latency
-model; scans and the open-time rebuild decode the file without a charge.
+ARIES: memory holds the tail not yet written and each page's most recent
+LSN, which fills the next record's back pointer and is rebuilt on open.
+No per-record offsets are kept: an LSN is a log address and every record
+starts with its length, so a record boundary is found by walking those
+length fields.  Writes and the archiver's batch reads are charged to the
+log device under its latency model; header walks, scans and the open-time
+rebuild read the file without a charge.
 """
 
 import struct
 import threading
 import zlib
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .device import Device, DeviceRole, LatencyModel
@@ -35,9 +35,11 @@ NULL_LSN = 0
 _LSN_BASE = 1  # lsn = file offset + 1 so that 0 stays "no record"
 
 _FIXED = struct.Struct("<IQQQQBIH")
+_LEN = struct.Struct("<I")  # a record's leading total_len field
 _CRC = struct.Struct("<I")
 _OVERHEAD = _FIXED.size + _CRC.size
-_READ_CHUNK = 1 << 20  # bytes per file read of a scan; holds the largest record
+_READ_CHUNK = 1 << 20  # bytes per uncharged file read of a scan or header walk
+_MAX_VALUE = (1 << 16) - 1  # value_len is a u16
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,6 @@ def _decode_records(data: bytes, base: int):
         yield rec
 
 
-def _whole_prefix(data: bytes) -> int:
-    """Length of data's longest prefix of whole records, by their length
-    fields; len(data) when even the first record runs past the end, so
-    that decoding it reports the damage."""
-    pos = 0
-    while pos + _FIXED.size <= len(data):
-        total = _FIXED.unpack_from(data, pos)[0]
-        if total == 0 or pos + total > len(data):
-            break
-        pos += total
-    return pos or len(data)
-
-
 class WriteAheadLog:
     """Single log file; appends and flushes serialized.  Reads return only
     durable records, which never change, so they go to the file without
@@ -121,7 +110,6 @@ class WriteAheadLog:
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
         self._tail = bytearray()         # log bytes [_durable, _end), not yet written
-        self._starts = array("Q")        # record start offsets, ascending
         self._index: dict[int, int] = {}  # page id -> most recent lsn
         self._durable = 0                # log bytes persisted
         self._end = 0                    # log bytes appended
@@ -132,19 +120,38 @@ class WriteAheadLog:
 
     def _load(self, size: int) -> None:
         for rec in self._read_records(0, size):
-            self._starts.append(rec.lsn - _LSN_BASE)
             self._index[rec.page_id] = rec.lsn
         self._durable = self._end = size
 
     def _read_records(self, off: int, limit: int):
         """Yield the records in log-file bytes [off, limit), off a record
-        start, decoded from file reads that end on a record boundary.
-        Charges nothing to the log device."""
+        start, decoded from file reads of whole records, each ending at the
+        first record boundary past _READ_CHUNK bytes.  Charges nothing to
+        the log device."""
         while off < limit:
+            end = self._walk(off, limit, limit, off + _READ_CHUNK)
+            yield from _decode_records(self.device.pread(off, end - off), off)
+            off = end
+
+    def _walk(self, off: int, limit: int, count: int, until: int) -> int:
+        """Start of the record that a walk from record start off reaches
+        after count records or at the first record start at or past until,
+        whichever comes first; limit if the walk reaches the log bytes'
+        end.  Follows the records' length fields over uncharged reads."""
+        until = min(until, limit)
+        while count > 0 and off < until:
             data = self.device.pread(off, min(_READ_CHUNK, limit - off))
-            size = len(data) if off + len(data) == limit else _whole_prefix(data)
-            yield from _decode_records(data[:size], off)
-            off += size
+            pos = 0
+            while count > 0 and pos + _LEN.size <= len(data) and off + pos < until:
+                (total,) = _LEN.unpack_from(data, pos)
+                if total < _OVERHEAD:
+                    raise CorruptRecordError(off + pos, "bad length")
+                pos += total
+                count -= 1
+            if not pos:
+                raise CorruptRecordError(off, "truncated header")
+            off += pos
+        return min(off, limit)
 
     # -- write path ---------------------------------------------------------
 
@@ -155,6 +162,8 @@ class WriteAheadLog:
             raise WalError(f"bad op {op}")
         if op == OP_DELETE and value:
             raise WalError("delete carries no value")
+        if len(value) > _MAX_VALUE:
+            raise WalError(f"value of {len(value)} bytes exceeds {_MAX_VALUE}")
         t = now
         with self._lock:
             offset = self._end
@@ -163,7 +172,6 @@ class WriteAheadLog:
             encoded = LogRecord(lsn, page_id, txn_id, prev, op, key, value).encode()
             self._tail += encoded
             self._end += len(encoded)
-            self._starts.append(offset)
             self._index[page_id] = lsn
             self._since_flush += 1
             if self.flush_interval == 0 or self._since_flush > self.flush_interval:
@@ -185,13 +193,15 @@ class WriteAheadLog:
         """Make all records with lsn <= up_to durable (whole log if None)."""
         with self._lock:
             if up_to is None or up_to >= self.end_lsn():
-                target = self._end
-            elif up_to <= NULL_LSN:
-                return now
-            else:
-                i = bisect_left(self._starts, up_to - _LSN_BASE + 1)
-                target = self._starts[i] if i < len(self._starts) else self._end
-            return self._flush_to(target, now)
+                return self._flush_to(self._end, now)
+            last = up_to - _LSN_BASE  # last log byte to make durable
+            # The tail starts at a record boundary; step to the end of the
+            # record that holds the last byte, if it is not durable yet.
+            tail = self._tail
+            pos = 0
+            while self._durable + pos <= last:
+                pos += _LEN.unpack_from(tail, pos)[0]
+            return self._flush_to(self._durable + pos, now)
 
     # -- read path ----------------------------------------------------------
 
@@ -202,38 +212,43 @@ class WriteAheadLog:
     def durable_lsn(self) -> int:
         return self._durable + _LSN_BASE
 
-    def _first_record(self, from_lsn: int, limit: int) -> int:
-        """Index in _starts of the first record with lsn >= from_lsn, for a
-        read of the durable log bytes below limit."""
-        if from_lsn > limit + _LSN_BASE:
+    def _offset(self, from_lsn: int, limit: int) -> int:
+        """Log-file offset of from_lsn, for a read of the durable log bytes
+        below limit."""
+        off = max(from_lsn, _LSN_BASE) - _LSN_BASE
+        if off > limit:
             raise WalError(f"scan start {from_lsn} beyond durable end")
-        return bisect_left(self._starts, from_lsn - _LSN_BASE) if from_lsn > NULL_LSN else 0
+        return off
 
     def scan(self, from_lsn: int = 0):
         """Yield durable records with lsn >= from_lsn in LSN order."""
         limit = self._durable
-        i = self._first_record(from_lsn, limit)
-        if i < len(self._starts):
-            yield from self._read_records(self._starts[i], limit)
+        off = self._offset(from_lsn, limit)
+        if off < limit:
+            head = self.device.pread(off, min(_FIXED.size, limit - off))
+            if len(head) < _FIXED.size or _FIXED.unpack_from(head)[1] != off + _LSN_BASE:
+                # Not a record start: walk the length fields from the
+                # log's start to the first record past it (a log holds
+                # fewer records than bytes).
+                off = self._walk(0, limit, limit, off)
+        yield from self._read_records(off, limit)
 
     def read_suffix(self, from_lsn: int, max_records: int,
                     now: float = 0.0) -> tuple[list[LogRecord], int, float]:
         """Batch read for the archiver: up to max_records durable records
-        from from_lsn.
+        from from_lsn, which must be a record start (the archiver's cursor
+        always is; any other start raises CorruptRecordError).
 
-        The batch's byte span, found from the record starts, is read from
-        the log device in one charged read.  Returns the records, the LSN
-        to continue from, and the completion time.
+        No per-record offsets are kept: the batch's end is found by walking
+        the length fields from there over uncharged reads, and its byte
+        span is then read from the log device in one charged read.  Returns
+        the records, the LSN to continue from, and the completion time.
         """
         limit = self._durable
-        starts = self._starts
-        i = self._first_record(from_lsn, limit)
-        j = min(i + max_records, bisect_left(starts, limit))
-        if j <= i:
-            return [], from_lsn if from_lsn > NULL_LSN else _LSN_BASE, now
-        # limit is a record boundary, so a batch that takes every record
-        # ends there.
-        start, end = starts[i], starts[j] if j < len(starts) else limit
+        start = self._offset(from_lsn, limit)
+        end = self._walk(start, limit, max_records, limit)
+        if end == start:
+            return [], start + _LSN_BASE, now
         data, t = self.device.read(start, end - start, now)
         return list(_decode_records(data, start)), end + _LSN_BASE, t
 

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -25,14 +26,14 @@ OPS_PER_TXN = (1, 8)  # updates per transaction, inclusive range
 
 
 @functools.lru_cache(maxsize=8)
-def _zipf_cdf(n: int, theta: float) -> tuple[float, ...]:
-    """Rank CDF of zipf(theta) over [0, n); every generator with the same
-    (n, theta) shares one."""
-    weights = [1.0 / (i + 1) ** theta for i in range(n)]
-    total = math.fsum(weights)
-    cdf = list(itertools.accumulate(w / total for w in weights))
+def _zipf_cdf(n: int, theta: float) -> array:
+    """Rank CDF of zipf(theta) over [0, n), packed 8 bytes a rank; every
+    generator with the same (n, theta) shares one, so no caller may modify
+    it.  Streamed twice over the ranks so no list of weights is built."""
+    total = math.fsum(1.0 / (i + 1) ** theta for i in range(n))
+    cdf = array("d", itertools.accumulate(1.0 / (i + 1) ** theta / total for i in range(n)))
     cdf[-1] = 1.0
-    return tuple(cdf)
+    return cdf
 
 
 class ZipfianGenerator:

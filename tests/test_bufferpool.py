@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,23 @@ def make_pool(workdir, capacity=8, page_count=64):
                       pages_per_segment=8)
     wal = make_wal(workdir)
     return BufferPool(vol, wal, capacity), vol, wal
+
+
+def test_memory_retained_per_frame_is_small(workdir):
+    """An empty frame is its slotted object plus one pointer in the frame
+    list and one in the free list: no per-frame int."""
+    vol = make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8)
+    wal = make_wal(workdir)
+    n = 16_384
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pool = BufferPool(vol, wal, n)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pool.capacity == n
+    assert grown / n <= 110, f"{grown / n:.1f} B retained per frame"
 
 
 def test_fix_pin_counts(workdir):

@@ -6,6 +6,8 @@ import time
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.backup import BackupImage
@@ -74,9 +76,14 @@ def oracle_pages(backup, wal):
     for p in backup.read_page_span(0, backup.geometry.page_count)[0]:
         pages[p.page_id] = p
     for rec in wal.scan(0):
-        if rec.lsn < backup.min_lsn:
-            continue
-        page = pages[rec.page_id]
+        if rec.lsn >= backup.min_lsn:
+            replay_per_record(pages[rec.page_id], [rec])
+    return pages
+
+
+def replay_per_record(page, records):
+    """Reference replay: apply each record past the page LSN in turn."""
+    for rec in records:
         if rec.lsn <= page.page_lsn:
             continue
         if rec.op == OP_SET:
@@ -84,7 +91,7 @@ def oracle_pages(backup, wal):
         else:
             page.delete(rec.key)
         page.page_lsn = rec.lsn
-    return pages
+    return page
 
 
 # -- replay ----------------------------------------------------------------------
@@ -140,6 +147,31 @@ def test_replay_random_histories_match_fold(workdir):
         replay(base, recs)
         assert base.records == state
         assert base.page_lsn == recs[-1].lsn
+
+
+_history = st.lists(st.tuples(st.integers(1, 40),       # lsn gap to the previous record
+                              st.integers(0, 7),        # key
+                              st.booleans()),           # delete?
+                    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 7), st.integers(0, 2 ** 16), max_size=8),
+       _history, st.integers(0, 400))
+def test_folded_replay_matches_per_record_replay(start, history, page_lsn):
+    """Replay folds records per key before writing the page; the page must
+    come out byte-equal to one that applied every record in turn, with
+    records at, below and above the page LSN."""
+    page = Page(9, page_lsn, {k: value_bytes(v) for k, v in start.items()})
+    recs, lsn = [], 0
+    for i, (gap, key, delete) in enumerate(history):
+        lsn += gap
+        recs.append(LogRecord(lsn, 9, 1, 0, OP_DELETE, key) if delete
+                    else LogRecord(lsn, 9, 1, 0, OP_SET, key, value_bytes(i)))
+    folded = replay(page.copy(), iter(recs))
+    reference = replay_per_record(page.copy(), recs)
+    assert folded.to_bytes(PAGE_SIZE) == reference.to_bytes(PAGE_SIZE)
+    assert folded == reference
 
 
 # -- segment states ---------------------------------------------------------------

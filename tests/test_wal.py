@@ -8,7 +8,7 @@ import pytest
 from segstore import wal as wal_module
 from segstore.device import LatencyModel
 from segstore.errors import CorruptRecordError, WalError
-from segstore.wal import NULL_LSN, OP_SET, LogRecord, WriteAheadLog
+from segstore.wal import NULL_LSN, OP_DELETE, OP_SET, LogRecord, WriteAheadLog
 
 from conftest import make_wal, random_history, value_bytes
 
@@ -207,7 +207,7 @@ def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
 
 def test_memory_retained_per_record_is_small(workdir):
     """The log file is the only full copy of the log: an append leaves
-    behind its start offset, not its bytes."""
+    behind neither its bytes nor its start offset."""
     wal = make_wal(workdir)
     value = value_bytes(0)
     wal.append(0, 1, OP_SET, 0, value)
@@ -221,7 +221,94 @@ def test_memory_retained_per_record_is_small(workdir):
     finally:
         tracemalloc.stop()
     wal.close()
-    assert grown / n <= 16, f"{grown / n:.1f} B retained per record"
+    assert grown / n <= 1, f"{grown / n:.1f} B retained per record"
+
+
+def test_oversized_value_rejected(workdir):
+    wal = make_wal(workdir)
+    with pytest.raises(WalError, match="70000 bytes"):
+        wal.append(0, 1, OP_SET, 0, bytes(70_000))
+    lsn, _ = wal.append(0, 1, OP_SET, 0, bytes(65_535))  # the largest value_len
+    assert wal.end_lsn() == lsn + 65_535 + LogRecord(lsn, 0, 1, 0, OP_SET, 0).encoded_size
+    assert [r.value for r in wal.scan(0)] == [bytes(65_535)]
+    wal.close()
+
+
+def mixed_log(wal):
+    """Append 47-B deletes, 63-B sets and one 447-B set; returns their lsns."""
+    lsns = []
+    for i in range(12):
+        if i == 5:
+            lsns.append(wal.append(i % 3, 1, OP_SET, i, bytes(range(200)) * 2)[0])
+        elif i % 3 == 1:
+            lsns.append(wal.append(i % 3, 1, OP_DELETE, i)[0])
+        else:
+            lsns.append(wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0])
+    return lsns
+
+
+def test_read_suffix_over_mixed_record_sizes(workdir):
+    """Every batch, from every record start with every budget, is the
+    records up to its budget or the durable end, and continues at the
+    start of the record after it."""
+    wal = make_wal(workdir, flush_interval=1000)
+    lsns = mixed_log(wal)
+    durable = 9
+    wal.flush(lsns[durable - 1])
+    recs = list(wal.scan(0))
+    assert [r.encoded_size for r in recs[:6]] == [63, 47, 63, 63, 47, 447]
+    ends = lsns[1:durable] + [wal.durable_lsn()]
+    for i in range(durable):
+        for budget in range(1, durable - i + 2):
+            got, next_lsn, _ = wal.read_suffix(lsns[i], budget)
+            j = min(i + budget, durable)
+            assert got == recs[i:j] and next_lsn == ends[j - 1]
+    assert wal.read_suffix(wal.durable_lsn(), 5)[:2] == ([], wal.durable_lsn())
+    wal.close()
+
+
+def test_read_suffix_from_misaligned_lsn_raises(workdir):
+    wal = make_wal(workdir)
+    lsns = mixed_log(wal)
+    starts = set(lsns)
+    for lsn in range(lsns[0], wal.durable_lsn()):
+        if lsn not in starts:
+            with pytest.raises(CorruptRecordError):
+                wal.read_suffix(lsn, 3)
+    wal.close()
+
+
+def test_flush_makes_the_record_holding_up_to_durable(workdir):
+    """flush(up_to) ends at the end of the record holding byte up_to - 1,
+    whether up_to is a record start or inside a record."""
+    wal = make_wal(workdir, flush_interval=1000)
+    lsns = mixed_log(wal)
+    wal.flush(lsns[1])
+    assert wal.durable_lsn() == lsns[2]
+    wal.flush(lsns[5] + 100)  # inside the long record
+    assert wal.durable_lsn() == lsns[6]
+    writes = wal.device.writes
+    assert wal.flush(lsns[4], now=7.0) == 7.0  # already durable: no write
+    assert wal.device.writes == writes
+    wal.flush(lsns[8] - 1)  # the last byte of record 7
+    assert wal.durable_lsn() == lsns[8]
+    assert [r.lsn for r in wal.scan(0)] == lsns[:8]
+    wal.close()
+
+
+def test_scan_from_every_lsn_after_reopen(workdir, monkeypatch):
+    monkeypatch.setattr(wal_module, "_READ_CHUNK", 100)  # under the long record
+    wal = make_wal(workdir)
+    lsns = mixed_log(wal)
+    end = wal.end_lsn()
+    wal.close()
+    wal = WriteAheadLog(os.path.join(workdir, "wal.log"))
+    recs = list(wal.scan(0))
+    assert [r.lsn for r in recs] == lsns
+    for lsn in range(0, end + 1):
+        assert list(wal.scan(lsn)) == [r for r in recs if r.lsn >= lsn]
+    assert (wal.device.reads, wal.device.bytes_read) == (0, 0)
+    wal.close()
 
 
 def test_record_encode_decode_round_trip():

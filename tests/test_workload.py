@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
+from array import array
 
 import pytest
 
 from segstore.restore import Policy
-from segstore.workload import WorkerStream, WorkloadConfig, ZipfianGenerator
+from segstore.workload import WorkerStream, WorkloadConfig, ZipfianGenerator, _zipf_cdf
 
 
 def test_uniform_two_pages():
@@ -12,6 +15,19 @@ def test_uniform_two_pages():
     n = 100_000
     ones = sum(zipf.draw(rng) for _ in range(n))
     assert abs(ones / n - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("n,theta", [(4096, 0.8), (32768, 0.8), (1000, 0.0), (77, 1.3)])
+def test_zipf_cdf_is_packed_and_bit_identical(n, theta):
+    """The CDF is one array('d'), built without a list of weights, and
+    equal bit for bit to the list-then-tuple construction."""
+    weights = [1.0 / (i + 1) ** theta for i in range(n)]
+    total = math.fsum(weights)
+    reference = list(itertools.accumulate(w / total for w in weights))
+    reference[-1] = 1.0
+    cdf = _zipf_cdf(n, theta)
+    assert isinstance(cdf, array) and cdf.typecode == "d"
+    assert [x.hex() for x in cdf] == [x.hex() for x in reference]
 
 
 def test_deterministic_given_seed():
