@@ -21,7 +21,7 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
     # A randomized update history over 26 pages (think of them as A..Z).
     rng = random.Random(1)
     for i in range(1000):
-        wal.append(rng.randrange(26), txn_id=i, op=OP_SET, key=i % 8,
+        wal.append(rng.randrange(26), op=OP_SET, key=i % 8,
                    value=i.to_bytes(16, "little"))
     archiver.archive_up_to(wal.end_lsn())
 

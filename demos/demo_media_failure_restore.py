@@ -42,7 +42,7 @@ with ExitStack() as opened:
     for i in range(800):
         pid = rng.randrange(geo.page_count)
         handle, _ = pool.fix_page(pid)
-        lsn, _ = wal.append(pid, txn_id=i, op=OP_SET, key=i % 8,
+        lsn, _ = wal.append(pid, op=OP_SET, key=i % 8,
                             value=i.to_bytes(16, "little"))
         handle.page.set(i % 8, i.to_bytes(16, "little"), cap)
         handle.page.page_lsn = lsn

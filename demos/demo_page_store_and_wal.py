@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Tour of the storage core: a page volume, a buffer pool on top of it,
-and the write-ahead log, whose records point back to their page's
-previous record.
+and the write-ahead log, whose records carry only what redo reads.
 
 Run:  python demos/demo_page_store_and_wal.py
 """
@@ -29,18 +28,17 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
     cap = page_capacity(geo.page_size)
     for i, page_id in enumerate([3, 9, 3, 40, 3, 9]):
         handle, _ = pool.fix_page(page_id, mode="exclusive")
-        lsn, _ = wal.append(page_id, txn_id=1, op=OP_SET, key=i,
-                            value=i.to_bytes(16, "little"))
+        lsn, _ = wal.append(page_id, op=OP_SET, key=i, value=i.to_bytes(16, "little"))
         handle.page.set(i, i.to_bytes(16, "little"), cap)
         handle.page.page_lsn = lsn
         pool.unfix_page(handle, mark_dirty=True)
         print(f"update {i}: page {page_id} at lsn {lsn}")
 
-    # Each record carries the lsn of the previous record of its page.
+    # An lsn is the record's log offset plus one, so lsns step by record size.
     print("\nthe log, oldest first:")
     for rec in wal.scan(0):
         print(f"  lsn {rec.lsn} page {rec.page_id} key {rec.key} "
-              f"(prev for this page {rec.prev_page_lsn})")
+              f"({rec.encoded_size} B, next lsn {rec.next_lsn})")
 
     # Flushing a dirty page forces the log first: write-ahead in action.
     pool.flush_page(3)

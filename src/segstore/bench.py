@@ -145,7 +145,7 @@ class BenchEngine:
                     io_wait += max(0.0, t - w.clock)
                     w.clock = max(w.clock, t)
                     break
-                lsn, t = self.wal.append(page_id, w.worker_id, op, key, value, now=w.clock)
+                lsn, t = self.wal.append(page_id, op, key, value, now=w.clock)
                 io_wait += max(0.0, t - w.clock)
                 w.clock = max(w.clock, t)
                 page = handle.page

@@ -3,7 +3,7 @@
 One run holds the log records of a contiguous LSN interval, re-sorted by
 (page id, LSN).  Layout (little-endian):
 
-    header : magic "SGAR1" | u64 begin_lsn | u64 end_lsn | u64 record_count
+    header : magic "SGAR2" | u64 begin_lsn | u64 end_lsn | u64 record_count
              | u32 block_size
     blocks : records in WAL wire format, packed into fixed-size blocks and
              zero padded (a u32 total_len of 0 ends a block early)
@@ -29,7 +29,7 @@ from .bloom import BloomFilter
 from .errors import ArchiveError, CorruptRunError
 from .wal import LogRecord
 
-MAGIC = b"SGAR1"
+MAGIC = b"SGAR2"  # SGAR1 runs held the 63-byte records of an older WAL layout
 _HEADER = struct.Struct("<5sQQQI")
 _INDEX_ENTRY = struct.Struct("<QQ")
 _FOOTER = struct.Struct("<QQI")

@@ -2,22 +2,22 @@
 
 Record wire format (little-endian):
 
-    u32 total_len | u64 lsn | u64 page_id | u64 txn_id | u64 prev_page_lsn |
-    u8 op (0=set, 1=delete) | u32 key | u16 value_len | value bytes |
+    u32 total_len | u64 lsn | u64 page_id | u8 op (0=set, 1=delete) |
+    u32 key | u16 value_len | value bytes |
     u32 crc32 (over all preceding bytes of the record)
 
-A record's LSN is its byte offset in the log file plus one, which keeps 0
-free as the null LSN while scan(from) stays a direct seek.  Every record
-carries the LSN of the previous record that touched the same page.
+A record carries only what redo reads: a set of a 16-byte value takes
+47 bytes and a delete 31.  A record's LSN is its byte offset in the log
+file plus one, which keeps 0 free as the null LSN while scan(from) stays
+a direct seek.
 
 The log file on the log device is the only full copy of the log, as in
-ARIES: memory holds the tail not yet written and each page's most recent
-LSN, which fills the next record's back pointer and is rebuilt on open.
-No per-record offsets are kept: an LSN is a log address and every record
-starts with its length, so a record boundary is found by walking those
-length fields.  Writes and the archiver's batch reads are charged to the
-log device under its latency model; header walks, scans and the open-time
-rebuild read the file without a charge.
+ARIES, and memory holds only the tail not yet written: no per-page or
+per-record state.  An LSN is a log address and every record starts with
+its length, so a record boundary is found by walking those length fields.
+Writes and the archiver's batch reads are charged to the log device under
+its latency model; header walks, scans and the open-time check, which
+decodes every record, read the file without a charge.
 """
 
 import struct
@@ -34,7 +34,7 @@ OP_DELETE = 1
 NULL_LSN = 0
 _LSN_BASE = 1  # lsn = file offset + 1 so that 0 stays "no record"
 
-_FIXED = struct.Struct("<IQQQQBIH")
+_FIXED = struct.Struct("<IQQBIH")
 _LEN = struct.Struct("<I")  # a record's leading total_len field
 _CRC = struct.Struct("<I")
 _OVERHEAD = _FIXED.size + _CRC.size
@@ -46,8 +46,6 @@ _MAX_VALUE = (1 << 16) - 1  # value_len is a u16
 class LogRecord:
     lsn: int
     page_id: int
-    txn_id: int
-    prev_page_lsn: int
     op: int
     key: int
     value: bytes = b""
@@ -63,8 +61,8 @@ class LogRecord:
 
     def encode(self) -> bytes:
         total = self.encoded_size
-        head = _FIXED.pack(total, self.lsn, self.page_id, self.txn_id,
-                           self.prev_page_lsn, self.op, self.key, len(self.value))
+        head = _FIXED.pack(total, self.lsn, self.page_id, self.op, self.key,
+                           len(self.value))
         body = head + self.value
         return body + _CRC.pack(zlib.crc32(body))
 
@@ -79,7 +77,7 @@ class LogRecord:
         at = offset if base is None else base + offset
         if offset + _FIXED.size > len(buf):
             raise CorruptRecordError(at, "truncated header")
-        total, lsn, page_id, txn_id, prev, op, key, vlen = _FIXED.unpack_from(buf, offset)
+        total, lsn, page_id, op, key, vlen = _FIXED.unpack_from(buf, offset)
         end = offset + total
         if total != _OVERHEAD + vlen or end > len(buf):
             raise CorruptRecordError(at, "bad length")
@@ -89,7 +87,7 @@ class LogRecord:
         if base is not None and lsn != at + _LSN_BASE:
             raise CorruptRecordError(at, f"lsn {lsn} does not match offset")
         value = bytes(buf[offset + _FIXED.size:offset + _FIXED.size + vlen])
-        return LogRecord(lsn, page_id, txn_id, prev, op, key, value), end
+        return LogRecord(lsn, page_id, op, key, value), end
 
 
 def _decode_records(data: bytes, base: int):
@@ -110,7 +108,6 @@ class WriteAheadLog:
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
         self._tail = bytearray()         # log bytes [_durable, _end), not yet written
-        self._index: dict[int, int] = {}  # page id -> most recent lsn
         self._durable = 0                # log bytes persisted
         self._end = 0                    # log bytes appended
         self._since_flush = 0
@@ -119,8 +116,14 @@ class WriteAheadLog:
         self._load(self.device.size())
 
     def _load(self, size: int) -> None:
-        for rec in self._read_records(0, size):
-            self._index[rec.page_id] = rec.lsn
+        """Decode every record of an existing log, so a damaged log or one
+        in another record layout is refused at open, not misread later."""
+        try:
+            for _ in self._read_records(0, size):
+                pass
+        except CorruptRecordError:
+            self.device.close()
+            raise
         self._durable = self._end = size
 
     def _read_records(self, off: int, limit: int):
@@ -155,8 +158,8 @@ class WriteAheadLog:
 
     # -- write path ---------------------------------------------------------
 
-    def append(self, page_id: int, txn_id: int, op: int, key: int,
-               value: bytes = b"", now: float = 0.0) -> tuple[int, float]:
+    def append(self, page_id: int, op: int, key: int, value: bytes = b"",
+               now: float = 0.0) -> tuple[int, float]:
         """Returns (lsn, completion time).  Caller must hold the page exclusively."""
         if op not in (OP_SET, OP_DELETE):
             raise WalError(f"bad op {op}")
@@ -168,11 +171,9 @@ class WriteAheadLog:
         with self._lock:
             offset = self._end
             lsn = offset + _LSN_BASE
-            prev = self._index.get(page_id, NULL_LSN)
-            encoded = LogRecord(lsn, page_id, txn_id, prev, op, key, value).encode()
+            encoded = LogRecord(lsn, page_id, op, key, value).encode()
             self._tail += encoded
             self._end += len(encoded)
-            self._index[page_id] = lsn
             self._since_flush += 1
             if self.flush_interval == 0 or self._since_flush > self.flush_interval:
                 t = self._flush_to(self._end, now)

@@ -1,5 +1,7 @@
 import os
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -60,6 +62,15 @@ def value_bytes(seed: int) -> bytes:
     return seed.to_bytes(8, "little").ljust(VALUE_LEN, b"\xab")
 
 
+def old_record_bytes(lsn: int, page_id: int, op: int, key: int, value: bytes = b"",
+                     txn_id: int = 1, prev_page_lsn: int = 0) -> bytes:
+    """A record in the older 63-byte layout, which also carried a
+    transaction id and the LSN of the page's previous record."""
+    body = struct.pack("<IQQQQBIH", 47 + len(value), lsn, page_id, txn_id,
+                       prev_page_lsn, op, key, len(value)) + value
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def random_history(wal: WriteAheadLog, rng: random.Random, nrecords: int,
                    npages: int, nkeys: int = 16, delete_frac: float = 0.1):
     """Append a random update history; returns the list of (lsn, page, op, key, value)."""
@@ -68,11 +79,11 @@ def random_history(wal: WriteAheadLog, rng: random.Random, nrecords: int,
         page = rng.randrange(npages)
         key = rng.randrange(nkeys)
         if rng.random() < delete_frac:
-            lsn, _ = wal.append(page, txn_id=i, op=OP_DELETE, key=key)
+            lsn, _ = wal.append(page, op=OP_DELETE, key=key)
             out.append((lsn, page, OP_DELETE, key, b""))
         else:
             val = value_bytes(i)
-            lsn, _ = wal.append(page, txn_id=i, op=OP_SET, key=key, value=val)
+            lsn, _ = wal.append(page, op=OP_SET, key=key, value=val)
             out.append((lsn, page, OP_SET, key, val))
     return out
 

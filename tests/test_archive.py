@@ -6,12 +6,12 @@ import warnings
 
 import pytest
 
-from segstore import failpoints
+from segstore import failpoints, runfile
 from segstore.archive import ArchiveDirectory, LogArchiver
-from segstore.errors import ArchiveError, CrashInjected
+from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
 from segstore.wal import OP_SET
 
-from conftest import closing, make_wal, random_history, value_bytes
+from conftest import closing, make_wal, old_record_bytes, random_history, value_bytes
 
 
 def build(workdir, run_size_limit=64, fan_in=8, mode="sorted", flush_interval=0):
@@ -35,7 +35,7 @@ def probe_oracle(directory, first, last, min_lsn):
 def test_step_arithmetic_runs_and_workspace(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=4)
     for i in range(10):
-        wal.append(i, 1, OP_SET, 0, value_bytes(i))
+        wal.append(i, OP_SET, 0, value_bytes(i))
     archiver.archive_step(batch_budget=100)
     assert directory.run_count == 2
     # the two records past the last run wait in the workspace
@@ -50,9 +50,9 @@ def test_step_arithmetic_runs_and_workspace(workdir):
 
 def test_emit_sort_order(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=3)
-    wal.append(5, 1, OP_SET, 0, value_bytes(1))
-    wal.append(3, 1, OP_SET, 0, value_bytes(2))
-    wal.append(5, 1, OP_SET, 1, value_bytes(3))
+    wal.append(5, OP_SET, 0, value_bytes(1))
+    wal.append(3, OP_SET, 0, value_bytes(2))
+    wal.append(5, OP_SET, 1, value_bytes(3))
     archiver.archive_step(100)
     recs, _ = directory.snapshot()[0].scan_all()
     assert [(r.page_id, r.key) for r in recs] == [(3, 0), (5, 0), (5, 1)]
@@ -87,7 +87,7 @@ def test_multiset_preservation_randomized(workdir):
 def test_archive_up_to_forces_small_run(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=100)
     for i in range(3):
-        wal.append(i, 1, OP_SET, 0, value_bytes(i))
+        wal.append(i, OP_SET, 0, value_bytes(i))
     target = wal.end_lsn()
     archiver.archive_up_to(target)
     assert archiver.archived_upto >= target
@@ -101,7 +101,7 @@ def test_archive_up_to_forces_small_run(workdir):
 
 def test_archive_up_to_requires_durable_wal(workdir):
     wal, directory, archiver = build(workdir, flush_interval=10 ** 6)
-    wal.append(0, 1, OP_SET, 0, value_bytes(0))
+    wal.append(0, OP_SET, 0, value_bytes(0))
     with pytest.raises(ArchiveError):
         archiver.archive_up_to(wal.end_lsn())
     wal.flush()
@@ -131,7 +131,7 @@ def test_probe_equals_oracle_across_merges(workdir):
 def test_probe_empty_range_and_bloom_skip(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=16)
     for i in range(64):
-        wal.append(i % 4, 1, OP_SET, 0, value_bytes(i))  # only pages 0..3
+        wal.append(i % 4, OP_SET, 0, value_bytes(i))  # only pages 0..3
     archiver.archive_up_to(wal.end_lsn())
     result = directory.probe(50, 60, 0)
     assert list(result) == []
@@ -142,7 +142,7 @@ def test_probe_empty_range_and_bloom_skip(workdir):
 def test_probe_min_lsn_skips_old_runs(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=16)
     for i in range(64):
-        wal.append(0, 1, OP_SET, i % 8, value_bytes(i))
+        wal.append(0, OP_SET, i % 8, value_bytes(i))
     archiver.archive_up_to(wal.end_lsn())
     ranges = directory.lsn_ranges()
     min_lsn = ranges[2][0]  # everything before run 2 is stale
@@ -202,7 +202,7 @@ def test_sixty_four_way_merge_probe(workdir):
 def test_crash_between_write_and_publish(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=4)
     for i in range(4):
-        wal.append(i, 1, OP_SET, 0, value_bytes(i))
+        wal.append(i, OP_SET, 0, value_bytes(i))
     failpoints.arm("run:pre_rename")
     with pytest.raises(CrashInjected):
         archiver.archive_step(100)
@@ -264,6 +264,27 @@ def test_failed_reload_closes_the_runs_it_opened(workdir):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)
                 and first.path in str(w.message)]
+
+
+class _OldRecord(collections.namedtuple("_OldRecord", "lsn page_id key value")):
+    def encode(self):
+        return old_record_bytes(self.lsn, self.page_id, OP_SET, self.key, self.value)
+
+
+def test_run_in_the_older_record_layout_is_refused(workdir, monkeypatch):
+    """A run of 63-byte records under the SGAR1 magic fails to load; were
+    the magic ignored, its records would still fail to decode."""
+    dir_path = os.path.join(workdir, "archive")
+    os.makedirs(dir_path)
+    recs = [_OldRecord(1 + 63 * i, i // 2, i, value_bytes(i)) for i in range(6)]
+    monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")
+    path = runfile.write_run(dir_path, 0, 1 + 63 * len(recs), recs, block_size=512)
+    monkeypatch.undo()
+    with pytest.raises(CorruptRunError, match="bad magic"):
+        ArchiveDirectory.load(dir_path, block_size=512)
+    monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")  # accept the old header
+    with pytest.raises(CorruptRunError, match="bad length"):
+        runfile.RunReader(path).scan_all()
 
 
 def test_failed_merge_swap_closes_its_output(workdir):

@@ -23,7 +23,7 @@ def seed_volume(workdir, rng, page_count=32, updates=200):
     for i in range(updates):
         pid = rng.randrange(page_count)
         page, _ = vol.read_page(pid)
-        lsn, _ = wal.append(pid, 1, OP_SET, i % 8, value_bytes(i))
+        lsn, _ = wal.append(pid, OP_SET, i % 8, value_bytes(i))
         page.set(i % 8, value_bytes(i), cap)
         page.page_lsn = lsn
         vol.write_page(page)
@@ -88,7 +88,7 @@ def test_zero_log_identity(workdir):
 def test_backup_requires_flushed_wal(workdir):
     vol = make_volume(workdir)
     wal = make_wal(workdir, flush_interval=10 ** 6)
-    wal.append(0, 1, OP_SET, 0, value_bytes(0))
+    wal.append(0, OP_SET, 0, value_bytes(0))
     with pytest.raises(StorageError):
         BackupImage.create(workdir, vol, wal)
 

@@ -389,9 +389,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "499434b54324b8d4e11c8d43b165d0dbe200377a1ec1c3546a5d503ddc03cf73"),
+     "542fb8d53aec04fc9c3233a3aa8e1117f0b8821776fdf83d853fbedb296d4365"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "e60b660f6b07de5e6d31b37cf33e4d3ab13891cb9df07a49a5dcd5c9bb0cea77"),
+     "dd7191653b9e53292ab74e0e8fff8c15a3cbfa0edaebf527bc760cc7fbc801cf"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -401,15 +401,16 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     finally:
         engine.close()
     assert report.restore_events and all(report.invariants.values())
-    assert _csv_digest(report, str(tmp_path / "csv")) == digest
+    got = _csv_digest(report, str(tmp_path / "csv"))
+    assert got == digest, f"CSV digest is now {got}"
 
 
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "a2cc959db0f70a109fafd7410bdab27574d4c5b9af32867cb4694da1cb0cc80f"),
+    (dict(), "b7c22c36e19e176e1e7d29666bea9a0e3956ac6922b5819c6a6855054cce37e4"),
     (dict(failure_time_s=None),
-     "f11c8bdccefe8cb74af1a523a0cf6c93508aaa66db24e51ae9a08be98d2df530"),
+     "4a6311dc0a2efa6f08674ca5107fbf5f8797c108d3d68d9a85a8aeb1d3bcc347"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)
@@ -420,7 +421,8 @@ def test_count_mode_schedule_pinned(tmp_path, kw, digest):
         engine.close()
     assert bool(report.restore_events) == (cfg.failure_time_s is not None)
     assert report.total_txns == 240 and all(report.invariants.values())
-    assert _csv_digest(report, str(tmp_path / "csv")) == digest
+    got = _csv_digest(report, str(tmp_path / "csv"))
+    assert got == digest, f"CSV digest is now {got}"
 
 
 def test_tracer_entry_points_still_fire(tmp_path, monkeypatch):

@@ -82,7 +82,7 @@ def test_flush_enforces_wal_rule(workdir):
     wal.flush_interval = 10 ** 6  # keep appends buffered
     wal._since_flush = -10 ** 9
     h, _ = pool.fix_page(2)
-    lsn, _ = wal.append(2, 1, OP_SET, 0, value_bytes(0))
+    lsn, _ = wal.append(2, OP_SET, 0, value_bytes(0))
     h.page.set(0, value_bytes(0), page_capacity(1024))
     h.page.page_lsn = lsn
     pool.unfix_page(h, mark_dirty=True)
@@ -123,7 +123,7 @@ def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
     returns."""
     pool, vol, wal = make_pool(workdir, capacity=1)
     h, _ = pool.fix_page(0)
-    lsn, _ = wal.append(0, 1, OP_SET, 0, value_bytes(0))
+    lsn, _ = wal.append(0, OP_SET, 0, value_bytes(0))
     h.page.set(0, value_bytes(0), page_capacity(1024))
     h.page.page_lsn = lsn
     pool.unfix_page(h, mark_dirty=True)

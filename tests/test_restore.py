@@ -45,11 +45,11 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
         pid = rng.randrange(page_count)
         h, _ = pool.fix_page(pid)
         if rng.random() < 0.1:
-            lsn, _ = wal.append(pid, 1, OP_DELETE, rng.randrange(8))
+            lsn, _ = wal.append(pid, OP_DELETE, rng.randrange(8))
             h.page.delete(lsn % 8)
         else:
             key = rng.randrange(8)
-            lsn, _ = wal.append(pid, 1, OP_SET, key, value_bytes(i))
+            lsn, _ = wal.append(pid, OP_SET, key, value_bytes(i))
             h.page.set(key, value_bytes(i), CAP)
         h.page.page_lsn = lsn
         pool.unfix_page(h, mark_dirty=True)
@@ -104,8 +104,8 @@ def test_replay_empty_stream_is_identity():
 
 def test_replay_gates_on_page_lsn():
     page = Page(3, page_lsn=50)
-    recs = [LogRecord(40, 3, 1, 0, OP_SET, 1, value_bytes(40)),
-            LogRecord(60, 3, 1, 40, OP_SET, 2, value_bytes(60))]
+    recs = [LogRecord(40, 3, OP_SET, 1, value_bytes(40)),
+            LogRecord(60, 3, OP_SET, 2, value_bytes(60))]
     replay(page, recs)
     assert page.page_lsn == 60
     assert page.get(1) is None  # lsn 40 already reflected
@@ -114,9 +114,9 @@ def test_replay_gates_on_page_lsn():
 
 def test_replay_idempotent():
     page = Page(3)
-    recs = [LogRecord(10, 3, 1, 0, OP_SET, 1, value_bytes(1)),
-            LogRecord(30, 3, 1, 10, OP_DELETE, 1),
-            LogRecord(50, 3, 1, 30, OP_SET, 2, value_bytes(2))]
+    recs = [LogRecord(10, 3, OP_SET, 1, value_bytes(1)),
+            LogRecord(30, 3, OP_DELETE, 1),
+            LogRecord(50, 3, OP_SET, 2, value_bytes(2))]
     once = replay(page.copy(), recs)
     twice = replay(replay(page.copy(), recs), recs)
     assert once == twice
@@ -125,7 +125,7 @@ def test_replay_idempotent():
 def test_replay_rejects_wrong_page():
     page = Page(3)
     with pytest.raises(AssertionError):
-        replay(page, [LogRecord(10, 4, 1, 0, OP_SET, 1, value_bytes(1))])
+        replay(page, [LogRecord(10, 4, OP_SET, 1, value_bytes(1))])
 
 
 def test_replay_random_histories_match_fold(workdir):
@@ -138,10 +138,10 @@ def test_replay_random_histories_match_fold(workdir):
         for i in range(rng.randrange(1, 60)):
             key = rng.randrange(6)
             if rng.random() < 0.2:
-                recs.append(LogRecord(lsn, 0, 1, 0, OP_DELETE, key))
+                recs.append(LogRecord(lsn, 0, OP_DELETE, key))
                 state.pop(key, None)
             else:
-                recs.append(LogRecord(lsn, 0, 1, 0, OP_SET, key, value_bytes(i)))
+                recs.append(LogRecord(lsn, 0, OP_SET, key, value_bytes(i)))
                 state[key] = value_bytes(i)
             lsn += 10
         replay(base, recs)
@@ -166,8 +166,8 @@ def test_folded_replay_matches_per_record_replay(start, history, page_lsn):
     recs, lsn = [], 0
     for i, (gap, key, delete) in enumerate(history):
         lsn += gap
-        recs.append(LogRecord(lsn, 9, 1, 0, OP_DELETE, key) if delete
-                    else LogRecord(lsn, 9, 1, 0, OP_SET, key, value_bytes(i)))
+        recs.append(LogRecord(lsn, 9, OP_DELETE, key) if delete
+                    else LogRecord(lsn, 9, OP_SET, key, value_bytes(i)))
     folded = replay(page.copy(), iter(recs))
     reference = replay_per_record(page.copy(), recs)
     assert folded.to_bytes(PAGE_SIZE) == reference.to_bytes(PAGE_SIZE)
@@ -740,7 +740,7 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     env = build_env(workdir, pool_pages=32, updates=100, seed=9, fail=False)
     # dirty one page in the pool, then lose the device before it flushes
     h, _ = env.pool.fix_page(7)
-    lsn, _ = env.wal.append(7, 1, OP_SET, 3, value_bytes(999))
+    lsn, _ = env.wal.append(7, OP_SET, 3, value_bytes(999))
     h.page.set(3, value_bytes(999), CAP)
     h.page.page_lsn = lsn
     env.pool.unfix_page(h, mark_dirty=True)

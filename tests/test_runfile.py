@@ -17,7 +17,7 @@ def make_records(rng, n, npages, base_lsn=1):
     recs = []
     lsn = base_lsn
     for i in range(n):
-        rec = LogRecord(lsn, rng.randrange(npages), 1, 0, OP_SET, i % 8, value_bytes(i))
+        rec = LogRecord(lsn, rng.randrange(npages), OP_SET, i % 8, value_bytes(i))
         recs.append(rec)
         lsn = rec.next_lsn
     return recs, lsn
@@ -63,15 +63,15 @@ def test_block_index_probes_match_full_scan(workdir):
 
 
 def test_out_of_order_records_rejected(workdir):
-    recs = [LogRecord(1, 5, 1, 0, OP_SET, 0, value_bytes(0)),
-            LogRecord(100, 3, 1, 0, OP_SET, 0, value_bytes(1))]
+    recs = [LogRecord(1, 5, OP_SET, 0, value_bytes(0)),
+            LogRecord(100, 3, OP_SET, 0, value_bytes(1))]
     with pytest.raises(ArchiveError):
         write_run(workdir, 0, 200, recs)
     assert os.listdir(workdir) == []  # nothing published, tmp cleaned up
 
 
 def test_lsn_outside_range_rejected(workdir):
-    recs = [LogRecord(500, 5, 1, 0, OP_SET, 0, value_bytes(0))]
+    recs = [LogRecord(500, 5, OP_SET, 0, value_bytes(0))]
     with pytest.raises(ArchiveError):
         write_run(workdir, 0, 100, recs)
 
@@ -106,7 +106,7 @@ def test_corruption_detected_on_open(workdir):
 
 
 def test_oversized_record_rejected(workdir):
-    recs = [LogRecord(1, 0, 1, 0, OP_SET, 0, value_bytes(0))]
+    recs = [LogRecord(1, 0, OP_SET, 0, value_bytes(0))]
     with pytest.raises(ArchiveError):
         write_run(workdir, 0, 100, recs, block_size=16)
 

@@ -4,47 +4,30 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segstore import wal as wal_module
 from segstore.device import LatencyModel
 from segstore.errors import CorruptRecordError, WalError
-from segstore.wal import NULL_LSN, OP_DELETE, OP_SET, LogRecord, WriteAheadLog
+from segstore.wal import OP_DELETE, OP_SET, LogRecord, WriteAheadLog
 
-from conftest import make_wal, random_history, value_bytes
-
-
-def test_first_append_has_null_prev(workdir):
-    wal = make_wal(workdir)
-    lsn, _ = wal.append(5, 1, OP_SET, 0, value_bytes(0))
-    assert lsn > NULL_LSN
-    rec = next(wal.scan(0))
-    assert rec.prev_page_lsn == NULL_LSN
+from conftest import make_wal, old_record_bytes, random_history, value_bytes
 
 
-def test_chain_links_same_page(workdir):
-    wal = make_wal(workdir)
-    l1, _ = wal.append(5, 1, OP_SET, 0, value_bytes(1))
-    l2, _ = wal.append(5, 1, OP_SET, 1, value_bytes(2))
-    recs = list(wal.scan(0))
-    assert recs[1].prev_page_lsn == l1
-    assert l2 > l1
-
-
-def test_interleaved_chain_skips_other_pages(workdir):
-    wal = make_wal(workdir)
-    p1, _ = wal.append(1, 1, OP_SET, 0, value_bytes(1))
-    o1, _ = wal.append(2, 1, OP_SET, 0, value_bytes(2))
-    p2, _ = wal.append(1, 1, OP_SET, 1, value_bytes(3))
-    by_lsn = {r.lsn: r for r in wal.scan(0)}
-    assert by_lsn[p2].prev_page_lsn == p1
-    assert by_lsn[p1].prev_page_lsn == NULL_LSN
-    assert by_lsn[o1].prev_page_lsn == NULL_LSN
-    assert by_lsn[p2].page_id == by_lsn[p1].page_id == 1
+def test_record_sizes():
+    """A record is its fixed header, its value and a CRC: nothing else."""
+    assert wal_module._OVERHEAD == 31
+    assert LogRecord(1, 5, OP_SET, 0, value_bytes(0)).encoded_size == 47
+    assert LogRecord(1, 5, OP_DELETE, 0).encoded_size == 31
+    for n in (17, 400, 65_535):
+        rec = LogRecord(1, 5, OP_SET, 0, bytes(n))
+        assert rec.encoded_size == len(rec.encode()) == 31 + n
 
 
 def test_scan_suffix_and_order(workdir):
     wal = make_wal(workdir)
-    lsns = [wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0] for i in range(10)]
+    lsns = [wal.append(i % 3, OP_SET, i, value_bytes(i))[0] for i in range(10)]
     assert [r.lsn for r in wal.scan(0)] == lsns
     assert [r.lsn for r in wal.scan(lsns[4])] == lsns[4:]
     assert [r.lsn for r in wal.scan(lsns[4] + 1)] == lsns[5:]
@@ -53,7 +36,7 @@ def test_scan_suffix_and_order(workdir):
 def test_flush_clamps_and_noop(workdir):
     wal = make_wal(workdir, flush_interval=1000)
     wal.flush(0)  # no-op on empty log
-    lsn, _ = wal.append(0, 1, OP_SET, 0, value_bytes(0))
+    lsn, _ = wal.append(0, OP_SET, 0, value_bytes(0))
     assert wal.durable_lsn() <= lsn
     wal.flush(lsn + 10 ** 9)  # clamped to end
     assert wal.durable_lsn() == wal.end_lsn()
@@ -63,40 +46,21 @@ def test_survives_reopen(workdir):
     wal = make_wal(workdir)
     history = random_history(wal, random.Random(3), 50, npages=5)
     end = wal.end_lsn()
-    last = {page: lsn for lsn, page, *_ in history}
     wal.flush()
     wal.close()
     wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
     assert [r.lsn for r in wal2.scan(0)] == [h[0] for h in history]
-    assert wal2.end_lsn() == end
-    # the open-time scan rebuilds each page's newest lsn, so the next
-    # record of a page points back across the reopen
-    new = {page: wal2.append(page, 99, OP_SET, 0, value_bytes(page))[0] for page in last}
-    by_lsn = {r.lsn: r for r in wal2.scan(end)}
-    assert {page: by_lsn[lsn].prev_page_lsn for page, lsn in new.items()} == last
+    assert wal2.end_lsn() == wal2.durable_lsn() == end
+    # appends continue where the reopened log ends
+    new = [wal2.append(page, OP_SET, 0, value_bytes(page))[0] for page in range(5)]
+    assert [r.lsn for r in wal2.scan(end)] == new and new[0] == end
     wal2.close()
-
-
-def test_chain_equals_filtered_scan_randomized(workdir):
-    """Each record points back to the previous record of its own page,
-    past the interleaved records of other pages."""
-    wal = make_wal(workdir, flush_interval=500)
-    rng = random.Random(11)
-    history = random_history(wal, rng, 10_000, npages=37, nkeys=12)
-    wal.flush()
-    last = {}
-    recs = list(wal.scan(0))
-    assert [r.lsn for r in recs] == [h[0] for h in history]
-    for rec in recs:
-        assert rec.prev_page_lsn == last.get(rec.page_id, NULL_LSN)
-        last[rec.page_id] = rec.lsn
-    assert len(last) == 37
 
 
 def test_corrupt_record_reports_offset(workdir):
     wal = make_wal(workdir)
-    wal.append(0, 1, OP_SET, 0, value_bytes(0))
-    lsn2, _ = wal.append(0, 1, OP_SET, 1, value_bytes(1))
+    wal.append(0, OP_SET, 0, value_bytes(0))
+    lsn2, _ = wal.append(0, OP_SET, 1, value_bytes(1))
     with open(os.path.join(workdir, "wal.log"), "r+b") as f:  # corrupt the second record
         f.seek(lsn2 + 5)
         byte = f.read(1)[0]
@@ -110,7 +74,7 @@ def test_corrupt_record_reports_offset(workdir):
 
 def test_scan_beyond_durable_rejected(workdir):
     wal = make_wal(workdir, flush_interval=10)
-    wal.append(0, 1, OP_SET, 0, value_bytes(0))
+    wal.append(0, OP_SET, 0, value_bytes(0))
     with pytest.raises(WalError):
         list(wal.scan(wal.end_lsn() + 100))
 
@@ -123,7 +87,7 @@ def test_concurrent_appends_monotone(workdir):
     def hammer(tid):
         got = []
         for i in range(300):
-            lsn, _ = wal.append(tid, tid, OP_SET, i % 8, value_bytes(i))
+            lsn, _ = wal.append(tid, OP_SET, i % 8, value_bytes(i))
             got.append(lsn)
         with lock:
             hits.append(got)
@@ -144,7 +108,7 @@ def test_concurrent_appends_monotone(workdir):
 
 def test_read_suffix_batches(workdir):
     wal = make_wal(workdir)
-    lsns = [wal.append(0, 1, OP_SET, i, value_bytes(i))[0] for i in range(10)]
+    lsns = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(10)]
     recs, next_lsn, _ = wal.read_suffix(0, 4)
     assert [r.lsn for r in recs] == lsns[:4]
     recs2, next2, _ = wal.read_suffix(next_lsn, 100)
@@ -156,7 +120,7 @@ def test_read_suffix_batches(workdir):
 def test_read_suffix_is_one_read_of_its_span(workdir):
     latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
     wal = make_wal(workdir, latency=latency)
-    lsns = [wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0] for i in range(10)]
+    lsns = [wal.append(i % 3, OP_SET, i, value_bytes(i))[0] for i in range(10)]
     reads = []
     real_read = wal.device.read
 
@@ -179,7 +143,7 @@ def test_read_suffix_is_one_read_of_its_span(workdir):
 
 def test_read_suffix_stops_at_durable_end(workdir):
     wal = make_wal(workdir, flush_interval=1000)
-    lsns = [wal.append(0, 1, OP_SET, i, value_bytes(i))[0] for i in range(6)]
+    lsns = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(6)]
     wal.flush(lsns[3])
     recs, next_lsn, _ = wal.read_suffix(0, 100)
     assert [r.lsn for r in recs] == lsns[:4] and next_lsn == lsns[4] == wal.durable_lsn()
@@ -190,7 +154,7 @@ def test_read_suffix_stops_at_durable_end(workdir):
 def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
     monkeypatch.setattr(wal_module, "_READ_CHUNK", 150)  # records cross file reads
     wal = make_wal(workdir, flush_interval=1000)
-    lsns = [wal.append(i % 4, 1, OP_SET, i, value_bytes(i))[0] for i in range(20)]
+    lsns = [wal.append(i % 4, OP_SET, i, value_bytes(i))[0] for i in range(20)]
     wal.flush(lsns[9])
     assert wal.durable_lsn() == lsns[10]
     assert [r.lsn for r in wal.scan(0)] == lsns[:10]  # scan yields durable records only
@@ -210,13 +174,13 @@ def test_memory_retained_per_record_is_small(workdir):
     behind neither its bytes nor its start offset."""
     wal = make_wal(workdir)
     value = value_bytes(0)
-    wal.append(0, 1, OP_SET, 0, value)
+    wal.append(0, OP_SET, 0, value)
     n = 50_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(n):
-            wal.append(i % 64, 1, OP_SET, i % 8, value)
+            wal.append(i % 64, OP_SET, i % 8, value)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -224,26 +188,60 @@ def test_memory_retained_per_record_is_small(workdir):
     assert grown / n <= 1, f"{grown / n:.1f} B retained per record"
 
 
+def test_memory_retained_per_page_is_small(workdir):
+    """The WAL keeps no per-page state: logging to 20,000 distinct pages
+    leaves nothing behind per page."""
+    wal = make_wal(workdir)
+    value = value_bytes(0)
+    wal.append(0, OP_SET, 0, value)
+    n = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for page in range(1, n + 1):
+            wal.append(page, OP_SET, 0, value)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    wal.close()
+    assert grown / n <= 1, f"{grown / n:.1f} B retained per page"
+
+
+def test_log_in_the_older_record_layout_is_refused(workdir):
+    """A log of 63-byte records, which also carried a transaction id and
+    the page's previous LSN, fails to open instead of being misread."""
+    path = os.path.join(workdir, "wal.log")
+    with open(path, "wb") as f:
+        lsn = 1
+        for i in range(4):
+            data = old_record_bytes(lsn, i % 2, OP_SET, i, value_bytes(i))
+            f.write(data)
+            lsn += len(data)
+    with pytest.raises(CorruptRecordError, match="bad length") as exc:
+        WriteAheadLog(path)
+    assert exc.value.offset == 0
+
+
 def test_oversized_value_rejected(workdir):
     wal = make_wal(workdir)
     with pytest.raises(WalError, match="70000 bytes"):
-        wal.append(0, 1, OP_SET, 0, bytes(70_000))
-    lsn, _ = wal.append(0, 1, OP_SET, 0, bytes(65_535))  # the largest value_len
-    assert wal.end_lsn() == lsn + 65_535 + LogRecord(lsn, 0, 1, 0, OP_SET, 0).encoded_size
+        wal.append(0, OP_SET, 0, bytes(70_000))
+    lsn, _ = wal.append(0, OP_SET, 0, bytes(65_535))  # the largest value_len
+    assert wal.end_lsn() == lsn + 65_535 + LogRecord(lsn, 0, OP_SET, 0).encoded_size
     assert [r.value for r in wal.scan(0)] == [bytes(65_535)]
     wal.close()
 
 
 def mixed_log(wal):
-    """Append 47-B deletes, 63-B sets and one 447-B set; returns their lsns."""
+    """Append 31-B deletes, 47-B sets and one 431-B set; returns their lsns."""
     lsns = []
     for i in range(12):
         if i == 5:
-            lsns.append(wal.append(i % 3, 1, OP_SET, i, bytes(range(200)) * 2)[0])
+            lsns.append(wal.append(i % 3, OP_SET, i, bytes(range(200)) * 2)[0])
         elif i % 3 == 1:
-            lsns.append(wal.append(i % 3, 1, OP_DELETE, i)[0])
+            lsns.append(wal.append(i % 3, OP_DELETE, i)[0])
         else:
-            lsns.append(wal.append(i % 3, 1, OP_SET, i, value_bytes(i))[0])
+            lsns.append(wal.append(i % 3, OP_SET, i, value_bytes(i))[0])
     return lsns
 
 
@@ -256,7 +254,7 @@ def test_read_suffix_over_mixed_record_sizes(workdir):
     durable = 9
     wal.flush(lsns[durable - 1])
     recs = list(wal.scan(0))
-    assert [r.encoded_size for r in recs[:6]] == [63, 47, 63, 63, 47, 447]
+    assert [r.encoded_size for r in recs[:6]] == [47, 31, 47, 47, 31, 431]
     ends = lsns[1:durable] + [wal.durable_lsn()]
     for i in range(durable):
         for budget in range(1, durable - i + 2):
@@ -312,8 +310,24 @@ def test_scan_from_every_lsn_after_reopen(workdir, monkeypatch):
 
 
 def test_record_encode_decode_round_trip():
-    rec = LogRecord(lsn=101, page_id=7, txn_id=3, prev_page_lsn=55,
-                    op=OP_SET, key=9, value=value_bytes(1))
+    rec = LogRecord(lsn=101, page_id=7, op=OP_SET, key=9, value=value_bytes(1))
     data = rec.encode()
     back, end = LogRecord.decode(data, 0)
     assert back == rec and end == len(data) == rec.encoded_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(lsn=st.integers(1, 2 ** 64 - 1), page_id=st.integers(0, 2 ** 64 - 1),
+       op=st.integers(0, 255), key=st.integers(0, 2 ** 32 - 1),
+       value=st.binary(max_size=600), prefix=st.binary(max_size=40),
+       suffix=st.binary(max_size=40))
+def test_encode_decode_round_trip_every_field(lsn, page_id, op, key, value, prefix, suffix):
+    """Every field survives encode/decode at any offset in a buffer, both
+    as an archive block record and as a WAL record at its file offset."""
+    rec = LogRecord(lsn, page_id, op, key, value)
+    data = rec.encode()
+    buf = prefix + data + suffix
+    assert LogRecord.decode(buf, len(prefix)) == (rec, len(prefix) + len(data))
+    base = lsn - 1 - len(prefix)  # the file offset of buf[0] that puts rec at lsn - 1
+    if base >= 0:
+        assert LogRecord.decode(buf, len(prefix), base) == (rec, len(prefix) + len(data))
