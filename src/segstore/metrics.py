@@ -8,6 +8,8 @@ Three CSV files per run:
 
 The per-second series always has exactly one row per second of the
 configured duration, empty seconds and a last, partial second included.
+A transaction that commits after the duration (the run admits it before
+the end) counts in the last row, so the rows hold every transaction.
 
 Each transaction's sample is 17 B in three typed columns: txn_ids (array
 "q"), latencies_us (array "d") and post_flags (bytearray of 0/1), read back
@@ -16,6 +18,7 @@ through latency_samples, a view of (txn_id, latency_us, post_failure) tuples.
 
 import csv
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -91,14 +94,21 @@ class MetricsReport:
     def seconds(self) -> range:
         return range(math.ceil(self.duration_s))
 
-    def throughput_rows(self) -> list[tuple]:
-        rows = []
-        for sec in self.seconds():
-            n = self.txns.get(sec, 0)
-            mean = self.lat_sum.get(sec, 0.0) / n if n else 0.0
-            rows.append((sec, n, round(mean, 3), round(self.lat_max.get(sec, 0.0), 3),
-                         self.page_reads.get(sec, 0)))
+    def _per_row(self, series: dict, zero, combine=operator.add) -> list:
+        """series as one value per row; seconds past the last row fold into it."""
+        rows = [zero] * len(self.seconds())
+        for sec, value in series.items():
+            if rows:
+                last = min(sec, len(rows) - 1)
+                rows[last] = combine(rows[last], value)
         return rows
+
+    def throughput_rows(self) -> list[tuple]:
+        return [(sec, n, round(total / n if n else 0.0, 3), round(worst, 3), reads)
+                for sec, n, total, worst, reads in zip(
+                    self.seconds(), self.per_second_txns(),
+                    self._per_row(self.lat_sum, 0.0), self._per_row(self.lat_max, 0.0, max),
+                    self._per_row(self.page_reads, 0))]
 
     def restore_rows(self) -> list[tuple]:
         rows = []
@@ -110,7 +120,7 @@ class MetricsReport:
         return rows
 
     def per_second_txns(self) -> list[int]:
-        return [self.txns.get(sec, 0) for sec in self.seconds()]
+        return self._per_row(self.txns, 0)
 
     def post_failure_latencies(self) -> list[float]:
         return [lat for lat, post in zip(self.latencies_us, self.post_flags) if post]
