@@ -7,9 +7,8 @@ Three CSV files per run:
     latency_samples.csv  txn_id, latency_us, post_failure
 
 The per-second series always has exactly one row per second of the
-configured duration, empty seconds and a last, partial second included.
-A transaction that commits after the duration (the run admits it before
-the end) counts in the last row, so the rows hold every transaction.
+configured duration, empty seconds and a last, partial second included;
+the last row also holds the transactions that commit after the duration.
 
 Each transaction's sample is 17 B in three typed columns: txn_ids (array
 "q"), latencies_us (array "d") and post_flags (bytearray of 0/1), read back

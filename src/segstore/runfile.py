@@ -167,15 +167,10 @@ class RunReader:
 
     def _decode_blocks(self, data: bytes) -> list[LogRecord]:
         records = []
-        nblocks = len(data) // self.block_size
         try:
-            for b in range(nblocks):
-                off = b * self.block_size
-                end = off + self.block_size
-                while off + 4 <= end:
-                    (total,) = struct.unpack_from("<I", data, off)
-                    if total == 0:
-                        break
+            for end in range(self.block_size, len(data) + 1, self.block_size):
+                off = end - self.block_size
+                while off + 4 <= end and struct.unpack_from("<I", data, off)[0]:
                     rec, off = LogRecord.decode(data, off)
                     records.append(rec)
         except Exception as exc:

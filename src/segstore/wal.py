@@ -60,10 +60,8 @@ class LogRecord:
         return self.lsn + self.encoded_size
 
     def encode(self) -> bytes:
-        total = self.encoded_size
-        head = _FIXED.pack(total, self.lsn, self.page_id, self.op, self.key,
-                           len(self.value))
-        body = head + self.value
+        body = _FIXED.pack(self.encoded_size, self.lsn, self.page_id, self.op, self.key,
+                           len(self.value)) + self.value
         return body + _CRC.pack(zlib.crc32(body))
 
     @staticmethod
@@ -108,23 +106,21 @@ class WriteAheadLog:
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
         self._tail = bytearray()         # log bytes [_durable, _end), not yet written
-        self._durable = 0                # log bytes persisted
-        self._end = 0                    # log bytes appended
         self._since_flush = 0
         self._lock = threading.Lock()
         self.last_append_at = 0.0
-        self._load(self.device.size())
+        # log bytes persisted and log bytes appended: an opened log is all durable
+        self._durable = self._end = self._load(self.device.size())
 
-    def _load(self, size: int) -> None:
-        """Decode every record of an existing log, so a damaged log or one
-        in another record layout is refused at open, not misread later."""
+    def _load(self, size: int) -> int:
+        """Decode every record: a damaged log or an older layout fails at open."""
         try:
             for _ in self._read_records(0, size):
                 pass
         except CorruptRecordError:
             self.device.close()
             raise
-        self._durable = self._end = size
+        return size
 
     def _read_records(self, off: int, limit: int):
         """Yield the records in log-file bytes [off, limit), off a record
@@ -169,8 +165,7 @@ class WriteAheadLog:
             raise WalError(f"value of {len(value)} bytes exceeds {_MAX_VALUE}")
         t = now
         with self._lock:
-            offset = self._end
-            lsn = offset + _LSN_BASE
+            lsn = self._end + _LSN_BASE
             encoded = LogRecord(lsn, page_id, op, key, value).encode()
             self._tail += encoded
             self._end += len(encoded)
@@ -198,10 +193,9 @@ class WriteAheadLog:
             last = up_to - _LSN_BASE  # last log byte to make durable
             # The tail starts at a record boundary; step to the end of the
             # record that holds the last byte, if it is not durable yet.
-            tail = self._tail
             pos = 0
             while self._durable + pos <= last:
-                pos += _LEN.unpack_from(tail, pos)[0]
+                pos += _LEN.unpack_from(self._tail, pos)[0]
             return self._flush_to(self._durable + pos, now)
 
     # -- read path ----------------------------------------------------------
