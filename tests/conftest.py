@@ -62,12 +62,12 @@ def value_bytes(seed: int) -> bytes:
     return seed.to_bytes(8, "little").ljust(VALUE_LEN, b"\xab")
 
 
-def old_record_bytes(lsn: int, page_id: int, op: int, key: int, value: bytes = b"",
-                     txn_id: int = 1, prev_page_lsn: int = 0) -> bytes:
-    """A record in the older 63-byte layout, which also carried a
-    transaction id and the LSN of the page's previous record."""
+def old_record_bytes(lsn: int, page_id: int, key: int, value: bytes) -> bytes:
+    """A set in the older layout (63 bytes for a 16-byte value), which also
+    carried a transaction id and the LSN of the page's previous record."""
+    txn_id, prev_page_lsn = 1, 0
     body = struct.pack("<IQQQQBIH", 47 + len(value), lsn, page_id, txn_id,
-                       prev_page_lsn, op, key, len(value)) + value
+                       prev_page_lsn, OP_SET, key, len(value)) + value
     return body + struct.pack("<I", zlib.crc32(body))
 
 

@@ -268,7 +268,7 @@ def test_failed_reload_closes_the_runs_it_opened(workdir):
 
 class _OldRecord(collections.namedtuple("_OldRecord", "lsn page_id key value")):
     def encode(self):
-        return old_record_bytes(self.lsn, self.page_id, OP_SET, self.key, self.value)
+        return old_record_bytes(self.lsn, self.page_id, self.key, self.value)
 
 
 def test_run_in_the_older_record_layout_is_refused(workdir, monkeypatch):
