@@ -20,42 +20,39 @@ benchmark engine can share this code:
   try_fix_page  never blocks on restore - it returns the segment's
                 RestoreHandle (Blocked) so a cooperative caller can park
                 on it and retry.
+
+Frame state is kept in flat arrays indexed by frame number, not in an
+object per frame: the resident Page (or None), pin and shared-latch
+counts, one flag byte (dirty, CLOCK reference, exclusive latch held) and
+the free frames.  A page id indexes an array('i') of its frame, or -1,
+at 4 bytes per device page, so a resident page costs only its Page.  A
+PageHandle carries its frame number and its page.
 """
 
 import threading
+from array import array
 
 from .errors import InvalidPageIdError, MediaFailureError, RestoreError, StorageError
 from .restore import RestoreHandle
 from .volume import Volume
 from .wal import WriteAheadLog
 
-
-class BufferFrame:
-    __slots__ = ("page", "pin_count", "dirty", "ref", "readers", "writer")
-
-    def __init__(self):
-        self.page = None
-        self.pin_count = 0
-        self.dirty = False
-        self.ref = False
-        # Shared/exclusive latch, guarded by the pool's condition.
-        self.readers = 0
-        self.writer = False
+# A frame's flag bits in BufferPool._bits.
+_DIRTY = 1
+_REF = 2
+_WRITER = 4  # the exclusive latch is held
 
 
 class PageHandle:
     """One fix; release it exactly once via unfix_page."""
 
-    __slots__ = ("frame", "mode", "released")
+    __slots__ = ("frame", "page", "mode", "released")
 
-    def __init__(self, frame: BufferFrame, mode: str):
+    def __init__(self, frame: int, page, mode: str):
         self.frame = frame
+        self.page = page
         self.mode = mode
         self.released = False
-
-    @property
-    def page(self):
-        return self.frame.page
 
 
 # try_fix_page outcome when the access needs a segment restored first.
@@ -70,9 +67,14 @@ class BufferPool:
         self.live_volume = volume  # misses read and write-back writes here
         self.wal = wal
         self.capacity = capacity
-        self._frames = [BufferFrame() for _ in range(capacity)]
-        self._free = self._frames[::-1]  # popped from the end: frame 0 first
-        self._table: dict[int, BufferFrame] = {}
+        # Frame state, indexed by frame number and guarded by _cond.
+        self._pages = [None] * capacity
+        self._pins = array("i", (0,)) * capacity
+        self._readers = array("i", (0,)) * capacity  # shared latch holders
+        self._bits = bytearray(capacity)  # _DIRTY | _REF | _WRITER
+        self._free = array("i", range(capacity - 1, -1, -1))  # popped: frame 0 first
+        # Page id -> its frame, or -1 when the page is not resident.
+        self._frame_of = array("i", (-1,)) * volume.geometry.page_count
         self._hand = 0
         self._cond = threading.Condition()
         self._gate = None  # restore manager: replacement, is_restored, request_segment
@@ -141,12 +143,12 @@ class BufferPool:
             raise StorageError(f"bad latch mode {mode}")
         with self._cond:
             while True:
-                frame = self._table.get(page_id)
-                if frame is not None:
-                    frame.pin_count += 1
-                    frame.ref = True
-                    self._latch_locked(frame, mode)
-                    return PageHandle(frame, mode), now
+                f = self._frame_of[page_id]
+                if f >= 0:
+                    self._pins[f] += 1
+                    self._bits[f] |= _REF
+                    self._latch_locked(f, mode)
+                    return PageHandle(f, self._pages[f], mode), now
                 if self.failed and not self._segment_ready(page_id):
                     return self._blocked(page_id, now)
                 if self._free:
@@ -164,16 +166,16 @@ class BufferPool:
                     now = self._write_back_locked(victim, now)
                 self._retire_locked(victim)
             page, now = self.live_volume.read_page(page_id, now)
-            frame = self._free.pop()
-            frame.page = page
-            frame.pin_count = 1
-            frame.ref = True
-            self._table[page_id] = frame
-            self._latch_locked(frame, mode)
+            f = self._free.pop()
+            self._pages[f] = page
+            self._pins[f] = 1
+            self._bits[f] = _REF
+            self._frame_of[page_id] = f
+            self._latch_locked(f, mode)
             self.page_reads += 1
             if self.on_page_read is not None:
                 self.on_page_read(now)
-            return PageHandle(frame, mode), now
+            return PageHandle(f, page, mode), now
 
     def unfix_page(self, handle: PageHandle, mark_dirty: bool = False) -> None:
         if handle.released:
@@ -181,33 +183,34 @@ class BufferPool:
         if mark_dirty and handle.mode != "exclusive":
             raise StorageError("dirtying a page requires the exclusive latch")
         handle.released = True
-        frame = handle.frame
+        f = handle.frame
         with self._cond:
-            if frame.pin_count <= 0:
+            if self._pins[f] <= 0:
                 raise StorageError("unfix without matching fix")
-            if mark_dirty and not frame.dirty:
-                frame.dirty = True
+            if mark_dirty and not self._bits[f] & _DIRTY:
+                self._bits[f] |= _DIRTY
                 self._dirty_n += 1
-            self._unlatch_unpin_locked(frame, handle.mode)
+            self._unlatch_unpin_locked(f, handle.mode)
 
     # -- frame latches (callers hold self._cond) ------------------------------
 
-    def _latch_locked(self, frame: BufferFrame, mode: str) -> None:
+    def _latch_locked(self, f: int, mode: str) -> None:
+        bits = self._bits
         if mode == "shared":
-            while frame.writer:
+            while bits[f] & _WRITER:
                 self._cond.wait()
-            frame.readers += 1
+            self._readers[f] += 1
         else:
-            while frame.writer or frame.readers:
+            while bits[f] & _WRITER or self._readers[f]:
                 self._cond.wait()
-            frame.writer = True
+            bits[f] |= _WRITER
 
-    def _unlatch_unpin_locked(self, frame: BufferFrame, mode: str) -> None:
+    def _unlatch_unpin_locked(self, f: int, mode: str) -> None:
         if mode == "shared":
-            frame.readers -= 1
+            self._readers[f] -= 1
         else:
-            frame.writer = False
-        frame.pin_count -= 1
+            self._bits[f] &= ~_WRITER
+        self._pins[f] -= 1
         self._cond.notify_all()
 
     # -- eviction internals ---------------------------------------------------
@@ -216,41 +219,43 @@ class BufferPool:
         """One CLOCK sweep over a full pool.  Returns ("clean", frame),
         ("dirty", frame), ("blocked", page_id) when only restore-gated dirty
         frames remain, or None when everything is pinned."""
+        pins, bits = self._pins, self._bits
         blocked_page = None
         for _ in range(2 * self.capacity):
-            frame = self._frames[self._hand]
-            self._hand = (self._hand + 1) % self.capacity
-            if frame.pin_count > 0:
+            f = self._hand
+            self._hand = (f + 1) % self.capacity
+            if pins[f] > 0:
                 continue
-            if frame.ref:
-                frame.ref = False
+            if bits[f] & _REF:
+                bits[f] &= ~_REF
                 continue
-            if frame.dirty:
-                if self.failed and not self._segment_ready(frame.page.page_id):
-                    blocked_page = frame.page.page_id
+            if bits[f] & _DIRTY:
+                page_id = self._pages[f].page_id
+                if self.failed and not self._segment_ready(page_id):
+                    blocked_page = page_id
                     continue
-                return "dirty", frame
-            return "clean", frame
+                return "dirty", f
+            return "clean", f
         if blocked_page is not None:
             return "blocked", blocked_page
         return None
 
-    def _retire_locked(self, frame: BufferFrame) -> None:
+    def _retire_locked(self, f: int) -> None:
         """Free a clean, unpinned frame."""
-        del self._table[frame.page.page_id]
-        frame.page = None
-        frame.ref = False
-        self._free.append(frame)
+        self._frame_of[self._pages[f].page_id] = -1
+        self._pages[f] = None
+        self._bits[f] = 0
+        self._free.append(f)
         self.evictions += 1
 
-    def _write_back_locked(self, frame: BufferFrame, now: float) -> float:
+    def _write_back_locked(self, f: int, now: float) -> float:
         """Write-ahead rule, then write the dirty page to the live volume.
         The caller holds the condition and no writer holds the frame's
         latch.  A failed write leaves the frame dirty."""
-        page = frame.page
+        page = self._pages[f]
         t = self.wal.flush(page.page_lsn, now)
         t = self.live_volume.write_page(page, t)
-        frame.dirty = False
+        self._bits[f] &= ~_DIRTY
         self._dirty_n -= 1
         return t
 
@@ -263,22 +268,22 @@ class BufferPool:
         gate when the replacement segment is not restored yet."""
         while True:
             with self._cond:
-                frame = self._table.get(page_id)
-                if frame is None or not frame.dirty:
+                f = self._frame_locked(page_id)
+                if f < 0 or not self._bits[f] & _DIRTY:
                     return now
                 if self.failed and not self._segment_ready(page_id):
                     blocked = self._blocked(page_id, now)
-                elif frame.writer:
+                elif self._bits[f] & _WRITER:
                     self._cond.wait()
                     continue
                 else:
-                    return self._write_back_locked(frame, now)
+                    return self._write_back_locked(f, now)
             now = max(now, blocked.wait(timeout))
 
     def flush_all(self, now: float = 0.0) -> float:
         t = now
         with self._cond:
-            dirty = [f.page.page_id for f in self._frames if f.dirty]
+            dirty = [self._pages[f].page_id for f, b in enumerate(self._bits) if b & _DIRTY]
         for page_id in dirty:
             t = max(t, self.flush_page(page_id, t))
         return t
@@ -290,14 +295,15 @@ class BufferPool:
         completion time)."""
         flushed = 0
         with self._cond:
-            for frame in self._frames:
+            pins = self._pins
+            for f, b in enumerate(self._bits):
                 if flushed >= limit:
                     break
-                if not frame.dirty or frame.pin_count:
+                if not b & _DIRTY or pins[f]:
                     continue
-                if self.failed and not self._segment_ready(frame.page.page_id):
+                if self.failed and not self._segment_ready(self._pages[f].page_id):
                     continue
-                now = self._write_back_locked(frame, now)
+                now = self._write_back_locked(f, now)
                 flushed += 1
         return flushed, now
 
@@ -306,11 +312,17 @@ class BufferPool:
 
     # -- introspection ----------------------------------------------------------
 
+    def _frame_locked(self, page_id: int) -> int:
+        """The frame holding page_id, or -1, for any int."""
+        if 0 <= page_id < len(self._frame_of):
+            return self._frame_of[page_id]
+        return -1
+
     def resident(self, page_id: int) -> bool:
         with self._cond:
-            return page_id in self._table
+            return self._frame_locked(page_id) >= 0
 
     def pin_count(self, page_id: int) -> int:
         with self._cond:
-            frame = self._table.get(page_id)
-            return frame.pin_count if frame else 0
+            f = self._frame_locked(page_id)
+            return self._pins[f] if f >= 0 else 0

@@ -9,14 +9,17 @@ last update applied to it.  Serialization is exact:
 
 so an image is always exactly page_size bytes and round-trips bit-for-bit.
 
-A Page in memory holds its records in that same form: one bytearray of
-the 20-byte (key, value) entries in ascending key order, plus an
-array('I') of the same keys to bisect.  Encoding is the header, the
-entries, the zero pad and the CRC, with no step per record; decoding
-checks the CRC, slices the entries out and gathers the keys from them
-with four strided copies.  get, set and delete bisect the keys; set
-overwrites a value in place or inserts one entry.  Every empty page
-shares one immutable empty pair, so it costs only its Page object.
+A Page in memory holds its records in one array('I'): its n keys in
+ascending order, then its n 20-byte (key, value) entries, 5 items each,
+exactly as the image stores them.  get, set and delete bisect the first
+n items in place; set overwrites a value in place or inserts one key and
+one entry.  Encoding is the header, the entries (a view of the array's
+tail), the zero pad and the CRC, with no step per record; decoding
+checks the CRC, copies the entries into an array sized exactly and
+gathers the keys from them with four strided copies.  The entries keep
+the image's byte order and the keys the host's, so a big-endian host
+swaps only the keys.  Every empty page shares one immutable empty tuple
+of records, so it costs only its Page object.
 Page.records is a read-only map built on each call, not a second store.
 """
 
@@ -39,14 +42,18 @@ _CRC = struct.Struct("<I")
 _VALUE = struct.Struct(f"{VALUE_LEN}s")
 _KEY_LEN = 4
 
-# Keys are bisected in an array('I'), which must hold a u32 per item.
+# A page's records are one array('I'), which must hold a u32 per item:
+# its n keys, then its n entries of _ENTRY_WORDS items each.
 if array("I").itemsize != _KEY_LEN:
     raise ImportError("segstore.pages needs array('I') items of 4 bytes")
+_ENTRY_WORDS = _ENTRY.size // _KEY_LEN
+_VALUE_WORDS = VALUE_LEN // _KEY_LEN
+_REC_WORDS = 1 + _ENTRY_WORDS
+_ZERO = array("I", (0,))
 
 # The records of every empty page: immutable, so an insert must replace
 # them rather than grow them.
-_NO_KEYS: tuple = ()
-_NO_ENTRIES = b""
+_NO_RECORDS: tuple = ()
 
 
 def page_capacity(page_size: int) -> int:
@@ -106,13 +113,12 @@ class Page:
     """One page: its id, the LSN of its last update, and its records held
     as the image stores them (see the module docstring)."""
 
-    __slots__ = ("page_id", "page_lsn", "_keys", "_entries")
+    __slots__ = ("page_id", "page_lsn", "_rec")
 
     def __init__(self, page_id: int, page_lsn: int = 0, records: Mapping[int, bytes] | None = None):
         self.page_id = page_id
         self.page_lsn = page_lsn
-        self._keys = _NO_KEYS
-        self._entries = _NO_ENTRIES
+        self._rec = _NO_RECORDS
         if records:
             for key in sorted(records):
                 self.set(key, records[key])
@@ -120,19 +126,22 @@ class Page:
     @property
     def records(self) -> Mapping[int, bytes]:
         """A read-only key -> value map of the records, built on each call."""
-        entries = bytes(self._entries)
+        rec = self._rec
+        n = len(rec) // _REC_WORDS
+        entries = rec[n:].tobytes() if n else b""
         return MappingProxyType({key: entries[off:off + VALUE_LEN] for key, off
-                                 in zip(self._keys, range(_KEY_LEN, len(entries), _ENTRY.size))})
+                                 in zip(rec[:n], range(_KEY_LEN, len(entries), _ENTRY.size))})
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._rec) // _REC_WORDS
 
     def get(self, key: int) -> bytes | None:
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            off = i * _ENTRY.size + _KEY_LEN
-            return bytes(self._entries[off:off + VALUE_LEN])
+        rec = self._rec
+        n = len(rec) // _REC_WORDS
+        i = bisect_left(rec, key, 0, n)
+        if i < n and rec[i] == key:
+            at = n + i * _ENTRY_WORDS + 1
+            return rec[at:at + _VALUE_WORDS].tobytes()
         return None
 
     def set(self, key: int, value: bytes, capacity: int | None = None) -> None:
@@ -141,47 +150,48 @@ class Page:
         checked when the page is encoded."""
         if len(value) != VALUE_LEN:
             raise StorageError(f"value must be exactly {VALUE_LEN} bytes")
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            _VALUE.pack_into(self._entries, i * _ENTRY.size + _KEY_LEN, value)
+        rec = self._rec
+        n = len(rec) // _REC_WORDS
+        i = bisect_left(rec, key, 0, n)
+        if i < n and rec[i] == key:
+            _VALUE.pack_into(rec, (n + i * _ENTRY_WORDS + 1) * _KEY_LEN, value)
             return
-        if capacity is not None and len(keys) >= capacity:
+        if capacity is not None and n >= capacity:
             raise PageFullError(f"page {self.page_id} full at {capacity} records")
-        entry = _ENTRY.pack(key, value)
-        if not keys:  # maybe the shared empty pair: replace, never grow it
-            self._keys = array("I", (key,))
-            self._entries = bytearray(entry)
+        if not n:  # maybe the shared empty records: replace, never grow them
+            self._rec = rec = _ZERO * _REC_WORDS
+            rec[0] = key
+            _ENTRY.pack_into(rec, _KEY_LEN, key, value)
             return
-        keys.insert(i, key)
-        off = i * _ENTRY.size
-        self._entries[off:off] = entry
+        at = n + i * _ENTRY_WORDS
+        rec[at:at] = array("I", _ENTRY.pack(key, value))
+        rec.insert(i, key)
 
     def delete(self, key: int) -> None:
-        keys = self._keys
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            if len(keys) == 1:
-                self._keys = _NO_KEYS
-                self._entries = _NO_ENTRIES
+        rec = self._rec
+        n = len(rec) // _REC_WORDS
+        i = bisect_left(rec, key, 0, n)
+        if i < n and rec[i] == key:
+            if n == 1:
+                self._rec = _NO_RECORDS
                 return
-            del keys[i]
-            off = i * _ENTRY.size
-            del self._entries[off:off + _ENTRY.size]
+            at = n + i * _ENTRY_WORDS
+            del rec[at:at + _ENTRY_WORDS]
+            del rec[i]
 
     def copy(self) -> "Page":
         page = Page(self.page_id, self.page_lsn)
-        page._keys = self._keys[:]
-        page._entries = self._entries[:]
+        page._rec = self._rec[:]
         return page
 
     def to_bytes(self, page_size: int) -> bytes:
-        entries = self._entries
-        count = len(self._keys)
+        rec = self._rec
+        count = len(rec) // _REC_WORDS
         if count > page_capacity(page_size):
             raise PageFullError(f"page {self.page_id} exceeds capacity")
         header = _HEADER.pack(self.page_id, self.page_lsn, count)
-        pad = bytes(page_size - _CRC.size - _HEADER.size - len(entries))
+        entries = memoryview(rec)[count:] if count else b""
+        pad = bytes(page_size - _CRC.size - _HEADER.size - count * _ENTRY.size)
         crc = zlib.crc32(pad, zlib.crc32(entries, zlib.crc32(header)))
         return b"".join((header, entries, pad, _CRC.pack(crc)))
 
@@ -198,18 +208,23 @@ class Page:
             end = _HEADER.size + count * _ENTRY.size
             if end > crc_at:
                 raise StorageError(f"page {page_id} holds {count} records, more than fit")
-            page._entries = entries = bytearray(memoryview(data)[_HEADER.size:end])
-            key_bytes = bytearray(count * _KEY_LEN)
+            # Sized exactly, unlike an array grown from bytes.
+            page._rec = rec = _ZERO * (count * _REC_WORDS)
+            keys_end = count * _KEY_LEN
+            raw = memoryview(rec).cast("B")
+            raw[keys_end:] = memoryview(data)[_HEADER.size:end]
             for b in range(_KEY_LEN):
-                key_bytes[b::_KEY_LEN] = entries[b::_ENTRY.size]
-            page._keys = keys = array("I", key_bytes)
+                raw[b:keys_end:_KEY_LEN] = data[_HEADER.size + b:end:_ENTRY.size]
+            raw.release()
             if sys.byteorder == "big":
+                keys = rec[:count]
                 keys.byteswap()
+                rec[:count] = keys
         return page
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Page) and self.page_id == other.page_id
-                and self.page_lsn == other.page_lsn and self._entries == other._entries)
+                and self.page_lsn == other.page_lsn and self._rec == other._rec)
 
     def __repr__(self) -> str:
-        return f"Page(id={self.page_id}, lsn={self.page_lsn}, nrec={len(self._keys)})"
+        return f"Page(id={self.page_id}, lsn={self.page_lsn}, nrec={len(self)})"

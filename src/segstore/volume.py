@@ -65,6 +65,13 @@ class Geometry:
         return cls(page_size, page_count, pps)
 
 
+def _check_placed(page: Page, page_id: int) -> None:
+    """Refuse a page at another page's offset: read back, it would pass
+    for the wrong page; written, it would overwrite one."""
+    if page.page_id != page_id:
+        raise StorageError(f"page {page.page_id} misplaced at page {page_id}")
+
+
 class Volume:
     def __init__(self, device: Device, geometry: Geometry):
         self.device = device
@@ -111,7 +118,10 @@ class Volume:
     def read_page(self, page_id: int, now: float = 0.0) -> tuple[Page, float]:
         self._check_page(page_id)
         data, t = self.device.read(self.geometry.page_offset(page_id), self.geometry.page_size, now)
-        return Page.from_bytes(data), t
+        page = Page.from_bytes(data)
+        _check_placed(page, page_id)
+        page.page_id = page_id  # the caller's int, not a second one
+        return page, t
 
     def write_page(self, page: Page, now: float = 0.0) -> float:
         self._check_page(page.page_id)
@@ -125,14 +135,15 @@ class Volume:
         ps = self.geometry.page_size
         data, t = self.device.read(self.geometry.page_offset(first), (end - first) * ps, now)
         pages = [Page.from_bytes(data[i * ps:(i + 1) * ps]) for i in range(end - first)]
+        for i, page in enumerate(pages):
+            _check_placed(page, first + i)
         return pages, t
 
     def write_page_span(self, first: int, pages: list[Page], now: float = 0.0) -> float:
         self._check_page(first)
         self._check_page(first + len(pages) - 1)
         for i, page in enumerate(pages):
-            if page.page_id != first + i:
-                raise StorageError(f"page {page.page_id} misplaced in span at {first + i}")
+            _check_placed(page, first + i)
         blob = b"".join(p.to_bytes(self.geometry.page_size) for p in pages)
         return self.device.write(self.geometry.page_offset(first), blob, now)
 

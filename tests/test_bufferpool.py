@@ -1,10 +1,13 @@
 import random
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segstore.bufferpool import BufferPool
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
@@ -22,8 +25,8 @@ def make_pool(workdir, capacity=8, page_count=64):
 
 
 def test_memory_retained_per_frame_is_small(workdir):
-    """An empty frame is its slotted object plus one pointer in the frame
-    list and one in the free list: no per-frame int."""
+    """An empty frame is one pointer in the page list, two 4-byte counts,
+    one byte of flags and one 4-byte free-list entry: no per-frame object."""
     vol = make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8)
     wal = make_wal(workdir)
     n = 16_384
@@ -35,7 +38,142 @@ def test_memory_retained_per_frame_is_small(workdir):
     finally:
         tracemalloc.stop()
     assert pool.capacity == n
-    assert grown / n <= 110, f"{grown / n:.1f} B retained per frame"
+    assert grown / n <= 24, f"{grown / n:.1f} B retained per frame"
+
+
+def test_memory_retained_per_resident_page_is_small(workdir):
+    """A resident one-record page is its slotted Page, one array of its
+    key and entry, and its id and LSN ints: about 226 B under tracemalloc."""
+    n = 4096
+    vol = make_volume(workdir, page_count=n, page_size=1024, pages_per_segment=8)
+    pool = BufferPool(vol, make_wal(workdir), n)
+    cap = page_capacity(1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for pid in range(n):
+            h, _ = pool.fix_page(pid)
+            h.page.set(pid, value_bytes(pid), cap)
+            h.page.page_lsn = 2 ** 40 + pid
+            pool.unfix_page(h, mark_dirty=True)
+        del h
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pool.dirty_count() == n and pool.evictions == 0
+    assert grown / n <= 240, f"{grown / n:.1f} B retained per resident page"
+
+
+MODEL_PAGES, MODEL_FRAMES = 12, 4
+_pool_ops = st.lists(st.one_of(
+    st.tuples(st.just("fix"), st.integers(0, MODEL_PAGES - 1),
+              st.sampled_from(["shared", "exclusive"])),
+    st.tuples(st.just("unfix"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("touch"), st.integers(0, MODEL_PAGES - 1), st.booleans()),
+    st.tuples(st.just("flush_some"), st.integers(0, 5), st.none()),
+    st.tuples(st.just("flush_page"), st.integers(0, MODEL_PAGES - 1), st.none())),
+    min_size=20, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_ops)
+def test_pool_matches_dict_model(ops):
+    """Random fix/unfix/flush sequences on a 4-frame pool against a model
+    of pins, residency, dirtiness and page contents ("touch" is a fix and
+    its unfix, so pages cycle through the frames).  The model cannot know
+    CLOCK's victim, so it reads the resident set and checks that a miss
+    changed it by the fixed page in and one unpinned page out when the
+    pool was full, and that a dirty victim reached the volume."""
+    with tempfile.TemporaryDirectory() as workdir:
+        pool, vol, wal = make_pool(workdir, capacity=MODEL_FRAMES,
+                                   page_count=MODEL_PAGES)
+        cap = page_capacity(1024)
+        model = {pid: {} for pid in range(MODEL_PAGES)}
+        lsns = dict.fromkeys(range(MODEL_PAGES), 0)
+        held, resident, dirty = [], set(), set()
+        counts = {"evictions": 0, "reads": 0}
+
+        def on_volume(pid):
+            page, _ = vol.read_page(pid)
+            return page.page_lsn == lsns[pid] and page.records == model[pid]
+
+        def fix(pid, mode):
+            """Fix unless the latch would wait; None if not fixed."""
+            nonlocal resident
+            modes = [h.mode for h, p in held if p == pid]
+            if modes and (mode == "exclusive" or "exclusive" in modes):
+                return None
+            pinned = {p for _, p in held}
+            if pid not in resident and len(pinned) == MODEL_FRAMES:
+                with pytest.raises(StorageError):
+                    pool.try_fix_page(pid, mode)
+                return None
+            h, _ = pool.fix_page(pid, mode)
+            assert h.page.page_id == pid
+            assert h.page.page_lsn == lsns[pid] and h.page.records == model[pid]
+            if pid not in resident:
+                counts["reads"] += 1
+                now = {p for p in range(MODEL_PAGES) if pool.resident(p)}
+                assert now - resident == {pid}
+                gone = resident - now
+                assert len(gone) == (len(resident) == MODEL_FRAMES)
+                for victim in gone:
+                    assert victim not in pinned
+                    counts["evictions"] += 1
+                    dirty.discard(victim)
+                    assert on_volume(victim)
+                resident = now
+            return h
+
+        def unfix(h, pid, mark, step):
+            mark = mark and h.mode == "exclusive"
+            if mark:
+                key, value = step % 5, value_bytes(step)
+                lsns[pid], _ = wal.append(pid, OP_SET, key, value)
+                h.page.set(key, value, cap)
+                h.page.page_lsn = lsns[pid]
+                model[pid][key] = value
+                dirty.add(pid)
+            pool.unfix_page(h, mark_dirty=mark)
+
+        for step, (op, arg, extra) in enumerate(ops):
+            if op == "fix":
+                h = fix(arg, extra)
+                if h is not None:
+                    held.append((h, arg))
+            elif op == "unfix" and held:
+                unfix(*held.pop(arg % len(held)), extra, step)
+            elif op == "touch":
+                h = fix(arg, "exclusive")
+                if h is not None:
+                    unfix(h, arg, extra, step)
+            elif op == "flush_some":
+                candidates = dirty - {p for _, p in held}
+                flushed, _ = pool.flush_some(arg)
+                assert flushed == min(arg, len(candidates))
+                cleaned = {pid for pid in candidates if on_volume(pid)}
+                assert len(cleaned) == flushed
+                dirty -= cleaned
+            elif op == "flush_page":
+                if any(h.mode == "exclusive" and p == arg for h, p in held):
+                    continue  # flush_page waits for the writer
+                pool.flush_page(arg)
+                if arg in dirty:
+                    dirty.remove(arg)
+                    assert on_volume(arg)
+            for pid in range(MODEL_PAGES):
+                assert pool.pin_count(pid) == sum(p == pid for _, p in held)
+                assert pool.resident(pid) == (pid in resident)
+            assert len(resident) <= MODEL_FRAMES and dirty <= resident
+            assert pool.dirty_count() == len(dirty)
+            assert (pool.evictions, pool.page_reads) == (counts["evictions"], counts["reads"])
+        for h, _ in held:
+            pool.unfix_page(h)
+        pool.flush_all()
+        assert pool.dirty_count() == 0
+        assert all(on_volume(pid) for pid in range(MODEL_PAGES))
+        vol.close()
+        wal.close()
 
 
 def test_fix_pin_counts(workdir):
@@ -45,7 +183,7 @@ def test_fix_pin_counts(workdir):
     pool.unfix_page(h1)
     h2, _ = pool.fix_page(3, mode="shared")
     h3, _ = pool.fix_page(3, mode="shared")
-    assert h2.frame is h3.frame
+    assert h2.page is h3.page
     assert pool.pin_count(3) == 2
     pool.unfix_page(h2)
     assert pool.pin_count(3) == 1
@@ -62,12 +200,15 @@ def test_double_unfix_rejected(workdir):
 
 
 def test_dirty_flag_ors(workdir):
-    pool, _, _ = make_pool(workdir)
+    pool, vol, _ = make_pool(workdir)
     h, _ = pool.fix_page(1)
     pool.unfix_page(h, mark_dirty=True)
     h, _ = pool.fix_page(1)
     pool.unfix_page(h, mark_dirty=False)
-    assert pool._table[1].dirty  # still dirty
+    assert pool.dirty_count() == 1  # still dirty: flushing page 1 writes it
+    writes = vol.device.writes
+    pool.flush_page(1)
+    assert vol.device.writes == writes + 1 and pool.dirty_count() == 0
 
 
 def test_mark_dirty_needs_exclusive(workdir):
@@ -170,7 +311,8 @@ def test_pinned_never_evicted_under_stress(workdir):
             for _ in range(400):
                 pid = rng.randrange(64)
                 h, _ = pool.fix_page(pid, mode="exclusive")
-                if not pool.resident(pid) or h.frame.page.page_id != pid:
+                if (not pool.resident(pid) or pool.pin_count(pid) < 1
+                        or h.page.page_id != pid):
                     errors.append(f"pinned page {pid} vanished")
                 pool.unfix_page(h, mark_dirty=rng.random() < 0.3)
         except StorageError as exc:

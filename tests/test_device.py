@@ -2,11 +2,12 @@ import os
 
 import pytest
 
+from segstore.bufferpool import BufferPool
 from segstore.device import Device, DeviceRole, LatencyModel
 from segstore.errors import MediaFailureError, StorageError
 from segstore.volume import Geometry, Volume
 
-from conftest import make_volume, value_bytes
+from conftest import make_volume, make_wal, value_bytes
 
 
 def test_latency_model_cost():
@@ -98,6 +99,24 @@ def test_misplaced_span_write_rejected(workdir):
     pages[0], pages[1] = pages[1], pages[0]
     with pytest.raises(StorageError):
         vol.write_page_span(0, pages)
+
+
+def test_misplaced_image_read_rejected(workdir):
+    """Page 5's valid image at page 9's offset is not page 9: reading it,
+    alone, in a span or through the pool, raises instead of handing back
+    page 5 for an update that flush_all or an eviction would misdirect."""
+    vol = make_volume(workdir, page_count=16, page_size=1024, pages_per_segment=8)
+    page, _ = vol.read_page(5)
+    page.set(1, value_bytes(5), capacity=8)
+    vol.device.write(vol.geometry.page_offset(9), page.to_bytes(1024))
+    with pytest.raises(StorageError, match="misplaced"):
+        vol.read_page(9)
+    with pytest.raises(StorageError, match="misplaced"):
+        vol.read_page_span(8, 16)
+    pool = BufferPool(vol, make_wal(workdir), 4)
+    with pytest.raises(StorageError, match="misplaced"):
+        pool.fix_page(9)
+    assert not pool.resident(9)
 
 
 def test_invalid_page_id(workdir):

@@ -751,7 +751,10 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     env.pool.set_restore_gate(mgr)
     mgr.drain()
     # the pool copy is untouched and newer-or-equal to the archived image
-    assert env.pool._table[7].page.page_lsn == lsn
+    assert env.pool.resident(7)
+    h, _ = env.pool.fix_page(7, mode="shared")
+    assert h.page.page_lsn == lsn and h.page.get(3) == value_bytes(999)
+    env.pool.unfix_page(h)
     restored, _ = env.repl.read_page(7)
     assert restored.page_lsn == lsn  # update was logged, hence archived
     env.pool.flush_page(7)
