@@ -84,6 +84,5 @@ with ExitStack() as opened:
     # Once the pool's dirty pages are written back, the replacement must
     # hold exactly what replaying the whole log onto the backup produces.
     pool.flush_all()
-    wal.flush()
     same = volume_file_bytes(replacement.device.path) == oracle_volume_bytes(backup, wal)
     print(f"\nrestored device equals brute-force recovery: {same}")

@@ -24,7 +24,8 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
     print(f"volume: {geo.page_count} pages x {geo.page_size} B, "
           f"{geo.segment_count} segments, pool of {pool.capacity} frames")
 
-    # A few updates through the pool; every update is logged first.
+    # A few updates through the pool; every update is logged first, and an
+    # append returns only once its record is on the log device.
     cap = page_capacity(geo.page_size)
     for i, page_id in enumerate([3, 9, 3, 40, 3, 9]):
         handle, _ = pool.fix_page(page_id, mode="exclusive")
@@ -40,8 +41,9 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
         print(f"  lsn {rec.lsn} page {rec.page_id} key {rec.key} "
               f"({rec.encoded_size} B, next lsn {rec.next_lsn})")
 
-    # Flushing a dirty page forces the log first: write-ahead in action.
+    # Write-ahead: the page goes out only after its log records, and those
+    # were durable when their appends returned, so nothing is forced here.
     pool.flush_page(3)
-    print(f"\nflushed page 3; log durable through lsn {wal.durable_lsn() - 1}")
+    print(f"\nflushed page 3; log durable through lsn {wal.end_lsn() - 1}")
     page, _ = volume.read_page(3)
     print(f"on-disk page 3: page_lsn={page.page_lsn}, {len(page.records)} records")

@@ -249,11 +249,11 @@ class LogArchiver:
     def archive_up_to(self, target_lsn: int, now: float = 0.0) -> float:
         """Archive everything below target_lsn, force-emitting a final
         (possibly small) run.  Restore may begin only once this returns."""
-        if self.wal.durable_lsn() < target_lsn:
-            raise ArchiveError(f"WAL durable only to {self.wal.durable_lsn()}, "
+        if self.wal.end_lsn() < target_lsn:
+            raise ArchiveError(f"WAL ends at {self.wal.end_lsn()}, "
                                f"cannot archive to {target_lsn}")
         t = now
-        while self._consumed_lsn < min(target_lsn, self.wal.durable_lsn()):
+        while self._consumed_lsn < target_lsn:
             _, t = self.archive_step(self.run_size_limit, t)
         if self._workspace and self.archived_upto < target_lsn:
             t = self._emit(len(self._workspace), t)

@@ -58,12 +58,10 @@ class BackupImage(Volume):
     @classmethod
     def create(cls, dir_path: str, volume: Volume, wal: WriteAheadLog,
                latency: LatencyModel = LatencyModel(), now: float = 0.0) -> tuple["BackupImage", float]:
-        """Copy every page of the volume; min_lsn is the durable WAL end at
-        the start of the copy.  Caller guarantees quiescence."""
+        """Copy every page of the volume; min_lsn is the WAL end at the
+        start of the copy.  Caller guarantees quiescence."""
         geo = volume.geometry
-        min_lsn = wal.durable_lsn()
-        if min_lsn != wal.end_lsn():
-            raise StorageError("backup requires a fully flushed WAL")
+        min_lsn = wal.end_lsn()
         # These charges are the set-up carry-over that perfbench's warm
         # window reads; they must not change with how the bytes move.
         t = now

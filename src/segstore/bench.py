@@ -205,7 +205,7 @@ class BenchEngine:
                       if w.parked_on is None and worker_active(w)]
             if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
-            if (self.archiver.consumed_lsn < self.wal.durable_lsn()
+            if (self.archiver.consumed_lsn < self.wal.end_lsn()
                     or self.archiver.maintenance_due()):
                 actors.append((max(self._arch_clock, self._arch_next,
                                    self.wal.last_append_at), -1, self._archiver_step))
@@ -228,7 +228,7 @@ class BenchEngine:
     # -- failure injection ---------------------------------------------------------
 
     def _inject_failure(self) -> None:
-        self.failure_lsn = self.pool.fail_device(now=self._t_fail_us)
+        self.failure_lsn = self.pool.fail_device()
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, self._t_fail_us))
@@ -310,7 +310,6 @@ class BenchEngine:
         runs after restore completes; never blocks then)."""
         end = max(w.clock for w in self.workers)
         self.pool.flush_all(end)
-        self.wal.flush()
 
     def final_volume(self) -> Volume:
         return self.pool.live_volume
@@ -375,10 +374,12 @@ def logical_state(path: str) -> dict[int, dict[int, bytes]]:
 # -- entry points -----------------------------------------------------------------
 
 def run_benchmark(config: WorkloadConfig) -> MetricsReport:
-    """Build the volume, take a full backup, run the workload with the
-    archiver online, inject the failure, restore on demand, and emit CSVs
-    when config.out_dir is set.  The scratch directory is removed on every
-    exit, a rejected config included."""
+    """Build the volume, take a full backup, run the workload, inject the
+    failure, restore under config.policy, and emit CSVs when config.out_dir
+    is set.  The archiver is scheduled with the workers, but on every
+    perfbench workload it takes no step while they run (ROADMAP item 1):
+    the failure's catch-up archives the log in one go.  The scratch
+    directory is removed on every exit, a rejected config included."""
     with _scratch_engine(config, "segstore-bench-") as engine:
         report = engine.run()
     if config.out_dir:

@@ -1,16 +1,18 @@
 """Buffer pool with CLOCK eviction over simulated volumes.
 
 fix/unfix pin pages and take a shared or exclusive frame latch; a pinned
-frame is never evicted and eviction of a dirty frame enforces the
-write-ahead rule (log flushed through the page's LSN before the page is
-written).  Misses and dirty write-back go to the live volume: the
-database volume, then, once a restore manager attaches to the failed
-device (set_restore_gate), its replacement, gated per segment: a page is
-read from (or flushed to) the replacement only once its segment is restored.
+frame is never evicted.  The write-ahead rule (a page is written only
+after its log records are durable) holds because every WAL append is
+durable when it returns; a dirty page's write still goes through
+wal.flush(page_lsn), which returns at once.  Misses and dirty write-back
+go to the live volume: the database volume, then, once a restore manager
+attaches to the failed device (set_restore_gate), its replacement, gated
+per segment: a page is read from (or flushed to) the replacement only
+once its segment is restored.
 
-All page I/O (a miss's read, a dirty victim's log flush and write, and
-explicit write-back) runs under the pool's one condition, so a frame is
-either free or resident.  Only waits on a restore happen outside it, and
+All page I/O (a miss's read, a dirty victim's write, and explicit
+write-back) runs under the pool's one condition, so a frame is either
+free or resident.  Only waits on a restore happen outside it, and
 two fix flavors exist so both threaded servers and the deterministic
 benchmark engine can share this code:
 
@@ -85,10 +87,9 @@ class BufferPool:
 
     # -- failure wiring -----------------------------------------------------
 
-    def fail_device(self, now: float = 0.0) -> int:
-        """Inject the media failure and return the failure LSN; the WAL is
-        flushed so that LSN is durable before anyone archives up to it."""
-        self.wal.flush(now=now)
+    def fail_device(self) -> int:
+        """Inject the media failure and return the failure LSN, the WAL's
+        end: every record below it is durable, ready to archive."""
         self.volume.device.fail()
         return self.wal.end_lsn()
 
@@ -249,7 +250,7 @@ class BufferPool:
         self.evictions += 1
 
     def _write_back_locked(self, f: int, now: float) -> float:
-        """Write-ahead rule, then write the dirty page to the live volume.
+        """Write-ahead call, then write the dirty page to the live volume.
         The caller holds the condition and no writer holds the frame's
         latch.  A failed write leaves the frame dirty."""
         page = self._pages[f]

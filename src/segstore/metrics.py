@@ -8,7 +8,8 @@ Three CSV files per run:
 
 The per-second series always has exactly one row per second of the
 configured duration, empty seconds and a last, partial second included;
-the last row also holds the transactions that commit after the duration.
+the last row also holds the transactions that commit, and the restore
+batches that complete, after the duration.
 
 Each transaction's sample is 17 B in three typed columns: txn_ids (array
 "q"), latencies_us (array "d") and post_flags (bytearray of 0/1), read back
@@ -110,13 +111,11 @@ class MetricsReport:
                     self._per_row(self.page_reads, 0))]
 
     def restore_rows(self) -> list[tuple]:
-        rows = []
-        for sec in self.seconds():
-            sizes = self.batch_sizes.get(sec, [])
-            mean = sum(sizes) / len(sizes) if sizes else 0.0
-            rows.append((sec, self.restored_bytes.get(sec, 0), round(mean, 3),
-                         self.queue_depths.get(sec, 0)))
-        return rows
+        return [(sec, nbytes, round(sum(sizes) / len(sizes) if sizes else 0.0, 3), depth)
+                for sec, nbytes, sizes, depth in zip(
+                    self.seconds(), self._per_row(self.restored_bytes, 0),
+                    self._per_row(self.batch_sizes, []),
+                    self._per_row(self.queue_depths, 0, max))]
 
     def per_second_txns(self) -> list[int]:
         return self._per_row(self.txns, 0)

@@ -260,7 +260,7 @@ class RestoreManager:
         first = count = qdepth = 0
         with self._work:
             if self._queue:
-                qdepth = sum(n for _, n, _ in self._queue)
+                qdepth = self.queue_depth()
                 first, count, t_enq = self._queue.popleft()
                 now = max(now, t_enq)
             elif self.policy != Policy.ON_DEMAND:

@@ -12,12 +12,14 @@ file plus one, which keeps 0 free as the null LSN while scan(from) stays
 a direct seek.
 
 The log file on the log device is the only full copy of the log, as in
-ARIES, and memory holds only the tail not yet written: no per-page or
-per-record state.  An LSN is a log address and every record starts with
-its length, so a record boundary is found by walking those length fields.
-Writes and the archiver's batch reads are charged to the log device under
-its latency model; header walks, scans and the open-time check, which
-decodes every record, read the file without a charge.
+ARIES.  An append writes its record before it returns, so the whole log
+is durable and memory holds no log bytes and no per-page or per-record
+state.  An LSN is a log address and every record starts with its length,
+so a record boundary is found by walking those length fields; a read that
+starts inside a record raises CorruptRecordError.  Writes and the
+archiver's batch reads are charged to the log device under its latency
+model; header walks, scans and the open-time check, which decodes every
+record, read the file without a charge.
 """
 
 import struct
@@ -97,20 +99,15 @@ def _decode_records(data: bytes, base: int):
 
 
 class WriteAheadLog:
-    """Single log file; appends and flushes serialized.  Reads return only
-    durable records, which never change, so they go to the file without
-    the lock."""
+    """Single log file; appends are serialized, and each is written before
+    it returns.  Records never change once written, so reads go to the
+    file without the lock."""
 
-    def __init__(self, path: str, latency: LatencyModel = LatencyModel(),
-                 flush_interval: int = 0):
+    def __init__(self, path: str, latency: LatencyModel = LatencyModel()):
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
-        self.flush_interval = flush_interval  # records between auto-flushes; 0 = every append
-        self._tail = bytearray()         # log bytes [_durable, _end), not yet written
-        self._since_flush = 0
         self._lock = threading.Lock()
         self.last_append_at = 0.0
-        # log bytes persisted and log bytes appended: an opened log is all durable
-        self._durable = self._end = self._load(self.device.size())
+        self._end = self._load(self.device.size())  # log bytes written
 
     def _load(self, size: int) -> int:
         """Decode every record: a damaged log or an older layout fails at open."""
@@ -156,47 +153,25 @@ class WriteAheadLog:
 
     def append(self, page_id: int, op: int, key: int, value: bytes = b"",
                now: float = 0.0) -> tuple[int, float]:
-        """Returns (lsn, completion time).  Caller must hold the page exclusively."""
+        """Write one record; returns (lsn, completion time), when it is
+        durable.  Caller must hold the page exclusively."""
         if op not in (OP_SET, OP_DELETE):
             raise WalError(f"bad op {op}")
         if op == OP_DELETE and value:
             raise WalError("delete carries no value")
         if len(value) > _MAX_VALUE:
             raise WalError(f"value of {len(value)} bytes exceeds {_MAX_VALUE}")
-        t = now
         with self._lock:
             lsn = self._end + _LSN_BASE
             encoded = LogRecord(lsn, page_id, op, key, value).encode()
-            self._tail += encoded
+            t = self.device.write(self._end, encoded, now)
             self._end += len(encoded)
-            self._since_flush += 1
-            if self.flush_interval == 0 or self._since_flush > self.flush_interval:
-                t = self._flush_to(self._end, now)
             self.last_append_at = max(self.last_append_at, t)
         return lsn, t
 
-    def _flush_to(self, target_offset: int, now: float) -> float:
-        if target_offset <= self._durable:
-            return now
-        n = target_offset - self._durable
-        t = self.device.write(self._durable, self._tail[:n], now)
-        del self._tail[:n]
-        self._durable = target_offset
-        self._since_flush = 0
-        return t
-
     def flush(self, up_to: int | None = None, now: float = 0.0) -> float:
-        """Make all records with lsn <= up_to durable (whole log if None)."""
-        with self._lock:
-            if up_to is None or up_to >= self.end_lsn():
-                return self._flush_to(self._end, now)
-            last = up_to - _LSN_BASE  # last log byte to make durable
-            # The tail starts at a record boundary; step to the end of the
-            # record that holds the last byte, if it is not durable yet.
-            pos = 0
-            while self._durable + pos <= last:
-                pos += _LEN.unpack_from(self._tail, pos)[0]
-            return self._flush_to(self._durable + pos, now)
+        """Every record is durable once its append returns: writes nothing."""
+        return now
 
     # -- read path ----------------------------------------------------------
 
@@ -204,42 +179,32 @@ class WriteAheadLog:
         """LSN the next append will receive; also the exclusive log bound."""
         return self._end + _LSN_BASE
 
-    def durable_lsn(self) -> int:
-        return self._durable + _LSN_BASE
-
     def _offset(self, from_lsn: int, limit: int) -> int:
-        """Log-file offset of from_lsn, for a read of the durable log bytes
-        below limit."""
+        """Log-file offset of from_lsn, for a read of the log bytes below
+        limit."""
         off = max(from_lsn, _LSN_BASE) - _LSN_BASE
         if off > limit:
-            raise WalError(f"scan start {from_lsn} beyond durable end")
+            raise WalError(f"scan start {from_lsn} beyond log end")
         return off
 
     def scan(self, from_lsn: int = 0):
-        """Yield durable records with lsn >= from_lsn in LSN order."""
-        limit = self._durable
-        off = self._offset(from_lsn, limit)
-        if off < limit:
-            head = self.device.pread(off, min(_FIXED.size, limit - off))
-            if len(head) < _FIXED.size or _FIXED.unpack_from(head)[1] != off + _LSN_BASE:
-                # Not a record start: walk the length fields from the
-                # log's start to the first record past it (a log holds
-                # fewer records than bytes).
-                off = self._walk(0, limit, limit, off)
-        yield from self._read_records(off, limit)
+        """Yield the records with lsn >= from_lsn in LSN order.  from_lsn is
+        0 or a record start; any other start raises CorruptRecordError."""
+        limit = self._end
+        yield from self._read_records(self._offset(from_lsn, limit), limit)
 
     def read_suffix(self, from_lsn: int, max_records: int,
                     now: float = 0.0) -> tuple[list[LogRecord], int, float]:
-        """Batch read for the archiver: up to max_records durable records
-        from from_lsn, which must be a record start (the archiver's cursor
-        always is; any other start raises CorruptRecordError).
+        """Batch read for the archiver: up to max_records records from
+        from_lsn, which must be a record start, as in scan (the archiver's
+        cursor always is).
 
         No per-record offsets are kept: the batch's end is found by walking
         the length fields from there over uncharged reads, and its byte
         span is then read from the log device in one charged read.  Returns
         the records, the LSN to continue from, and the completion time.
         """
-        limit = self._durable
+        limit = self._end
         start = self._offset(from_lsn, limit)
         end = self._walk(start, limit, max_records, limit)
         if end == start:

@@ -14,8 +14,8 @@ from segstore.wal import OP_SET
 from conftest import closing, make_wal, old_record_bytes, random_history, value_bytes
 
 
-def build(workdir, run_size_limit=64, fan_in=8, mode="sorted", flush_interval=0):
-    wal = make_wal(workdir, flush_interval=flush_interval)
+def build(workdir, run_size_limit=64, fan_in=8, mode="sorted"):
+    wal = make_wal(workdir)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
     archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit,
                            fan_in=fan_in, mode=mode)
@@ -100,12 +100,13 @@ def test_archive_up_to_forces_small_run(workdir):
 
 
 def test_archive_up_to_requires_durable_wal(workdir):
-    wal, directory, archiver = build(workdir, flush_interval=10 ** 6)
+    """The archiver cannot archive past the log end, which is durable."""
+    wal, directory, archiver = build(workdir)
     wal.append(0, OP_SET, 0, value_bytes(0))
     with pytest.raises(ArchiveError):
-        archiver.archive_up_to(wal.end_lsn())
-    wal.flush()
+        archiver.archive_up_to(wal.end_lsn() + 1)
     archiver.archive_up_to(wal.end_lsn())
+    assert archiver.archived_upto == wal.end_lsn() and directory.run_count == 1
 
 
 def test_probe_equals_oracle_across_merges(workdir):

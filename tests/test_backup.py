@@ -85,14 +85,6 @@ def test_zero_log_identity(workdir):
         assert orig == copy
 
 
-def test_backup_requires_flushed_wal(workdir):
-    vol = make_volume(workdir)
-    wal = make_wal(workdir, flush_interval=10 ** 6)
-    wal.append(0, OP_SET, 0, value_bytes(0))
-    with pytest.raises(StorageError):
-        BackupImage.create(workdir, vol, wal)
-
-
 def test_crash_publishes_no_partial_backup(workdir):
     vol = make_volume(workdir)
     wal = make_wal(workdir)

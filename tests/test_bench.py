@@ -15,7 +15,7 @@ from segstore.bench import (BenchEngine, oracle_volume_bytes, run_benchmark,
                             verify_equivalence, volume_file_bytes)
 from segstore.cli import main
 from segstore.errors import ChecksumError, CrashInjected, StorageError
-from segstore.metrics import emit_csv
+from segstore.metrics import emit_csv, load_csv
 from segstore.restore import Policy, RestoreManager
 from segstore.volume import HEADER_SIZE, Geometry
 from segstore.workload import WorkloadConfig
@@ -156,6 +156,22 @@ def test_report_series_shape():
     assert report.pre_failure_latencies() and report.post_failure_latencies()
 
 
+def test_restore_csv_holds_every_restored_byte(tmp_path):
+    """A restore that a run finishes after its last second still lands in
+    restore.csv: its rows add up to the whole device."""
+    cfg = tiny_config(page_count=8192, duration_s=2.0, failure_time_s=1.9)
+    engine = BenchEngine(cfg, str(tmp_path / "work"), finish_restore=True)
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    assert report.restore_events[-1][1] >= 2_000_000  # a batch ends past the run
+    emit_csv(report, str(tmp_path / "csv"))
+    rows = load_csv(str(tmp_path / "csv" / "restore.csv"))
+    assert len(rows) == 2
+    assert sum(int(r["bytes_restored"]) for r in rows) == 8192 * 1024
+
+
 def test_fractional_duration_keeps_its_last_second():
     report = run_benchmark(tiny_config(duration_s=2.5, failure_time_s=1.0))
     rows = report.throughput_rows()
@@ -278,7 +294,6 @@ def test_overhead_modes_log_identical_work(tmp_path):
         workdir = str(tmp_path / mode)
         engine = BenchEngine(cfg, workdir)
         engine.run()
-        engine.wal.flush()
         digests.append(hashlib.sha256(
             volume_file_bytes(os.path.join(workdir, "wal.log"))).hexdigest())
         engine.close()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from segstore.bufferpool import BufferPool
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
 from segstore.pages import page_capacity
-from segstore.wal import OP_SET
+from segstore.wal import OP_SET, LogRecord
 
 from conftest import make_volume, make_wal, value_bytes
 
@@ -219,17 +219,28 @@ def test_mark_dirty_needs_exclusive(workdir):
 
 
 def test_flush_enforces_wal_rule(workdir):
+    """When a page is written, its last log record is already in the log
+    file."""
     pool, vol, wal = make_pool(workdir)
-    wal.flush_interval = 10 ** 6  # keep appends buffered
-    wal._since_flush = -10 ** 9
     h, _ = pool.fix_page(2)
     lsn, _ = wal.append(2, OP_SET, 0, value_bytes(0))
     h.page.set(0, value_bytes(0), page_capacity(1024))
     h.page.page_lsn = lsn
     pool.unfix_page(h, mark_dirty=True)
-    assert wal.durable_lsn() <= lsn
+    checked = []
+    real_write = vol.write_page
+
+    def write_page(page, now=0.0):
+        assert page.page_lsn < wal.end_lsn()
+        with open(wal.device.path, "rb") as f:
+            rec, _ = LogRecord.decode(f.read(), page.page_lsn - 1, 0)
+        assert (rec.lsn, rec.page_id) == (page.page_lsn, page.page_id)
+        checked.append(page.page_id)
+        return real_write(page, now)
+
+    vol.write_page = write_page
     pool.flush_page(2)
-    assert wal.durable_lsn() > lsn  # log forced ahead of the page write
+    assert checked == [2]
     back, _ = vol.read_page(2)
     assert back.page_lsn == lsn and back.get(0) == value_bytes(0)
 

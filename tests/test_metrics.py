@@ -48,6 +48,20 @@ def test_round_trip_reproduces_series(workdir):
     assert [int(r["post_failure"]) for r in lat] == [0, 0, 1]
 
 
+def test_late_restore_batches_fold_into_the_last_row(workdir):
+    """A batch that completes at or after the last row's second lands in
+    that row, as a late transaction does: bytes add, batch sizes join the
+    row's mean and queue depth keeps the row's maximum."""
+    report = MetricsReport(duration_s=2, failure_time_s=1)
+    report.record_restore(1_000_000, 1_500_000, first=0, count=2, nbytes=200, qdepth=3)
+    report.record_restore(1_500_000, 2_000_000, first=2, count=4, nbytes=400, qdepth=7)
+    report.record_restore(2_000_000, 9_100_000, first=6, count=3, nbytes=300, qdepth=1)
+    assert report.restore_rows() == [(0, 0, 0.0, 0), (1, 900, 3.0, 7)]
+    emit_csv(report, workdir)
+    rest = load_csv(os.path.join(workdir, "restore.csv"))
+    assert sum(int(r["bytes_restored"]) for r in rest) == 900
+
+
 def test_invariant_marking():
     report = MetricsReport(duration_s=1, failure_time_s=None)
     report.mark_invariant("a", True)

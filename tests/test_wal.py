@@ -30,27 +30,49 @@ def test_scan_suffix_and_order(workdir):
     lsns = [wal.append(i % 3, OP_SET, i, value_bytes(i))[0] for i in range(10)]
     assert [r.lsn for r in wal.scan(0)] == lsns
     assert [r.lsn for r in wal.scan(lsns[4])] == lsns[4:]
-    assert [r.lsn for r in wal.scan(lsns[4] + 1)] == lsns[5:]
+    with pytest.raises(CorruptRecordError):  # a start inside a record
+        list(wal.scan(lsns[4] + 1))
+
+
+def test_each_append_is_one_durable_write(workdir):
+    """An append makes exactly one device write, of its record, and the
+    record is in the file when the append returns."""
+    latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
+    wal = make_wal(workdir, latency=latency)
+    for i in range(5):
+        writes, written = wal.device.writes, wal.device.bytes_written
+        lsn, t = wal.append(i, OP_SET, i, value_bytes(i), now=1e9 * (i + 1))
+        assert wal.device.writes == writes + 1
+        assert wal.device.bytes_written - written == 47 == wal.end_lsn() - lsn
+        assert t == 1e9 * (i + 1) + latency.cost_us(47)
+        reader = WriteAheadLog(os.path.join(workdir, "wal.log"))
+        assert [(r.lsn, r.key) for r in reader.scan(lsn)] == [(lsn, i)]
+        reader.close()
+    wal.close()
 
 
 def test_flush_clamps_and_noop(workdir):
-    wal = make_wal(workdir, flush_interval=1000)
-    wal.flush(0)  # no-op on empty log
+    """Every record is durable once appended: flush, with or without a
+    bound, writes nothing and returns the time it was given."""
+    wal = make_wal(workdir)
+    assert wal.flush(0, now=3.0) == 3.0  # empty log
     lsn, _ = wal.append(0, OP_SET, 0, value_bytes(0))
-    assert wal.durable_lsn() <= lsn
-    wal.flush(lsn + 10 ** 9)  # clamped to end
-    assert wal.durable_lsn() == wal.end_lsn()
+    writes = wal.device.writes
+    assert wal.flush(now=5.0) == 5.0
+    assert wal.flush(lsn, now=6.0) == 6.0
+    assert wal.flush(lsn + 10 ** 9, now=7.0) == 7.0
+    assert wal.device.writes == writes
+    wal.close()
 
 
 def test_survives_reopen(workdir):
     wal = make_wal(workdir)
     history = random_history(wal, random.Random(3), 50, npages=5)
     end = wal.end_lsn()
-    wal.flush()
     wal.close()
     wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
     assert [r.lsn for r in wal2.scan(0)] == [h[0] for h in history]
-    assert wal2.end_lsn() == wal2.durable_lsn() == end
+    assert wal2.end_lsn() == end
     # appends continue where the reopened log ends
     new = [wal2.append(page, OP_SET, 0, value_bytes(page))[0] for page in range(5)]
     assert [r.lsn for r in wal2.scan(end)] == new and new[0] == end
@@ -73,14 +95,14 @@ def test_corrupt_record_reports_offset(workdir):
 
 
 def test_scan_beyond_durable_rejected(workdir):
-    wal = make_wal(workdir, flush_interval=10)
+    wal = make_wal(workdir)
     wal.append(0, OP_SET, 0, value_bytes(0))
     with pytest.raises(WalError):
         list(wal.scan(wal.end_lsn() + 100))
 
 
 def test_concurrent_appends_monotone(workdir):
-    wal = make_wal(workdir, flush_interval=200)
+    wal = make_wal(workdir)
     hits = []
     lock = threading.Lock()
 
@@ -98,7 +120,6 @@ def test_concurrent_appends_monotone(workdir):
     for t in threads:
         t.join(60.0)
     assert not any(t.is_alive() for t in threads)
-    wal.flush()
     all_lsns = [lsn for got in hits for lsn in got]
     assert len(set(all_lsns)) == len(all_lsns)  # no duplicates across threads
     for got in hits:  # per-thread (hence per-page) order respects append order
@@ -141,29 +162,18 @@ def test_read_suffix_is_one_read_of_its_span(workdir):
     wal.close()
 
 
-def test_read_suffix_stops_at_durable_end(workdir):
-    wal = make_wal(workdir, flush_interval=1000)
-    lsns = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(6)]
-    wal.flush(lsns[3])
-    recs, next_lsn, _ = wal.read_suffix(0, 100)
-    assert [r.lsn for r in recs] == lsns[:4] and next_lsn == lsns[4] == wal.durable_lsn()
-    assert wal.read_suffix(next_lsn, 100)[:2] == ([], next_lsn)
-    wal.close()
-
-
 def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
     monkeypatch.setattr(wal_module, "_READ_CHUNK", 150)  # records cross file reads
-    wal = make_wal(workdir, flush_interval=1000)
+    wal = make_wal(workdir)
     lsns = [wal.append(i % 4, OP_SET, i, value_bytes(i))[0] for i in range(20)]
-    wal.flush(lsns[9])
-    assert wal.durable_lsn() == lsns[10]
-    assert [r.lsn for r in wal.scan(0)] == lsns[:10]  # scan yields durable records only
-    wal.flush()
+    assert [r.lsn for r in wal.scan(lsns[10])] == lsns[10:]
     wal.close()
     wal2 = WriteAheadLog(os.path.join(workdir, "wal.log"))
     recs = list(wal2.scan(0))
     assert [(r.lsn, r.key) for r in recs] == [(lsn, i) for i, lsn in enumerate(lsns)]
-    assert list(wal2.scan(lsns[7] + 1)) == recs[8:]
+    assert list(wal2.scan(lsns[8])) == recs[8:]
+    with pytest.raises(CorruptRecordError):
+        list(wal2.scan(lsns[7] + 1))
     assert wal2.end_lsn() == recs[-1].next_lsn
     assert (wal2.device.reads, wal2.device.bytes_read) == (0, 0)  # decoding is not charged
     wal2.close()
@@ -247,21 +257,20 @@ def mixed_log(wal):
 
 def test_read_suffix_over_mixed_record_sizes(workdir):
     """Every batch, from every record start with every budget, is the
-    records up to its budget or the durable end, and continues at the
-    start of the record after it."""
-    wal = make_wal(workdir, flush_interval=1000)
+    records up to its budget or the log end, and continues at the start of
+    the record after it."""
+    wal = make_wal(workdir)
     lsns = mixed_log(wal)
-    durable = 9
-    wal.flush(lsns[durable - 1])
     recs = list(wal.scan(0))
     assert [r.encoded_size for r in recs[:6]] == [47, 31, 47, 47, 31, 431]
-    ends = lsns[1:durable] + [wal.durable_lsn()]
-    for i in range(durable):
-        for budget in range(1, durable - i + 2):
+    n = len(lsns)
+    ends = lsns[1:] + [wal.end_lsn()]
+    for i in range(n):
+        for budget in range(1, n - i + 2):
             got, next_lsn, _ = wal.read_suffix(lsns[i], budget)
-            j = min(i + budget, durable)
+            j = min(i + budget, n)
             assert got == recs[i:j] and next_lsn == ends[j - 1]
-    assert wal.read_suffix(wal.durable_lsn(), 5)[:2] == ([], wal.durable_lsn())
+    assert wal.read_suffix(wal.end_lsn(), 5)[:2] == ([], wal.end_lsn())
     wal.close()
 
 
@@ -269,28 +278,10 @@ def test_read_suffix_from_misaligned_lsn_raises(workdir):
     wal = make_wal(workdir)
     lsns = mixed_log(wal)
     starts = set(lsns)
-    for lsn in range(lsns[0], wal.durable_lsn()):
+    for lsn in range(lsns[0], wal.end_lsn()):
         if lsn not in starts:
             with pytest.raises(CorruptRecordError):
                 wal.read_suffix(lsn, 3)
-    wal.close()
-
-
-def test_flush_makes_the_record_holding_up_to_durable(workdir):
-    """flush(up_to) ends at the end of the record holding byte up_to - 1,
-    whether up_to is a record start or inside a record."""
-    wal = make_wal(workdir, flush_interval=1000)
-    lsns = mixed_log(wal)
-    wal.flush(lsns[1])
-    assert wal.durable_lsn() == lsns[2]
-    wal.flush(lsns[5] + 100)  # inside the long record
-    assert wal.durable_lsn() == lsns[6]
-    writes = wal.device.writes
-    assert wal.flush(lsns[4], now=7.0) == 7.0  # already durable: no write
-    assert wal.device.writes == writes
-    wal.flush(lsns[8] - 1)  # the last byte of record 7
-    assert wal.durable_lsn() == lsns[8]
-    assert [r.lsn for r in wal.scan(0)] == lsns[:8]
     wal.close()
 
 
@@ -303,8 +294,13 @@ def test_scan_from_every_lsn_after_reopen(workdir, monkeypatch):
     wal = WriteAheadLog(os.path.join(workdir, "wal.log"))
     recs = list(wal.scan(0))
     assert [r.lsn for r in recs] == lsns
+    starts = {0, end, *lsns}
     for lsn in range(0, end + 1):
-        assert list(wal.scan(lsn)) == [r for r in recs if r.lsn >= lsn]
+        if lsn in starts:
+            assert list(wal.scan(lsn)) == [r for r in recs if r.lsn >= lsn]
+        else:
+            with pytest.raises(CorruptRecordError):
+                list(wal.scan(lsn))
     assert (wal.device.reads, wal.device.bytes_read) == (0, 0)
     wal.close()
 
