@@ -28,7 +28,7 @@ with ExitStack() as opened:
     replacement = opened.enter_context(closing(
         Volume.blank(os.path.join(workdir, "replacement.db"), geo)))
     wal = opened.enter_context(closing(WriteAheadLog(os.path.join(workdir, "wal.log"))))
-    pool = BufferPool(volume, wal, capacity=16)
+    pool = BufferPool(volume, capacity=16)
 
     backup, _ = BackupImage.create(workdir, volume, wal)
     opened.enter_context(closing(backup))
@@ -51,7 +51,8 @@ with ExitStack() as opened:
     print(f"800 updates committed; archive holds {directory.run_count} runs")
 
     # --- the failure ---------------------------------------------------------
-    failure_lsn = pool.fail_device()
+    pool.fail_device()
+    failure_lsn = wal.end_lsn()  # every record below it is durable
     archiver.archive_up_to(failure_lsn)
     print(f"\ndatabase device FAILED at lsn {failure_lsn}; archive caught up")
 

@@ -19,7 +19,7 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
       closing(Volume.create(os.path.join(workdir, "volume.db"), geo, DeviceRole.DATABASE,
                             LatencyModel(fixed_us=100, per_byte_us=0.004))) as volume,
       closing(WriteAheadLog(os.path.join(workdir, "wal.log"))) as wal):
-    pool = BufferPool(volume, wal, capacity=8)
+    pool = BufferPool(volume, capacity=8)
 
     print(f"volume: {geo.page_count} pages x {geo.page_size} B, "
           f"{geo.segment_count} segments, pool of {pool.capacity} frames")
@@ -28,7 +28,7 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
     # append returns only once its record is on the log device.
     cap = page_capacity(geo.page_size)
     for i, page_id in enumerate([3, 9, 3, 40, 3, 9]):
-        handle, _ = pool.fix_page(page_id, mode="exclusive")
+        handle, _ = pool.fix_page(page_id)
         lsn, _ = wal.append(page_id, op=OP_SET, key=i, value=i.to_bytes(16, "little"))
         handle.page.set(i, i.to_bytes(16, "little"), cap)
         handle.page.page_lsn = lsn

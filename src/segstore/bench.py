@@ -100,7 +100,7 @@ class BenchEngine:
             self.archiver = LogArchiver(self.wal, self.archive_dir,
                                         run_size_limit=config.run_size_limit,
                                         mode=config.archive_mode)
-            self.pool = BufferPool(self.volume, self.wal, config.pool_pages)
+            self.pool = BufferPool(self.volume, config.pool_pages)
             self.backup = own(BackupImage.create(workdir, self.volume, self.wal,
                                                  LatencyModel(*config.backup_latency))[0])
             self.manager = None
@@ -135,7 +135,7 @@ class BenchEngine:
             for page_id, op, key, value in ops:
                 w.clock += tick.op_think_us
                 while True:
-                    out = self.pool.try_fix_page(page_id, "exclusive", now=w.clock)
+                    out = self.pool.try_fix_page(page_id, now=w.clock)
                     if isinstance(out, Blocked):
                         resume = yield out
                         io_wait += max(0.0, resume - w.clock)
@@ -228,7 +228,8 @@ class BenchEngine:
     # -- failure injection ---------------------------------------------------------
 
     def _inject_failure(self) -> None:
-        self.failure_lsn = self.pool.fail_device()
+        self.pool.fail_device()
+        self.failure_lsn = self.wal.end_lsn()
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, self._t_fail_us))

@@ -1,14 +1,14 @@
 """Buffer pool with CLOCK eviction over simulated volumes.
 
-fix/unfix pin pages and take a shared or exclusive frame latch; a pinned
-frame is never evicted.  The write-ahead rule (a page is written only
-after its log records are durable) holds because every WAL append is
-durable when it returns; a dirty page's write still goes through
-wal.flush(page_lsn), which returns at once.  Misses and dirty write-back
-go to the live volume: the database volume, then, once a restore manager
-attaches to the failed device (set_restore_gate), its replacement, gated
-per segment: a page is read from (or flushed to) the replacement only
-once its segment is restored.
+fix/unfix pin a page and take its frame's one latch, held from fix to
+unfix; a pinned frame is never evicted.  The pool never touches the log:
+the write-ahead rule (a page is written only after its log records are
+durable) is the log's own contract, since every WAL append is durable
+when it returns.  Misses and dirty write-back go to the live volume: the
+database volume, then, once a restore manager attaches to the failed
+device (set_restore_gate), its replacement, gated per segment: a page is
+read from (or flushed to) the replacement only once its segment is
+restored.
 
 All page I/O (a miss's read, a dirty victim's write, and explicit
 write-back) runs under the pool's one condition, so a frame is either
@@ -24,11 +24,11 @@ benchmark engine can share this code:
                 on it and retry.
 
 Frame state is kept in flat arrays indexed by frame number, not in an
-object per frame: the resident Page (or None), pin and shared-latch
-counts, one flag byte (dirty, CLOCK reference, exclusive latch held) and
-the free frames.  A page id indexes an array('i') of its frame, or -1,
-at 4 bytes per device page, so a resident page costs only its Page.  A
-PageHandle carries its frame number and its page.
+object per frame: the resident Page (or None), a pin count, one flag
+byte (dirty, CLOCK reference, latch held) and the free frames.  A page
+id indexes an array('i') of its frame, or -1, at 4 bytes per device
+page, so a resident page costs only its Page.  A PageHandle carries its
+frame number and its page.
 """
 
 import threading
@@ -37,23 +37,21 @@ from array import array
 from .errors import InvalidPageIdError, MediaFailureError, RestoreError, StorageError
 from .restore import RestoreHandle
 from .volume import Volume
-from .wal import WriteAheadLog
 
 # A frame's flag bits in BufferPool._bits.
 _DIRTY = 1
 _REF = 2
-_WRITER = 4  # the exclusive latch is held
+_LATCHED = 4  # a fix holds the frame's latch
 
 
 class PageHandle:
     """One fix; release it exactly once via unfix_page."""
 
-    __slots__ = ("frame", "page", "mode", "released")
+    __slots__ = ("frame", "page", "released")
 
-    def __init__(self, frame: int, page, mode: str):
+    def __init__(self, frame: int, page):
         self.frame = frame
         self.page = page
-        self.mode = mode
         self.released = False
 
 
@@ -62,18 +60,16 @@ Blocked = RestoreHandle
 
 
 class BufferPool:
-    def __init__(self, volume: Volume, wal: WriteAheadLog, capacity: int):
+    def __init__(self, volume: Volume, capacity: int):
         if capacity <= 0:
             raise StorageError("pool needs at least one frame")
         self.volume = volume
         self.live_volume = volume  # misses read and write-back writes here
-        self.wal = wal
         self.capacity = capacity
         # Frame state, indexed by frame number and guarded by _cond.
         self._pages = [None] * capacity
         self._pins = array("i", (0,)) * capacity
-        self._readers = array("i", (0,)) * capacity  # shared latch holders
-        self._bits = bytearray(capacity)  # _DIRTY | _REF | _WRITER
+        self._bits = bytearray(capacity)  # _DIRTY | _REF | _LATCHED
         self._free = array("i", range(capacity - 1, -1, -1))  # popped: frame 0 first
         # Page id -> its frame, or -1 when the page is not resident.
         self._frame_of = array("i", (-1,)) * volume.geometry.page_count
@@ -87,11 +83,9 @@ class BufferPool:
 
     # -- failure wiring -----------------------------------------------------
 
-    def fail_device(self) -> int:
-        """Inject the media failure and return the failure LSN, the WAL's
-        end: every record below it is durable, ready to archive."""
+    def fail_device(self) -> None:
+        """Inject the media failure; the failure LSN is the log's end."""
         self.volume.device.fail()
-        return self.wal.end_lsn()
 
     def set_restore_gate(self, gate) -> None:
         """Attach the restore manager of the failed device: from now on
@@ -108,9 +102,13 @@ class BufferPool:
     def failed(self) -> bool:
         return self.volume.device.failed
 
-    def _segment_ready(self, page_id: int) -> bool:
+    def _gated(self, page_id: int) -> bool:
+        """True while page I/O must wait: the device failed and the page's
+        segment is not restored on the replacement yet."""
+        if not self.failed:
+            return False
         seg = self.volume.geometry.segment_of(page_id)
-        return self._gate is not None and self._gate.is_restored(seg)
+        return self._gate is None or not self._gate.is_restored(seg)
 
     def _blocked(self, page_id: int, now: float) -> Blocked:
         if self._gate is None:
@@ -121,36 +119,36 @@ class BufferPool:
 
     # -- fix / unfix ----------------------------------------------------------
 
-    def fix_page(self, page_id: int, mode: str = "exclusive",
-                 now: float = 0.0, timeout: float | None = 60.0):
+    def fix_page(self, page_id: int, now: float = 0.0,
+                 timeout: float | None = 60.0):
         """Blocking fix; returns (PageHandle, t).  A miss is read under the
         pool's condition; a wait for the page's segment to be restored
         happens outside it."""
         while True:
-            out = self._fix_inner(page_id, mode, now, blocking=True)
+            out = self._fix_inner(page_id, now, blocking=True)
             if isinstance(out, Blocked):
                 now = max(now, out.wait(timeout))
                 continue
             return out
 
-    def try_fix_page(self, page_id: int, mode: str = "exclusive", now: float = 0.0):
+    def try_fix_page(self, page_id: int, now: float = 0.0):
         """Cooperative fix; returns (PageHandle, t) or Blocked."""
-        return self._fix_inner(page_id, mode, now, blocking=False)
+        return self._fix_inner(page_id, now, blocking=False)
 
-    def _fix_inner(self, page_id: int, mode: str, now: float, blocking: bool):
+    def _fix_inner(self, page_id: int, now: float, blocking: bool):
         if not 0 <= page_id < self.volume.geometry.page_count:
             raise InvalidPageIdError(f"page {page_id} out of range")
-        if mode not in ("shared", "exclusive"):
-            raise StorageError(f"bad latch mode {mode}")
         with self._cond:
             while True:
                 f = self._frame_of[page_id]
                 if f >= 0:
-                    self._pins[f] += 1
+                    self._pins[f] += 1  # the pin keeps the frame while we wait
                     self._bits[f] |= _REF
-                    self._latch_locked(f, mode)
-                    return PageHandle(f, self._pages[f], mode), now
-                if self.failed and not self._segment_ready(page_id):
+                    while self._bits[f] & _LATCHED:
+                        self._cond.wait()
+                    self._bits[f] |= _LATCHED
+                    return PageHandle(f, self._pages[f]), now
+                if self._gated(page_id):
                     return self._blocked(page_id, now)
                 if self._free:
                     break
@@ -170,19 +168,16 @@ class BufferPool:
             f = self._free.pop()
             self._pages[f] = page
             self._pins[f] = 1
-            self._bits[f] = _REF
+            self._bits[f] = _REF | _LATCHED
             self._frame_of[page_id] = f
-            self._latch_locked(f, mode)
             self.page_reads += 1
             if self.on_page_read is not None:
                 self.on_page_read(now)
-            return PageHandle(f, page, mode), now
+            return PageHandle(f, page), now
 
     def unfix_page(self, handle: PageHandle, mark_dirty: bool = False) -> None:
         if handle.released:
             raise StorageError("page handle released twice")
-        if mark_dirty and handle.mode != "exclusive":
-            raise StorageError("dirtying a page requires the exclusive latch")
         handle.released = True
         f = handle.frame
         with self._cond:
@@ -191,28 +186,9 @@ class BufferPool:
             if mark_dirty and not self._bits[f] & _DIRTY:
                 self._bits[f] |= _DIRTY
                 self._dirty_n += 1
-            self._unlatch_unpin_locked(f, handle.mode)
-
-    # -- frame latches (callers hold self._cond) ------------------------------
-
-    def _latch_locked(self, f: int, mode: str) -> None:
-        bits = self._bits
-        if mode == "shared":
-            while bits[f] & _WRITER:
-                self._cond.wait()
-            self._readers[f] += 1
-        else:
-            while bits[f] & _WRITER or self._readers[f]:
-                self._cond.wait()
-            bits[f] |= _WRITER
-
-    def _unlatch_unpin_locked(self, f: int, mode: str) -> None:
-        if mode == "shared":
-            self._readers[f] -= 1
-        else:
-            self._bits[f] &= ~_WRITER
-        self._pins[f] -= 1
-        self._cond.notify_all()
+            self._bits[f] &= ~_LATCHED
+            self._pins[f] -= 1
+            self._cond.notify_all()
 
     # -- eviction internals ---------------------------------------------------
 
@@ -232,7 +208,7 @@ class BufferPool:
                 continue
             if bits[f] & _DIRTY:
                 page_id = self._pages[f].page_id
-                if self.failed and not self._segment_ready(page_id):
+                if self._gated(page_id):
                     blocked_page = page_id
                     continue
                 return "dirty", f
@@ -250,12 +226,10 @@ class BufferPool:
         self.evictions += 1
 
     def _write_back_locked(self, f: int, now: float) -> float:
-        """Write-ahead call, then write the dirty page to the live volume.
-        The caller holds the condition and no writer holds the frame's
-        latch.  A failed write leaves the frame dirty."""
-        page = self._pages[f]
-        t = self.wal.flush(page.page_lsn, now)
-        t = self.live_volume.write_page(page, t)
+        """Write the dirty page to the live volume.  The caller holds the
+        condition and no fix holds the frame's latch.  A failed write leaves
+        the frame dirty."""
+        t = self.live_volume.write_page(self._pages[f], now)
         self._bits[f] &= ~_DIRTY
         self._dirty_n -= 1
         return t
@@ -264,7 +238,7 @@ class BufferPool:
 
     def flush_page(self, page_id: int, now: float = 0.0,
                    timeout: float | None = 60.0) -> float:
-        """Durably write one page if it is dirty in the pool, once no writer
+        """Durably write one page if it is dirty in the pool, once no fix
         holds its latch.  Releases the pool's condition to wait on the restore
         gate when the replacement segment is not restored yet."""
         while True:
@@ -272,9 +246,9 @@ class BufferPool:
                 f = self._frame_locked(page_id)
                 if f < 0 or not self._bits[f] & _DIRTY:
                     return now
-                if self.failed and not self._segment_ready(page_id):
+                if self._gated(page_id):
                     blocked = self._blocked(page_id, now)
-                elif self._bits[f] & _WRITER:
+                elif self._bits[f] & _LATCHED:
                     self._cond.wait()
                     continue
                 else:
@@ -302,7 +276,7 @@ class BufferPool:
                     break
                 if not b & _DIRTY or pins[f]:
                     continue
-                if self.failed and not self._segment_ready(self._pages[f].page_id):
+                if self._gated(self._pages[f].page_id):
                     continue
                 now = self._write_back_locked(f, now)
                 flushed += 1

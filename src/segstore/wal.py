@@ -170,7 +170,8 @@ class WriteAheadLog:
         return lsn, t
 
     def flush(self, up_to: int | None = None, now: float = 0.0) -> float:
-        """Every record is durable once its append returns: writes nothing."""
+        """Every record is durable once its append returns: writes nothing.
+        No engine code calls it; perfbench's tracer patches it by name."""
         return now
 
     # -- read path ----------------------------------------------------------

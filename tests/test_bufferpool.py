@@ -20,25 +20,24 @@ from conftest import make_volume, make_wal, value_bytes
 def make_pool(workdir, capacity=8, page_count=64):
     vol = make_volume(workdir, page_count=page_count, page_size=1024,
                       pages_per_segment=8)
-    wal = make_wal(workdir)
-    return BufferPool(vol, wal, capacity), vol, wal
+    return BufferPool(vol, capacity), vol, make_wal(workdir)
 
 
 def test_memory_retained_per_frame_is_small(workdir):
-    """An empty frame is one pointer in the page list, two 4-byte counts,
-    one byte of flags and one 4-byte free-list entry: no per-frame object."""
+    """An empty frame is one pointer in the page list, one 4-byte pin
+    count, one flag byte and one 4-byte free-list entry: no per-frame
+    object."""
     vol = make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8)
-    wal = make_wal(workdir)
     n = 16_384
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pool = BufferPool(vol, wal, n)
+        pool = BufferPool(vol, n)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert pool.capacity == n
-    assert grown / n <= 24, f"{grown / n:.1f} B retained per frame"
+    assert grown / n <= 19, f"{grown / n:.1f} B retained per frame"
 
 
 def test_memory_retained_per_resident_page_is_small(workdir):
@@ -46,7 +45,7 @@ def test_memory_retained_per_resident_page_is_small(workdir):
     key and entry, and its id and LSN ints: about 226 B under tracemalloc."""
     n = 4096
     vol = make_volume(workdir, page_count=n, page_size=1024, pages_per_segment=8)
-    pool = BufferPool(vol, make_wal(workdir), n)
+    pool = BufferPool(vol, n)
     cap = page_capacity(1024)
     tracemalloc.start()
     try:
@@ -66,8 +65,7 @@ def test_memory_retained_per_resident_page_is_small(workdir):
 
 MODEL_PAGES, MODEL_FRAMES = 12, 4
 _pool_ops = st.lists(st.one_of(
-    st.tuples(st.just("fix"), st.integers(0, MODEL_PAGES - 1),
-              st.sampled_from(["shared", "exclusive"])),
+    st.tuples(st.just("fix"), st.integers(0, MODEL_PAGES - 1), st.none()),
     st.tuples(st.just("unfix"), st.integers(0, 7), st.booleans()),
     st.tuples(st.just("touch"), st.integers(0, MODEL_PAGES - 1), st.booleans()),
     st.tuples(st.just("flush_some"), st.integers(0, 5), st.none()),
@@ -97,18 +95,18 @@ def test_pool_matches_dict_model(ops):
             page, _ = vol.read_page(pid)
             return page.page_lsn == lsns[pid] and page.records == model[pid]
 
-        def fix(pid, mode):
-            """Fix unless the latch would wait; None if not fixed."""
+        def fix(pid):
+            """Fix unless the page is held (its latch would wait); None if
+            not fixed."""
             nonlocal resident
-            modes = [h.mode for h, p in held if p == pid]
-            if modes and (mode == "exclusive" or "exclusive" in modes):
-                return None
             pinned = {p for _, p in held}
+            if pid in pinned:
+                return None
             if pid not in resident and len(pinned) == MODEL_FRAMES:
                 with pytest.raises(StorageError):
-                    pool.try_fix_page(pid, mode)
+                    pool.try_fix_page(pid)
                 return None
-            h, _ = pool.fix_page(pid, mode)
+            h, _ = pool.fix_page(pid)
             assert h.page.page_id == pid
             assert h.page.page_lsn == lsns[pid] and h.page.records == model[pid]
             if pid not in resident:
@@ -126,7 +124,6 @@ def test_pool_matches_dict_model(ops):
             return h
 
         def unfix(h, pid, mark, step):
-            mark = mark and h.mode == "exclusive"
             if mark:
                 key, value = step % 5, value_bytes(step)
                 lsns[pid], _ = wal.append(pid, OP_SET, key, value)
@@ -138,13 +135,13 @@ def test_pool_matches_dict_model(ops):
 
         for step, (op, arg, extra) in enumerate(ops):
             if op == "fix":
-                h = fix(arg, extra)
+                h = fix(arg)
                 if h is not None:
                     held.append((h, arg))
             elif op == "unfix" and held:
                 unfix(*held.pop(arg % len(held)), extra, step)
             elif op == "touch":
-                h = fix(arg, "exclusive")
+                h = fix(arg)
                 if h is not None:
                     unfix(h, arg, extra, step)
             elif op == "flush_some":
@@ -155,8 +152,8 @@ def test_pool_matches_dict_model(ops):
                 assert len(cleaned) == flushed
                 dirty -= cleaned
             elif op == "flush_page":
-                if any(h.mode == "exclusive" and p == arg for h, p in held):
-                    continue  # flush_page waits for the writer
+                if any(p == arg for _, p in held):
+                    continue  # flush_page waits for the latch
                 pool.flush_page(arg)
                 if arg in dirty:
                     dirty.remove(arg)
@@ -181,13 +178,11 @@ def test_fix_pin_counts(workdir):
     h1, _ = pool.fix_page(3)
     assert pool.pin_count(3) == 1
     pool.unfix_page(h1)
-    h2, _ = pool.fix_page(3, mode="shared")
-    h3, _ = pool.fix_page(3, mode="shared")
-    assert h2.page is h3.page
-    assert pool.pin_count(3) == 2
-    pool.unfix_page(h2)
+    assert pool.pin_count(3) == 0
+    h2, _ = pool.fix_page(3)
+    assert h2.page is h1.page
     assert pool.pin_count(3) == 1
-    pool.unfix_page(h3)
+    pool.unfix_page(h2)
     assert pool.pin_count(3) == 0
 
 
@@ -211,22 +206,11 @@ def test_dirty_flag_ors(workdir):
     assert vol.device.writes == writes + 1 and pool.dirty_count() == 0
 
 
-def test_mark_dirty_needs_exclusive(workdir):
-    pool, _, _ = make_pool(workdir)
-    h, _ = pool.fix_page(1, mode="shared")
-    with pytest.raises(StorageError):
-        pool.unfix_page(h, mark_dirty=True)
-
-
-def test_flush_enforces_wal_rule(workdir):
-    """When a page is written, its last log record is already in the log
-    file."""
-    pool, vol, wal = make_pool(workdir)
-    h, _ = pool.fix_page(2)
-    lsn, _ = wal.append(2, OP_SET, 0, value_bytes(0))
-    h.page.set(0, value_bytes(0), page_capacity(1024))
-    h.page.page_lsn = lsn
-    pool.unfix_page(h, mark_dirty=True)
+def test_flush_enforces_wal_rule(workdir, monkeypatch):
+    """On every write-back path (flush_page, a dirty CLOCK victim written
+    back by a miss, and the cleaner's flush_some) a page is written only
+    once its last log record is in the log file."""
+    pool, vol, wal = make_pool(workdir, capacity=1)
     checked = []
     real_write = vol.write_page
 
@@ -238,11 +222,27 @@ def test_flush_enforces_wal_rule(workdir):
         checked.append(page.page_id)
         return real_write(page, now)
 
-    vol.write_page = write_page
+    monkeypatch.setattr(vol, "write_page", write_page)
+    lsns = {}
+
+    def update(pid):
+        h, _ = pool.fix_page(pid)
+        lsns[pid], _ = wal.append(pid, OP_SET, 0, value_bytes(pid))
+        h.page.set(0, value_bytes(pid), page_capacity(1024))
+        h.page.page_lsn = lsns[pid]
+        pool.unfix_page(h, mark_dirty=True)
+
+    update(2)
     pool.flush_page(2)
     assert checked == [2]
-    back, _ = vol.read_page(2)
-    assert back.page_lsn == lsn and back.get(0) == value_bytes(0)
+    update(3)  # evicts page 2, clean, without a write
+    update(4)  # evicts page 3, dirty, writing it back
+    assert checked == [2, 3]
+    assert pool.flush_some(1)[0] == 1
+    assert checked == [2, 3, 4]
+    for pid, lsn in lsns.items():
+        back, _ = vol.read_page(pid)
+        assert back.page_lsn == lsn and back.get(0) == value_bytes(pid)
 
 
 def test_flush_clean_page_noop(workdir):
@@ -321,7 +321,7 @@ def test_pinned_never_evicted_under_stress(workdir):
         try:
             for _ in range(400):
                 pid = rng.randrange(64)
-                h, _ = pool.fix_page(pid, mode="exclusive")
+                h, _ = pool.fix_page(pid)
                 if (not pool.resident(pid) or pool.pin_count(pid) < 1
                         or h.page.page_id != pid):
                     errors.append(f"pinned page {pid} vanished")
@@ -341,28 +341,50 @@ def test_pinned_never_evicted_under_stress(workdir):
 @pytest.mark.parametrize("held, wanted", [("shared", "exclusive"),
                                           ("exclusive", "shared")])
 def test_latch_conflict_waits_for_unfix(workdir, held, wanted):
-    pool, _, _ = make_pool(workdir)
-    holder, _ = pool.fix_page(4, mode=held)
+    """A second fix of a held page waits for the unfix, and holds a pin
+    while it waits.  Each side is a reader ("shared": unfixes clean) or an
+    updater ("exclusive": logs a change and unfixes dirty); the frame's one
+    latch makes a reader wait for an updater and an updater for a reader."""
+    pool, _, wal = make_pool(workdir)
+    seen, logged = [], []
+
+    def access(h, role):
+        seen.append(h.page.page_lsn)
+        if role == "exclusive":
+            lsn, _ = wal.append(4, OP_SET, 0, value_bytes(len(seen)))
+            h.page.set(0, value_bytes(len(seen)), page_capacity(1024))
+            h.page.page_lsn = lsn
+            logged.append(lsn)
+        pool.unfix_page(h, mark_dirty=role == "exclusive")
+
+    holder, _ = pool.fix_page(4)
     fixed = threading.Event()
 
     def fix_and_unfix():
-        h, _ = pool.fix_page(4, mode=wanted)
+        h, _ = pool.fix_page(4)
         fixed.set()
-        pool.unfix_page(h)
+        access(h, wanted)
 
     thread = threading.Thread(target=fix_and_unfix)
     thread.start()
+    deadline = time.monotonic() + 10.0
+    while pool.pin_count(4) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool.pin_count(4) == 2  # the waiter's pin
     assert not fixed.wait(0.3)  # blocked behind the holder's latch
-    pool.unfix_page(holder)
+    access(holder, held)
     assert fixed.wait(10.0)
     thread.join(10.0)
     assert not thread.is_alive() and pool.pin_count(4) == 0
+    assert pool.dirty_count() == 1 and len(logged) == 1
+    if held == "exclusive":
+        assert seen[1] == logged[0]  # the waiter sees the holder's update
 
 
 def test_latch_stress_keeps_updates_whole(workdir):
-    """Writers bump page_lsn twice under the exclusive latch; readers check
-    that it is even and holds still under the shared one.  The total proves
-    no update was lost."""
+    """Writers bump page_lsn twice under the frame's latch; readers check
+    that it is even and holds still under it.  The total proves no update
+    was lost."""
     pool, _, _ = make_pool(workdir, capacity=8, page_count=8)
     rounds, writers, readers = 200, 4, 2
     errors = []
@@ -370,7 +392,7 @@ def test_latch_stress_keeps_updates_whole(workdir):
     def write(seed):
         rng = random.Random(seed)
         for _ in range(rounds):
-            h, _ = pool.fix_page(rng.randrange(4), mode="exclusive")
+            h, _ = pool.fix_page(rng.randrange(4))
             lsn = h.page.page_lsn
             h.page.page_lsn = lsn + 1
             time.sleep(0)  # hand the interpreter to another thread mid-update
@@ -380,7 +402,7 @@ def test_latch_stress_keeps_updates_whole(workdir):
     def read(seed):
         rng = random.Random(seed)
         for _ in range(rounds):
-            h, _ = pool.fix_page(rng.randrange(4), mode="shared")
+            h, _ = pool.fix_page(rng.randrange(4))
             lsn = h.page.page_lsn
             time.sleep(0)
             if lsn % 2 or h.page.page_lsn != lsn:
@@ -402,7 +424,7 @@ def test_latch_stress_keeps_updates_whole(workdir):
     assert errors == []
     total = 0
     for pid in range(4):
-        h, _ = pool.fix_page(pid, mode="shared")
+        h, _ = pool.fix_page(pid)
         total += h.page.page_lsn
         pool.unfix_page(h)
     assert total == 2 * rounds * writers
@@ -430,10 +452,11 @@ def test_checksum_error_surfaces(workdir):
 
 
 def test_fail_device_blocks_traffic(workdir):
-    pool, vol, wal = make_pool(workdir, capacity=4)
+    pool, vol, _ = make_pool(workdir, capacity=4)
     h, _ = pool.fix_page(0)
     pool.unfix_page(h)
-    assert pool.fail_device() == wal.end_lsn()
+    pool.fail_device()
+    assert pool.failed
     with pytest.raises(StorageError):
         pool.fail_device()  # already failed
     ops = vol.device.reads + vol.device.writes

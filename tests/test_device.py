@@ -7,7 +7,7 @@ from segstore.device import Device, DeviceRole, LatencyModel
 from segstore.errors import MediaFailureError, StorageError
 from segstore.volume import Geometry, Volume
 
-from conftest import make_volume, make_wal, value_bytes
+from conftest import make_volume, value_bytes
 
 
 def test_latency_model_cost():
@@ -113,7 +113,7 @@ def test_misplaced_image_read_rejected(workdir):
         vol.read_page(9)
     with pytest.raises(StorageError, match="misplaced"):
         vol.read_page_span(8, 16)
-    pool = BufferPool(vol, make_wal(workdir), 4)
+    pool = BufferPool(vol, 4)
     with pytest.raises(StorageError, match="misplaced"):
         pool.fix_page(9)
     assert not pool.resident(9)

@@ -38,7 +38,7 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
     repl = make_replacement(workdir, page_count=page_count, page_size=PAGE_SIZE,
                             pages_per_segment=pages_per_segment)
     wal = make_wal(workdir)
-    pool = BufferPool(vol, wal, pool_pages)
+    pool = BufferPool(vol, pool_pages)
     backup, _ = BackupImage.create(workdir, vol, wal)
     rng = random.Random(seed)
     for i in range(updates):
@@ -60,7 +60,8 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
               directory=directory, archiver=archiver, rng=rng,
               page_count=page_count, pages_per_segment=pages_per_segment)
     if fail:
-        failure_lsn = pool.fail_device()
+        pool.fail_device()
+        failure_lsn = wal.end_lsn()
         archiver.archive_up_to(failure_lsn)
         env.failure_lsn = failure_lsn
         env.manager = RestoreManager(backup, directory, repl, failure_lsn,
@@ -270,7 +271,8 @@ def test_bitmap_failure_and_retry(workdir):
 
 def test_restore_requires_archive_past_failure(workdir):
     env = build_env(workdir, fail=False)
-    failure_lsn = env.pool.fail_device()
+    env.pool.fail_device()
+    failure_lsn = env.wal.end_lsn()
     with pytest.raises(RestoreError):
         RestoreManager(env.backup, env.directory, env.repl, failure_lsn)
     env.archiver.archive_up_to(failure_lsn)
@@ -319,11 +321,12 @@ def test_restore_on_empty_history(workdir):
     repl = make_replacement(workdir, page_count=16, page_size=PAGE_SIZE,
                             pages_per_segment=4)
     wal = make_wal(workdir)
-    pool = BufferPool(vol, wal, 4)
+    pool = BufferPool(vol, 4)
     backup, _ = BackupImage.create(workdir, vol, wal)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
     closing(vol, repl, wal, backup)
-    failure_lsn = pool.fail_device()
+    pool.fail_device()
+    failure_lsn = wal.end_lsn()
     mgr = RestoreManager(backup, directory, repl, failure_lsn,
                          policy=Policy.SINGLE_PASS)
     pool.set_restore_gate(mgr)
@@ -744,7 +747,8 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     h.page.set(3, value_bytes(999), CAP)
     h.page.page_lsn = lsn
     env.pool.unfix_page(h, mark_dirty=True)
-    failure_lsn = env.pool.fail_device()
+    env.pool.fail_device()
+    failure_lsn = env.wal.end_lsn()
     env.archiver.archive_up_to(failure_lsn)
     mgr = RestoreManager(env.backup, env.directory, env.repl, failure_lsn,
                          policy=Policy.PREEMPTIVE)
@@ -752,7 +756,7 @@ def test_dirty_pool_page_survives_restore_and_overwrites(workdir):
     mgr.drain()
     # the pool copy is untouched and newer-or-equal to the archived image
     assert env.pool.resident(7)
-    h, _ = env.pool.fix_page(7, mode="shared")
+    h, _ = env.pool.fix_page(7)
     assert h.page.page_lsn == lsn and h.page.get(3) == value_bytes(999)
     env.pool.unfix_page(h)
     restored, _ = env.repl.read_page(7)
