@@ -5,9 +5,12 @@ with private virtual clocks.  The engine always advances the actor whose
 clock is furthest behind (ties broken by actor id), so a run is a pure
 function of its configuration and seed, while per-device FCFS busy-until
 accounting still shapes the timeline the way real contention would: the
-log device serializes appends, restore transfers queue behind each other,
-and a transaction that touches a not-yet-restored segment parks until the
-scheduler's completion signal.
+log device serializes its writes, and an append that queues behind a log
+write that has not started joins it (group commit), restore transfers
+queue behind each other, and a transaction that touches a
+not-yet-restored segment parks until the scheduler's completion signal.
+A worker steps a whole transaction at a time, so only other workers'
+appends can join the log write that one of its appends queues for.
 
 Time is virtual microseconds end to end; wall mode paces the identical
 schedule against the real clock for demo runs.  The same storage, WAL,
@@ -233,6 +236,11 @@ class BenchEngine:
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, self._t_fail_us))
+        # Single-pass restore's move: every probe then scans one run, however
+        # long the log before the failure grew.  Restore waits for the merge.
+        runs = list(self.archive_dir.snapshot())
+        if len(runs) > 1:
+            _, t_catch = self.archive_dir.merge_runs(runs, len(runs), t_catch)
         self._arch_clock = t_catch
         self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
                                       self.failure_lsn, policy=self.config.policy,
@@ -379,7 +387,8 @@ def run_benchmark(config: WorkloadConfig) -> MetricsReport:
     failure, restore under config.policy, and emit CSVs when config.out_dir
     is set.  The archiver is scheduled with the workers, but on every
     perfbench workload it takes no step while they run (ROADMAP item 1):
-    the failure's catch-up archives the log in one go.  The scratch
+    the failure's catch-up archives the log in one go, and restore begins
+    once the archive's runs are merged into one.  The scratch
     directory is removed on every exit, a rejected config included."""
     with _scratch_engine(config, "segstore-bench-") as engine:
         report = engine.run()

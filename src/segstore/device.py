@@ -5,13 +5,17 @@ model: one contiguous transfer costs fixed_us plus size * per_byte_us.
 Timing is explicit rather than slept: callers pass the time at which they
 issue a request and get the completion time back.  A device serializes
 its transfers first-come-first-served, so a request issued while the
-device is still busy queues behind the in-flight one.
+device is still busy queues behind the in-flight one.  Group writes are
+the one exception: a group write issued before the device's last transfer
+has started joins that transfer when it too is a group write, adding only
+its per-byte cost (group commit; the log is the one caller).
 
 Only the database device may fail.  Log, archive, and backup devices are
 treated as stable storage and reject fail().
 """
 
 import enum
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -58,6 +62,7 @@ class Device:
         self.bytes_read = 0
         self.bytes_written = 0
         self._busy_until = 0.0
+        self._group_start = -math.inf  # start of the last transfer, if a group write
         self._lock = threading.Lock()
         self._fd = None
         if path is not None:
@@ -81,6 +86,7 @@ class Device:
         self.reads = self.writes = 0
         self.bytes_read = self.bytes_written = 0
         self._busy_until = 0.0
+        self._group_start = -math.inf
 
     def _admit(self, nbytes: int, now: float) -> float:
         """Reserve the device for one transfer; returns completion time."""
@@ -89,6 +95,7 @@ class Device:
             start = max(now, self._busy_until)
             done = start + cost
             self._busy_until = done
+            self._group_start = -math.inf
         return done
 
     def _check(self) -> None:
@@ -120,8 +127,32 @@ class Device:
 
     def write(self, offset: int, data: bytes, now: float = 0.0) -> float:
         done = self.charge_write(len(data), now)
+        self._pwrite(offset, data)
+        return done
+
+    def _pwrite(self, offset: int, data: bytes) -> None:
         if os.pwrite(self._fd, data, offset) != len(data):
             raise StorageError(f"short write at offset {offset}")
+
+    def group_write(self, offset: int, data: bytes, now: float = 0.0) -> float:
+        """Write data like write(), except that when the device's last
+        transfer is a group write that starts after now, data joins it:
+        the transfer grows by data's per-byte cost only and is not counted
+        as another write.  Otherwise data starts its own group write, as
+        write() would.  Returns the transfer's new completion time; data is
+        in the file when this returns."""
+        self._check()
+        nbytes = len(data)
+        with self._lock:
+            if self._group_start > now:
+                self._busy_until += nbytes * self.latency.per_byte_us
+            else:
+                self._group_start = max(now, self._busy_until)
+                self._busy_until = self._group_start + self.latency.cost_us(nbytes)
+                self.writes += 1
+            self.bytes_written += nbytes
+            done = self._busy_until
+        self._pwrite(offset, data)
         return done
 
     # Transfer accounting; subsystems with their own file I/O call it directly.

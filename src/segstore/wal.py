@@ -14,7 +14,13 @@ a direct seek.
 The log file on the log device is the only full copy of the log, as in
 ARIES.  An append writes its record before it returns, so the whole log
 is durable and memory holds no log bytes and no per-page or per-record
-state.  An LSN is a log address and every record starts with its length,
+state.  Appends commit in groups: an append issued while the log
+device's last transfer is an append write that has not yet started joins
+that write, which grows by the record's per-byte cost, and returns the
+write's new end; any other append starts its own write when the device
+is free.  A log read closes the group.  Completion times therefore never
+decrease in LSN order, and none is later than one write per append would
+give.  An LSN is a log address and every record starts with its length,
 so a record boundary is found by walking those length fields; a read that
 starts inside a record raises CorruptRecordError.  Writes and the
 archiver's batch reads are charged to the log device under its latency
@@ -153,8 +159,9 @@ class WriteAheadLog:
 
     def append(self, page_id: int, op: int, key: int, value: bytes = b"",
                now: float = 0.0) -> tuple[int, float]:
-        """Write one record; returns (lsn, completion time), when it is
-        durable.  Caller must hold the page exclusively."""
+        """Write one record, joining a queued log write if there is one;
+        returns (lsn, completion time), when it is durable.  Caller must
+        hold the page exclusively."""
         if op not in (OP_SET, OP_DELETE):
             raise WalError(f"bad op {op}")
         if op == OP_DELETE and value:
@@ -164,7 +171,7 @@ class WriteAheadLog:
         with self._lock:
             lsn = self._end + _LSN_BASE
             encoded = LogRecord(lsn, page_id, op, key, value).encode()
-            t = self.device.write(self._end, encoded, now)
+            t = self.device.group_write(self._end, encoded, now)
             self._end += len(encoded)
             self.last_append_at = max(self.last_append_at, t)
         return lsn, t

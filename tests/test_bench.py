@@ -146,6 +146,37 @@ def test_reproducible_wal_and_volume(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_failure_merges_the_archive_into_one_run(tmp_path):
+    """At the failure the catch-up's runs are merged into one run covering
+    the whole log before the failure, and restore begins when the archive
+    device has written it."""
+    engine = BenchEngine(tiny_config(duration_s=2.0), str(tmp_path / "work"))
+    merges, seen = [], {}
+    real_merge, real_inject = engine.archive_dir.merge_runs, engine._inject_failure
+
+    def merge_runs(inputs, fan_in, now=0.0):
+        out, t = real_merge(inputs, fan_in, now)
+        merges.append((len(inputs), t))
+        return out, t
+
+    def inject_failure():
+        before = len(merges)
+        real_inject()
+        seen["merges"] = merges[before:]
+        seen["ranges"] = engine.archive_dir.lsn_ranges()
+
+    engine.archive_dir.merge_runs = merge_runs
+    engine._inject_failure = inject_failure
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    [(n_inputs, t_merged)] = seen["merges"]
+    assert n_inputs > 1
+    assert seen["ranges"] == [(0, engine.failure_lsn)]
+    assert report.restore_begin_us == t_merged > engine.config.failure_time_s * 1e6
+
+
 def test_report_series_shape():
     report = run_benchmark(tiny_config(duration_s=3.0, failure_time_s=1.0))
     assert len(report.throughput_rows()) == 3
@@ -414,9 +445,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "027d69a49cebbb3612a55804fec43bcde994d2897b7961e2aef9907fddae2db0"),
+     "8d8e6a55294fead034b5a7a0d8e571a06384f7f50e5ff04bf086555621c6c35d"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "469dfc4e22b8e19989f3481382756c8f16cdf35f0524d1c5298ca0b2a2aca638"),
+     "a57ca7d45d9863fa4612e779540323b6024061d6214e8b8810b3a2a1c8fdc377"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -433,9 +464,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "b7c22c36e19e176e1e7d29666bea9a0e3956ac6922b5819c6a6855054cce37e4"),
+    (dict(), "501b6d59fec28b74a98546d1aebda0b2bfb8291c51c034e778c981c28cdcbc10"),
     (dict(failure_time_s=None),
-     "4a6311dc0a2efa6f08674ca5107fbf5f8797c108d3d68d9a85a8aeb1d3bcc347"),
+     "46170cea5ca3086cab20594b783de28de0fa28541bc96a392e8028418f910ecf"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

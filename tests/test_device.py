@@ -29,6 +29,38 @@ def test_device_read_write_and_timing(workdir):
     assert dev.bytes_read == 100 and dev.bytes_written == 100
 
 
+def test_group_write_joins_only_an_unstarted_group_write(workdir):
+    dev = Device(DeviceRole.LOG, os.path.join(workdir, "log.bin"),
+                 LatencyModel(10.0, 0.5), create=True)
+    assert dev.group_write(0, b"a" * 4, now=0.0) == 12.0    # starts at 0
+    assert dev.group_write(4, b"b" * 4, now=1.0) == 24.0    # queues: starts at 12
+    assert dev.group_write(8, b"c" * 2, now=11.0) == 25.0   # joins: 12 is after 11
+    assert dev.group_write(10, b"d" * 2, now=12.0) == 36.0  # too late: started at 12
+    assert (dev.writes, dev.bytes_written) == (3, 12)
+    assert dev.pread(0, 12) == b"aaaabbbbccdd"
+    # any other transfer ends the group: a plain write queued behind it
+    # stands between the group and a later group write
+    assert dev.write(12, b"e" * 2, now=13.0) == 47.0
+    assert dev.group_write(14, b"f" * 2, now=14.0) == 58.0
+    assert dev.writes == 5
+    dev.reset_accounting()
+    assert dev.group_write(16, b"g" * 2, now=0.0) == 11.0
+    dev.close()
+
+
+def test_volume_writes_never_coalesce(workdir):
+    """Page writes to a database volume queue FCFS, each its own write,
+    however they overlap."""
+    lat = LatencyModel(fixed_us=100.0, per_byte_us=0.0)
+    vol = make_volume(workdir, page_count=16, page_size=1024, latency=lat)
+    pages = [vol.read_page(pid)[0] for pid in range(3)]
+    vol.device.reset_accounting()
+    done = [vol.write_page(page, now=now) for page, now in zip(pages, (0.0, 5.0, 10.0))]
+    assert done == [100.0, 200.0, 300.0]
+    assert vol.device.writes == 3
+    vol.close()
+
+
 def test_only_database_fails(workdir):
     for role in (DeviceRole.LOG, DeviceRole.ARCHIVE, DeviceRole.BACKUP):
         dev = Device(role, os.path.join(workdir, f"{role.value}.bin"), create=True)

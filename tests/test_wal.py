@@ -12,7 +12,7 @@ from segstore.device import LatencyModel
 from segstore.errors import CorruptRecordError, WalError
 from segstore.wal import OP_DELETE, OP_SET, LogRecord, WriteAheadLog
 
-from conftest import make_wal, old_record_bytes, random_history, value_bytes
+from conftest import closing, make_wal, old_record_bytes, random_history, value_bytes
 
 
 def test_record_sizes():
@@ -35,8 +35,8 @@ def test_scan_suffix_and_order(workdir):
 
 
 def test_each_append_is_one_durable_write(workdir):
-    """An append makes exactly one device write, of its record, and the
-    record is in the file when the append returns."""
+    """An append to an idle log device makes exactly one device write, of
+    its record, and the record is in the file when the append returns."""
     latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
     wal = make_wal(workdir, latency=latency)
     for i in range(5):
@@ -49,6 +49,77 @@ def test_each_append_is_one_durable_write(workdir):
         assert [(r.lsn, r.key) for r in reader.scan(lsn)] == [(lsn, i)]
         reader.close()
     wal.close()
+
+
+def test_append_joins_a_queued_log_write(workdir):
+    """Appends at 0, 5 and 10 us: the first writes at once, the second
+    queues behind it in a write of its own, and the third joins that
+    write, which has not started by 10 us, for its per-byte cost alone."""
+    wal = make_wal(workdir, latency=LatencyModel(20.0, 0.002))
+    done = [wal.append(0, OP_SET, i, value_bytes(i), now=now)[1]
+            for i, now in enumerate((0.0, 5.0, 10.0))]
+    assert done == pytest.approx([20.094, 40.188, 40.282])
+    assert wal.device.writes == 2 and wal.device.bytes_written == 3 * 47
+    wal.close()
+
+
+def test_log_read_closes_the_group(workdir):
+    """The archiver's read queues behind the pending write, so the next
+    append cannot join a write that the read now precedes."""
+    latency = LatencyModel(20.0, 0.002)
+    wal = make_wal(workdir, latency=latency)
+    lsn, _ = wal.append(0, OP_SET, 0, value_bytes(0), now=0.0)
+    _, t2 = wal.append(0, OP_SET, 1, value_bytes(1), now=5.0)
+    _, _, t_read = wal.read_suffix(lsn, 1, now=6.0)
+    assert t_read == t2 + latency.cost_us(47)
+    _, t3 = wal.append(0, OP_SET, 2, value_bytes(2), now=10.0)
+    assert t3 == t_read + latency.cost_us(47)
+    assert wal.device.writes == 3
+    wal.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=25))
+def test_group_commit_against_one_write_per_append(tmp_path_factory, issues):
+    """Appends issued at random times, sets and deletes alike.  No append
+    completes later than if every append were its own FCFS write, and the
+    log holds the bytes that a log appended one idle write at a time holds.
+    Completions never decrease in LSN order, each record is readable from
+    a fresh handle as soon as its append returns, and the device counts
+    one write per group, a group forming by the join rule restated here."""
+    workdir = str(tmp_path_factory.mktemp("wal"))
+    latency = LatencyModel(20.0, 0.002)
+    wal = make_wal(workdir, latency=latency)
+    single = make_wal(workdir, name="single.log", latency=latency)
+    closing(wal, single)
+    busy = group_start = single_busy = -1.0
+    groups = 0
+    done = []
+    for i, (now, is_set) in enumerate(issues):
+        op, value = (OP_SET, value_bytes(i)) if is_set else (OP_DELETE, b"")
+        lsn, t = wal.append(i % 5, op, i, value, now=float(now))
+        size = wal.end_lsn() - lsn
+        if group_start <= now:  # join only a write that has not started
+            group_start = max(now, busy)
+            busy = group_start + latency.fixed_us
+            groups += 1
+        busy += size * latency.per_byte_us
+        assert t == pytest.approx(busy)
+        single_busy = max(now, single_busy) + latency.cost_us(size)
+        assert t <= single_busy + 1e-9
+        assert single.append(i % 5, op, i, value, now=1e9 * (i + 1))[0] == lsn
+        reader = WriteAheadLog(os.path.join(workdir, "wal.log"))
+        assert [(r.lsn, r.op, r.key, r.value) for r in reader.scan(lsn)] == \
+            [(lsn, op, i, value)]
+        reader.close()
+        done.append(t)
+    assert done == sorted(done)
+    assert wal.device.writes == groups
+    assert single.device.writes == len(issues)
+    assert wal.device.bytes_written == single.device.bytes_written
+    with open(os.path.join(workdir, "wal.log"), "rb") as a, \
+            open(os.path.join(workdir, "single.log"), "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_flush_clamps_and_noop(workdir):
