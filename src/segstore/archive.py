@@ -7,7 +7,8 @@ prefix of the log, so an archiver given a reloaded directory resumes
 where its last run ends, and garbage collection is a range check.  A
 maintenance policy merges the eldest fan_in adjacent runs whenever more
 than 2 * fan_in runs exist, bounding probe fan-in without merging
-continuously.
+continuously.  A merge streams its inputs' chunked scans through one
+k-way merge into the run writer, holding a read chunk per input, never a run.
 
 probe(first_page, last_page, min_lsn) k-way-merges every run that may
 hold matching records - runs ending at or before min_lsn are skipped
@@ -115,12 +116,12 @@ class ArchiveDirectory:
     def lsn_ranges(self) -> list[tuple[int, int]]:
         return [(r.begin_lsn, r.end_lsn) for r in self.snapshot()]
 
-    def write(self, begin: int, end: int, records,
+    def write(self, begin: int, end: int, records, count: int,
               now: float) -> tuple[RunReader, float]:
-        """Write the run file for [begin, end) from records sorted by
-        (page id, LSN) and charge the archive device for its size.  The
-        caller registers the returned reader with publish or swap."""
-        path = write_run(self.dir_path, begin, end, records, self.block_size)
+        """Write the run file for [begin, end) from a stream of count records
+        sorted by (page id, LSN) and charge the archive device for its size.
+        The caller registers the returned reader with publish or swap."""
+        path = write_run(self.dir_path, begin, end, records, count, self.block_size)
         return RunReader(path), self.device.charge_write(os.path.getsize(path), now)
 
     def publish(self, reader: RunReader) -> None:
@@ -167,8 +168,7 @@ class ArchiveDirectory:
             (lists[0] if lists else [])
         return ProbeResult(out, t, merged, skipped)
 
-    def merge_runs(self, inputs: list[RunReader], fan_in: int,
-                   now: float = 0.0) -> tuple[RunReader, float]:
+    def merge_runs(self, inputs: list[RunReader], now: float = 0.0) -> tuple[RunReader, float]:
         """Merge adjacent runs into one covering their union LSN range.
 
         Publication order is: rename output into place, swap the manifest,
@@ -179,20 +179,15 @@ class ArchiveDirectory:
         """
         if not inputs:
             raise ArchiveError("nothing to merge")
-        if len(inputs) > fan_in:
-            raise ArchiveError(f"merge of {len(inputs)} runs exceeds fan-in {fan_in}")
         for a, b in zip(inputs, inputs[1:]):
             if a.end_lsn != b.begin_lsn:
                 raise ArchiveError(
                     f"runs {a.name} and {b.name} are not LSN-adjacent")
-        t = now
-        lists = []
-        for run in inputs:
-            records, t_run = run.scan_all(self.device, now)
-            t = max(t, t_run)
-            lists.append(records)
+        scans = [run.scan_all(self.device, now) for run in inputs]
+        t = max(now, *(t_run for _, t_run in scans))
         output, t = self.write(inputs[0].begin_lsn, inputs[-1].end_lsn,
-                               heapq.merge(*lists, key=_SORT_KEY), t)
+                               heapq.merge(*(records for records, _ in scans), key=_SORT_KEY),
+                               sum(run.record_count for run in inputs), t)
         failpoints.hit("merge:pre_swap")
         self.swap(inputs, output)
         failpoints.hit("merge:pre_unlink")
@@ -270,7 +265,7 @@ class LogArchiver:
         if self.mode == "copy":
             t = self._emit_copy(batch, begin, end, now)
         else:
-            run, t = self.directory.write(begin, end, sorted(batch, key=_SORT_KEY), now)
+            run, t = self.directory.write(begin, end, sorted(batch, key=_SORT_KEY), len(batch), now)
             self.directory.publish(run)
         del self._workspace[:nrecords]
         self._run_begin = end
@@ -290,5 +285,5 @@ class LogArchiver:
         t = now
         while self.maintenance_due():
             inputs = list(self.directory.snapshot()[:self.fan_in])
-            _, t = self.directory.merge_runs(inputs, self.fan_in, t)
+            _, t = self.directory.merge_runs(inputs, t)
         return t

@@ -240,7 +240,7 @@ class BenchEngine:
         # long the log before the failure grew.  Restore waits for the merge.
         runs = list(self.archive_dir.snapshot())
         if len(runs) > 1:
-            _, t_catch = self.archive_dir.merge_runs(runs, len(runs), t_catch)
+            _, t_catch = self.archive_dir.merge_runs(runs, t_catch)
         self._arch_clock = t_catch
         self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
                                       self.failure_lsn, policy=self.config.policy,

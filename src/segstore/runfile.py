@@ -14,15 +14,18 @@ One run holds the log records of a contiguous LSN interval, re-sorted by
 
 A run is one self-describing file named archive_<begin>_<end>.run and is
 published with failpoints.publish (shadow file plus atomic rename);
-anything still carrying the .tmp suffix is garbage to be ignored.  A
-RunReader holds no open file, so a merge unlinks a run with nothing to
-close.
+anything still carrying the .tmp suffix is garbage to be ignored.  Runs
+stream: write_run writes each block as it fills under a running CRC (the
+header goes first, so the caller states the record count), and a
+RunReader checks and scans a run READ_CHUNK bytes at a time, holding no
+open file between reads, so a merge unlinks a run with nothing to close.
 """
 
 import os
 import struct
 import zlib
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 
 from . import failpoints
 from .bloom import BloomFilter
@@ -35,6 +38,7 @@ _INDEX_ENTRY = struct.Struct("<QQ")
 _FOOTER = struct.Struct("<QQI")
 
 DEFAULT_BLOCK_SIZE = 4096
+READ_CHUNK = 64 * 1024  # bytes a reader checks or scans per file read
 
 
 def run_name(begin_lsn: int, end_lsn: int) -> str:
@@ -53,96 +57,102 @@ def parse_run_name(name: str) -> tuple[int, int] | None:
         return None
 
 
-def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records,
+def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records, count: int,
               block_size: int = DEFAULT_BLOCK_SIZE) -> str:
-    """Write and atomically publish one run; records must arrive sorted
-    by (page_id, lsn) with every lsn inside [begin_lsn, end_lsn).
+    """Write and atomically publish one run of count records, each block as
+    it fills; records must arrive sorted by (page_id, lsn) with every lsn
+    inside [begin_lsn, end_lsn).
 
-    Returns the published path.  On error nothing is published.
+    Returns the published path.  On error, records that number other than
+    count included, nothing is published.
     """
     path = os.path.join(dir_path, run_name(begin_lsn, end_lsn))
-    blocks = bytearray()
-    index = []
-    pages_seen = set()
-    count = 0
-    block = bytearray()
-    block_first_page = None
-    last_key = None
 
-    def seal_block():
-        nonlocal block, block_first_page
-        index.append((block_first_page, _HEADER.size + len(blocks)))
-        block += bytes(block_size - len(block))
-        blocks.extend(block)
+    def write(f):
+        crc = 0
+
+        def put(data):
+            nonlocal crc
+            f.write(data)
+            crc = zlib.crc32(data, crc)
+
+        put(_HEADER.pack(MAGIC, begin_lsn, end_lsn, count, block_size))
+        index = []
+        pages_seen = set()
         block = bytearray()
-        block_first_page = None
+        last_key = None
+        n = 0
+        for n, rec in enumerate(records, 1):
+            key = (rec.page_id, rec.lsn)
+            if last_key is not None and key < last_key:
+                raise ArchiveError(f"records out of order at {key}")
+            last_key = key
+            if not begin_lsn <= rec.lsn < end_lsn:
+                raise ArchiveError(f"lsn {rec.lsn} outside run range [{begin_lsn}, {end_lsn})")
+            encoded = rec.encode()
+            if len(encoded) + 4 > block_size:
+                raise ArchiveError(f"record of {len(encoded)} bytes exceeds block size")
+            if block and len(block) + len(encoded) > block_size:
+                put(block.ljust(block_size, b"\0"))
+                block = bytearray()
+            if not block:
+                index.append((rec.page_id, _HEADER.size + len(index) * block_size))
+            block += encoded
+            pages_seen.add(rec.page_id)
+        if block:
+            put(block.ljust(block_size, b"\0"))
+        if n != count:
+            raise ArchiveError(f"run of {n} records, expected {count}")
+        bloom = BloomFilter.sized_for(len(pages_seen))
+        for pid in pages_seen:
+            bloom.add(pid)
+        index_offset = _HEADER.size + len(index) * block_size
+        bloom_offset = index_offset + len(index) * _INDEX_ENTRY.size
+        put(b"".join(_INDEX_ENTRY.pack(*entry) for entry in index) + bloom.to_bytes()
+            + _FOOTER.pack(index_offset, bloom_offset, 0)[:-4])
+        f.write(struct.pack("<I", crc))
 
-    for rec in records:
-        key = (rec.page_id, rec.lsn)
-        if last_key is not None and key < last_key:
-            raise ArchiveError(f"records out of order at {key}")
-        last_key = key
-        if not begin_lsn <= rec.lsn < end_lsn:
-            raise ArchiveError(f"lsn {rec.lsn} outside run range [{begin_lsn}, {end_lsn})")
-        encoded = rec.encode()
-        if len(encoded) + 4 > block_size:
-            raise ArchiveError(f"record of {len(encoded)} bytes exceeds block size")
-        if block and len(block) + len(encoded) > block_size:
-            seal_block()
-        if not block:
-            block_first_page = rec.page_id
-        block += encoded
-        pages_seen.add(rec.page_id)
-        count += 1
-    if block:
-        seal_block()
-
-    bloom = BloomFilter.sized_for(len(pages_seen))
-    for pid in pages_seen:
-        bloom.add(pid)
-
-    index_offset = _HEADER.size + len(blocks)
-    bloom_offset = index_offset + len(index) * _INDEX_ENTRY.size
-    body = bytearray()
-    body += _HEADER.pack(MAGIC, begin_lsn, end_lsn, count, block_size)
-    body += blocks
-    for first_page, off in index:
-        body += _INDEX_ENTRY.pack(first_page, off)
-    body += bloom.to_bytes()
-    body += _FOOTER.pack(index_offset, bloom_offset, 0)[:-4]
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
-    failpoints.publish(path, lambda f: f.write(body), "run:pre_rename")
+    failpoints.publish(path, write, "run:pre_rename")
     return path
 
 
 class RunReader:
     """One published run: header, block index and bloom filter live in
     memory; record blocks are read on demand, each read opening and
-    closing the file, so a reader holds no file between reads."""
+    closing the file, so a reader holds no file between reads.  A file
+    it cannot open or read is a corrupt run."""
 
     def __init__(self, path: str):
         self.path = path
         self.name = os.path.basename(path)
-        with open(path, "rb") as f:
-            raw = f.read()
-        if len(raw) < _HEADER.size + _FOOTER.size:
+        try:
+            size = os.path.getsize(path)
+        except OSError as exc:
+            raise CorruptRunError(self.name, str(exc)) from exc
+        if size < _HEADER.size + _FOOTER.size:
             raise CorruptRunError(self.name, "file too small")
-        (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-        if crc != zlib.crc32(raw[:-4]):
+        footer = size - _FOOTER.size
+        self._index_offset, bloom_offset, crc = _FOOTER.unpack(self._pread(footer, _FOOTER.size))
+        check = 0
+        for at in range(0, size - 4, READ_CHUNK):
+            check = zlib.crc32(self._pread(at, min(READ_CHUNK, size - 4 - at)), check)
+        if check != crc:
             raise CorruptRunError(self.name, "file crc mismatch")
         magic, self.begin_lsn, self.end_lsn, self.record_count, self.block_size = \
-            _HEADER.unpack_from(raw)
+            _HEADER.unpack(self._pread(0, _HEADER.size))
         if magic != MAGIC:
             raise CorruptRunError(self.name, f"bad magic {magic!r}")
-        footer = len(raw) - _FOOTER.size
-        self._index_offset, bloom_offset, _ = _FOOTER.unpack_from(raw, footer)
-        self.index = list(_INDEX_ENTRY.iter_unpack(raw[self._index_offset:bloom_offset]))
+        meta = self._pread(self._index_offset, footer - self._index_offset)
+        self.index = list(_INDEX_ENTRY.iter_unpack(meta[:bloom_offset - self._index_offset]))
         self._firsts = [first for first, _ in self.index]  # block_span's search keys
-        self.bloom = BloomFilter.from_bytes(raw[bloom_offset:footer])
+        self.bloom = BloomFilter.from_bytes(meta[bloom_offset - self._index_offset:])
 
     def _pread(self, offset: int, nbytes: int) -> bytes:
-        with open(self.path, "rb", buffering=0) as f:
-            data = os.pread(f.fileno(), nbytes, offset)
+        try:
+            with open(self.path, "rb", buffering=0) as f:
+                data = os.pread(f.fileno(), nbytes, offset)
+        except OSError as exc:
+            raise CorruptRunError(self.name, str(exc)) from exc
         if len(data) != nbytes:
             raise CorruptRunError(self.name, "short read")
         return data
@@ -165,17 +175,15 @@ class RunReader:
         end = self.index[end_block][1] if end_block < len(self.index) else self._index_offset
         return start, end
 
-    def _decode_blocks(self, data: bytes) -> list[LogRecord]:
-        records = []
+    def _decode_blocks(self, data: bytes) -> Iterator[LogRecord]:
         try:
             for end in range(self.block_size, len(data) + 1, self.block_size):
                 off = end - self.block_size
                 while off + 4 <= end and struct.unpack_from("<I", data, off)[0]:
                     rec, off = LogRecord.decode(data, off)
-                    records.append(rec)
+                    yield rec
         except Exception as exc:
             raise CorruptRunError(self.name, str(exc)) from exc
-        return records
 
     def scan_range(self, first_page: int, last_page: int, min_lsn: int = 0,
                    device=None, now: float = 0.0) -> tuple[list[LogRecord], float]:
@@ -190,10 +198,12 @@ class RunReader:
                if first_page <= r.page_id <= last_page and r.lsn >= min_lsn]
         return out, t
 
-    def scan_all(self, device=None, now: float = 0.0) -> tuple[list[LogRecord], float]:
+    def scan_all(self, device=None, now: float = 0.0) -> tuple[Iterator[LogRecord], float]:
+        """(records, t): a lazy stream of every record, read and decoded one
+        READ_CHUNK of blocks at a time; the device is charged for all at once."""
         nbytes = self._index_offset - _HEADER.size
-        if nbytes <= 0:
-            return [], now
-        t = device.charge_read(nbytes, now) if device is not None else now
-        data = self._pread(_HEADER.size, nbytes)
-        return self._decode_blocks(data), t
+        t = device.charge_read(nbytes, now) if device is not None and nbytes else now
+        step = max(1, READ_CHUNK // self.block_size) * self.block_size
+        chunks = (self._pread(at, min(step, self._index_offset - at))
+                  for at in range(_HEADER.size, self._index_offset, step))
+        return (rec for data in chunks for rec in self._decode_blocks(data)), t

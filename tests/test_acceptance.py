@@ -117,7 +117,7 @@ def test_c2_probe_equivalence(workdir):
             width = rng.randint(2, min(4, directory.run_count))
             start = rng.randrange(directory.run_count - width + 1)
             inputs = list(directory.snapshot()[start:start + width])
-            directory.merge_runs(inputs, fan_in=4)
+            directory.merge_runs(inputs)
     _announce("C2 probe/oracle equivalence", mismatches == 0,
               f"{probes} probes across merge schedules, mismatches={mismatches}")
 
@@ -360,7 +360,7 @@ def test_c8_crash_atomicity_and_bloom(workdir):
             break
         failpoints.arm(point)
         with pytest.raises(CrashInjected):
-            reloaded.merge_runs(list(reloaded.snapshot()[:3]), fan_in=3)
+            reloaded.merge_runs(list(reloaded.snapshot()[:3]))
         after = ArchiveDirectory.load(arch_path, block_size=512)
         ranges = after.lsn_ranges()
         contiguous = ranges[0][0] == 0 and all(

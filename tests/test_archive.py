@@ -2,6 +2,7 @@ import collections
 import gc
 import os
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from segstore import failpoints, runfile
 from segstore.archive import ArchiveDirectory, LogArchiver
 from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
-from segstore.wal import OP_SET
+from segstore.wal import OP_SET, LogRecord
 
 from conftest import closing, make_wal, old_record_bytes, random_history, value_bytes
 
@@ -54,7 +55,7 @@ def test_emit_sort_order(workdir):
     wal.append(3, OP_SET, 0, value_bytes(2))
     wal.append(5, OP_SET, 1, value_bytes(3))
     archiver.archive_step(100)
-    recs, _ = directory.snapshot()[0].scan_all()
+    recs = list(directory.snapshot()[0].scan_all()[0])
     assert [(r.page_id, r.key) for r in recs] == [(3, 0), (5, 0), (5, 1)]
     # within page 5, LSN order preserved (stable on append order)
     assert recs[1].lsn < recs[2].lsn
@@ -124,7 +125,7 @@ def test_probe_equals_oracle_across_merges(workdir):
             assert got == probe_oracle(directory, a, b, min_lsn)
         if directory.run_count >= 3:
             inputs = list(directory.snapshot()[:3])
-            directory.merge_runs(inputs, fan_in=3)
+            directory.merge_runs(inputs)
         else:
             break
 
@@ -157,12 +158,12 @@ def test_merge_identity_and_union(workdir):
     random_history(wal, random.Random(2), 40, npages=10)
     archiver.archive_up_to(wal.end_lsn())
     runs = directory.snapshot()
-    r0_content = runs[0].scan_all()[0]
-    merged, _ = directory.merge_runs([runs[0]], fan_in=8)
-    assert merged.scan_all()[0] == r0_content  # merge of one run: identity
+    r0_content = list(runs[0].scan_all()[0])
+    merged, _ = directory.merge_runs([runs[0]])
+    assert list(merged.scan_all()[0]) == r0_content  # merge of one run: identity
     runs = directory.snapshot()
     a, b = runs[0], runs[1]
-    merged2, _ = directory.merge_runs([a, b], fan_in=8)
+    merged2, _ = directory.merge_runs([a, b])
     assert (merged2.begin_lsn, merged2.end_lsn) == (a.begin_lsn, b.end_lsn)
     assert directory.archived_upto == archiver.archived_upto
 
@@ -173,9 +174,7 @@ def test_merge_rejects_non_adjacent(workdir):
     archiver.archive_up_to(wal.end_lsn())
     runs = directory.snapshot()
     with pytest.raises(ArchiveError):
-        directory.merge_runs([runs[0], runs[2]], fan_in=8)
-    with pytest.raises(ArchiveError):
-        directory.merge_runs(list(runs[:4]), fan_in=2)
+        directory.merge_runs([runs[0], runs[2]])
 
 
 def test_maintenance_policy_bounds_run_count(workdir):
@@ -224,7 +223,7 @@ def test_reload_ignores_tmp_and_resolves_merge_crash(workdir):
     failpoints.arm("merge:pre_unlink")
     inputs = list(directory.snapshot()[:3])
     with pytest.raises(CrashInjected):
-        directory.merge_runs(inputs, fan_in=4)
+        directory.merge_runs(inputs)
     with open(os.path.join(arch_path, "archive_9999_10000.run.tmp"), "wb") as f:
         f.write(b"junk")
 
@@ -247,7 +246,7 @@ def test_reload_after_merge_pre_swap_crash(workdir):
     failpoints.arm("merge:pre_swap")
     inputs = list(directory.snapshot()[:2])
     with pytest.raises(CrashInjected):
-        directory.merge_runs(inputs, fan_in=4)
+        directory.merge_runs(inputs)
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
     assert probe_oracle(reloaded, 0, 9, 0) == oracle_before
 
@@ -279,13 +278,13 @@ def test_run_in_the_older_record_layout_is_refused(workdir, monkeypatch):
     os.makedirs(dir_path)
     recs = [_OldRecord(1 + 63 * i, i // 2, i, value_bytes(i)) for i in range(6)]
     monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")
-    path = runfile.write_run(dir_path, 0, 1 + 63 * len(recs), recs, block_size=512)
+    path = runfile.write_run(dir_path, 0, 1 + 63 * len(recs), recs, len(recs), block_size=512)
     monkeypatch.undo()
     with pytest.raises(CorruptRunError, match="bad magic"):
         ArchiveDirectory.load(dir_path, block_size=512)
     monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")  # accept the old header
     with pytest.raises(CorruptRunError, match="bad length"):
-        runfile.RunReader(path).scan_all()
+        list(runfile.RunReader(path).scan_all()[0])
 
 
 def test_failed_merge_swap_closes_its_output(workdir):
@@ -296,7 +295,7 @@ def test_failed_merge_swap_closes_its_output(workdir):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(CrashInjected):
-            directory.merge_runs(list(directory.snapshot()[:2]), fan_in=4)
+            directory.merge_runs(list(directory.snapshot()[:2]))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -310,10 +309,95 @@ def test_runs_hold_no_files(workdir):
     random_history(wal, random.Random(10), 120, npages=10)
     archiver.archive_up_to(wal.end_lsn())
     assert directory.run_count >= 8
-    directory.merge_runs(list(directory.snapshot()[:4]), fan_in=4)
+    directory.merge_runs(list(directory.snapshot()[:4]))
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
     assert list(reloaded.probe(0, 9, 0)) == probe_oracle(reloaded, 0, 9, 0)
+    records, _ = reloaded.snapshot()[0].scan_all()
+    next(records)
+    del records  # a scan dropped half read
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def archive_state(directory):
+    """The manifest and every file of the archive directory, bytes included."""
+    files = {}
+    for name in os.listdir(directory.dir_path):
+        with open(os.path.join(directory.dir_path, name), "rb") as f:
+            files[name] = f.read()
+    return directory.lsn_ranges(), files
+
+
+def test_merge_of_stale_inputs_is_a_corrupt_run(workdir):
+    """Runs that an earlier merge unlinked cannot be read: merging them
+    again raises CorruptRunError and publishes nothing."""
+    wal, directory, archiver = build(workdir, run_size_limit=10)
+    random_history(wal, random.Random(11), 60, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    stale = list(directory.snapshot()[:2])
+    directory.merge_runs(list(directory.snapshot()[:4]))
+    before = archive_state(directory)
+    with pytest.raises(CorruptRunError) as err:
+        directory.merge_runs(stale)
+    assert err.value.run_name == stale[0].name
+    assert archive_state(directory) == before  # no run published, no .tmp left
+
+
+def test_merge_stops_at_a_block_corrupted_after_open(workdir, monkeypatch):
+    """An input block that goes bad after its run was opened fails the
+    merge partway through writing its output; nothing is published."""
+    wal, directory, archiver = build(workdir, run_size_limit=100)
+    random_history(wal, random.Random(12), 400, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    inputs = list(directory.snapshot())
+    last = inputs[-1]
+    with open(last.path, "r+b") as f:  # a value byte of the last block's first record
+        f.seek(last.index[-1][1] + 40)
+        f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
+    before = archive_state(directory)
+    written = []
+    real_publish = failpoints.publish
+
+    def publish(path, write, point=None):
+        def spy(f):
+            try:
+                write(f)
+            finally:
+                written.append(f.tell())
+        real_publish(path, spy, point)
+
+    monkeypatch.setattr(failpoints, "publish", publish)
+    with pytest.raises(CorruptRunError) as err:
+        directory.merge_runs(inputs)
+    assert err.value.run_name == last.name
+    assert written[0] > 4 * directory.block_size  # blocks went out before the fault
+    assert archive_state(directory) == before
+
+
+def test_merge_memory_stays_below_its_output(workdir):
+    """A merge streams: its peak allocation is a chunk per input and one
+    output block, well under the run it writes."""
+    dir_path = os.path.join(workdir, "archive")
+    os.makedirs(dir_path)
+    rng = random.Random(13)
+    begin, lsn = 0, 1
+    for _ in range(4):
+        recs = []
+        for i in range(16384):
+            recs.append(LogRecord(lsn, rng.randrange(1024), OP_SET, i % 16, value_bytes(i)))
+            lsn = recs[-1].next_lsn
+        recs.sort(key=lambda r: (r.page_id, r.lsn))
+        runfile.write_run(dir_path, begin, lsn, recs, len(recs))
+        begin = lsn
+    del recs
+    directory = ArchiveDirectory.load(dir_path)
+    tracemalloc.start()
+    try:
+        output, _ = directory.merge_runs(list(directory.snapshot()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert output.record_count == 4 * 16384
+    assert peak < os.path.getsize(output.path)
 
 
 def test_archiver_resumes_on_reloaded_archive(workdir):

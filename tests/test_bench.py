@@ -154,8 +154,8 @@ def test_failure_merges_the_archive_into_one_run(tmp_path):
     merges, seen = [], {}
     real_merge, real_inject = engine.archive_dir.merge_runs, engine._inject_failure
 
-    def merge_runs(inputs, fan_in, now=0.0):
-        out, t = real_merge(inputs, fan_in, now)
+    def merge_runs(inputs, now=0.0):
+        out, t = real_merge(inputs, now)
         merges.append((len(inputs), t))
         return out, t
 

@@ -7,7 +7,7 @@ import pytest
 
 from segstore import failpoints
 from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
-from segstore.runfile import RunReader, parse_run_name, run_name, write_run
+from segstore.runfile import READ_CHUNK, RunReader, parse_run_name, run_name, write_run
 from segstore.wal import OP_SET, LogRecord
 
 from conftest import value_bytes
@@ -37,11 +37,11 @@ def test_run_name_round_trip():
 def test_write_read_round_trip(workdir):
     rng = random.Random(1)
     recs, end = make_records(rng, 500, npages=40)
-    path = write_run(workdir, 0, end, sorted_records(recs), block_size=512)
+    path = write_run(workdir, 0, end, sorted_records(recs), len(recs), block_size=512)
     run = RunReader(path)
     assert (run.begin_lsn, run.end_lsn, run.record_count) == (0, end, 500)
     back, _ = run.scan_all()
-    assert back == sorted_records(recs)
+    assert list(back) == sorted_records(recs)
     # bloom covers exactly the touched pages, no false negatives
     touched = {r.page_id for r in recs}
     assert all(run.bloom.might_contain(p) for p in touched)
@@ -50,9 +50,9 @@ def test_write_read_round_trip(workdir):
 def test_block_index_probes_match_full_scan(workdir):
     rng = random.Random(2)
     recs, end = make_records(rng, 2000, npages=100)
-    path = write_run(workdir, 0, end, sorted_records(recs), block_size=512)
+    path = write_run(workdir, 0, end, sorted_records(recs), len(recs), block_size=512)
     run = RunReader(path)
-    full, _ = run.scan_all()
+    full = list(run.scan_all()[0])
     for _ in range(200):
         a = rng.randrange(100)
         b = rng.randrange(a, 100)
@@ -66,14 +66,14 @@ def test_out_of_order_records_rejected(workdir):
     recs = [LogRecord(1, 5, OP_SET, 0, value_bytes(0)),
             LogRecord(100, 3, OP_SET, 0, value_bytes(1))]
     with pytest.raises(ArchiveError):
-        write_run(workdir, 0, 200, recs)
+        write_run(workdir, 0, 200, recs, len(recs))
     assert os.listdir(workdir) == []  # nothing published, tmp cleaned up
 
 
 def test_lsn_outside_range_rejected(workdir):
     recs = [LogRecord(500, 5, OP_SET, 0, value_bytes(0))]
     with pytest.raises(ArchiveError):
-        write_run(workdir, 0, 100, recs)
+        write_run(workdir, 0, 100, recs, len(recs))
 
 
 def test_crash_before_rename_publishes_nothing(workdir):
@@ -81,17 +81,17 @@ def test_crash_before_rename_publishes_nothing(workdir):
     recs, end = make_records(rng, 50, npages=10)
     failpoints.arm("run:pre_rename")
     with pytest.raises(CrashInjected):
-        write_run(workdir, 0, end, sorted_records(recs))
+        write_run(workdir, 0, end, sorted_records(recs), len(recs))
     assert os.listdir(workdir) == []
     # retry after the "crash" succeeds
-    path = write_run(workdir, 0, end, sorted_records(recs))
+    path = write_run(workdir, 0, end, sorted_records(recs), len(recs))
     assert os.path.exists(path)
 
 
 def test_corruption_detected_on_open(workdir):
     rng = random.Random(4)
     recs, end = make_records(rng, 50, npages=10)
-    path = write_run(workdir, 0, end, sorted_records(recs))
+    path = write_run(workdir, 0, end, sorted_records(recs), len(recs))
     with open(path, "r+b") as f:
         f.seek(60)
         f.write(b"\xde\xad")
@@ -108,12 +108,36 @@ def test_corruption_detected_on_open(workdir):
 def test_oversized_record_rejected(workdir):
     recs = [LogRecord(1, 0, OP_SET, 0, value_bytes(0))]
     with pytest.raises(ArchiveError):
-        write_run(workdir, 0, 100, recs, block_size=16)
+        write_run(workdir, 0, 100, recs, len(recs), block_size=16)
 
 
 def test_empty_run(workdir):
-    path = write_run(workdir, 10, 10, [])
+    path = write_run(workdir, 10, 10, [], 0)
     run = RunReader(path)
     assert run.record_count == 0
-    assert run.scan_all()[0] == []
+    assert list(run.scan_all()[0]) == []
     assert run.scan_range(0, 100)[0] == []
+
+
+def test_crc_mismatch_past_the_first_read_chunk(workdir):
+    rng = random.Random(5)
+    recs, end = make_records(rng, 3000, npages=100)
+    path = write_run(workdir, 0, end, sorted_records(recs), len(recs), block_size=512)
+    assert os.path.getsize(path) > 2 * READ_CHUNK
+    RunReader(path)
+    with open(path, "r+b") as f:
+        f.seek(READ_CHUNK + 100)
+        byte = f.read(1)
+        f.seek(READ_CHUNK + 100)
+        f.write(bytes([byte[0] ^ 0x01]))
+    with pytest.raises(CorruptRunError, match="file crc mismatch"):
+        RunReader(path)
+
+
+@pytest.mark.parametrize("count", [49, 51])
+def test_record_count_must_match(workdir, count):
+    rng = random.Random(6)
+    recs, end = make_records(rng, 50, npages=10)
+    with pytest.raises(ArchiveError, match="expected"):
+        write_run(workdir, 0, end, sorted_records(recs), count)
+    assert os.listdir(workdir) == []
