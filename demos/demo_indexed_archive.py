@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""The indexed log archive: sorted runs, background merging, and range
-probes that feed recovery with a single ordered stream.
+"""The indexed log archive: sorted runs, range probes that feed recovery
+with a single ordered stream, and the merge made when restore begins.
 
 Run:  python demos/demo_indexed_archive.py
 """
@@ -16,7 +16,7 @@ from segstore.wal import OP_SET
 with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
       closing(WriteAheadLog(os.path.join(workdir, "wal.log"))) as wal):
     directory = ArchiveDirectory(os.path.join(workdir, "archive"))
-    archiver = LogArchiver(wal, directory, run_size_limit=64, fan_in=4)
+    archiver = LogArchiver(wal, directory, run_size_limit=64)
 
     # A randomized update history over 26 pages (think of them as A..Z).
     rng = random.Random(1)
@@ -38,9 +38,10 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
     for rec in list(result)[:5]:
         print(f"  page {rec.page_id} lsn {rec.lsn}")
 
-    # Background merging keeps probe fan-in bounded; results never change.
+    # When restore begins, every run is merged into one, so each probe
+    # scans a single run; results never change.
     before = list(directory.probe(6, 10, 0))
     archiver.run_maintenance()
     after = list(directory.probe(6, 10, 0))
-    print(f"\nafter maintenance merge: {directory.run_count} runs, "
+    print(f"\nafter the merge at restore start: {directory.run_count} run, "
           f"probe unchanged: {before == after}")

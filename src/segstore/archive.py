@@ -4,11 +4,11 @@ The archiver drains the write-ahead log into an in-memory workspace and,
 every run_size_limit records, emits one sorted indexed run.  Runs cover
 contiguous, disjoint LSN intervals whose union is exactly the archived
 prefix of the log, so an archiver given a reloaded directory resumes
-where its last run ends, and garbage collection is a range check.  A
-maintenance policy merges the eldest fan_in adjacent runs whenever more
-than 2 * fan_in runs exist, bounding probe fan-in without merging
-continuously.  A merge streams its inputs' chunked scans through one
-k-way merge into the run writer, holding a read chunk per input, never a run.
+where its last run ends, and garbage collection is a range check.  The
+archive's one merge is run_maintenance, which merges every run into one
+when restore begins.  A merge streams its inputs' chunked scans through
+one k-way merge into the run writer, holding a read chunk per input,
+never a run.
 
 probe(first_page, last_page, min_lsn) k-way-merges every run that may
 hold matching records - runs ending at or before min_lsn are skipped
@@ -206,7 +206,7 @@ class LogArchiver:
     """
 
     def __init__(self, wal: WriteAheadLog, directory: ArchiveDirectory,
-                 run_size_limit: int = 4096, fan_in: int = 8, mode: str = "sorted"):
+                 run_size_limit: int = 4096, mode: str = "sorted"):
         if run_size_limit <= 0:
             raise ArchiveError("run_size_limit must be positive")
         if mode not in ARCHIVE_MODES:
@@ -214,7 +214,6 @@ class LogArchiver:
         self.wal = wal
         self.directory = directory
         self.run_size_limit = run_size_limit
-        self.fan_in = fan_in
         self.mode = mode
         self._workspace: list[LogRecord] = []
         # begin_lsn of the next run to emit, and LSN of the next WAL record
@@ -277,13 +276,15 @@ class LogArchiver:
         failpoints.publish(path, lambda f: f.write(blob))
         return self.directory.device.charge_write(len(blob), now)
 
-    def maintenance_due(self) -> bool:
-        return self.mode == "sorted" and self.directory.run_count > 2 * self.fan_in
-
     def run_maintenance(self, now: float = 0.0) -> float:
-        """Merge the eldest fan_in adjacent runs if the policy calls for it."""
-        t = now
-        while self.maintenance_due():
-            inputs = list(self.directory.snapshot()[:self.fan_in])
-            _, t = self.directory.merge_runs(inputs, t)
-        return t
+        """Merge every run into one; return the merge's completion time, or
+        now if fewer than two runs exist.
+
+        This is single-pass restore's merge (Sauer, Graefe & Haerder, BTW
+        2015), made when restore begins: every probe then scans one run,
+        however long the log before the failure grew, and restore waits
+        for the merge."""
+        runs = list(self.directory.snapshot())
+        if len(runs) < 2:
+            return now
+        return self.directory.merge_runs(runs, now)[1]

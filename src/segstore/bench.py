@@ -171,8 +171,6 @@ class BenchEngine:
 
     def _archiver_step(self, now: float) -> None:
         _, t = self.archiver.archive_step(ARCHIVER_BUDGET, now)
-        if self.archiver.maintenance_due():
-            t = self.archiver.run_maintenance(t)
         self._arch_clock = t
         self._arch_next = t + ARCHIVER_INTERVAL_US
 
@@ -208,8 +206,7 @@ class BenchEngine:
                       if w.parked_on is None and worker_active(w)]
             if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
-            if (self.archiver.consumed_lsn < self.wal.end_lsn()
-                    or self.archiver.maintenance_due()):
+            if self.archiver.consumed_lsn < self.wal.end_lsn():
                 actors.append((max(self._arch_clock, self._arch_next,
                                    self.wal.last_append_at), -1, self._archiver_step))
             if self.manager is not None and self.manager.has_pending_work():
@@ -236,12 +233,7 @@ class BenchEngine:
         self._db_ops_at_failure = (self.volume.device.reads + self.volume.device.writes)
         t_catch = self.archiver.archive_up_to(self.failure_lsn,
                                               max(self._arch_clock, self._t_fail_us))
-        # Single-pass restore's move: every probe then scans one run, however
-        # long the log before the failure grew.  Restore waits for the merge.
-        runs = list(self.archive_dir.snapshot())
-        if len(runs) > 1:
-            _, t_catch = self.archive_dir.merge_runs(runs, t_catch)
-        self._arch_clock = t_catch
+        self._arch_clock = t_catch = self.archiver.run_maintenance(t_catch)
         self.manager = RestoreManager(self.backup, self.archive_dir, self.replacement,
                                       self.failure_lsn, policy=self.config.policy,
                                       batch_cap=self.config.batch_cap)
@@ -415,17 +407,21 @@ def _scratch_engine(config: WorkloadConfig, prefix: str, **kw):
 def measure_archiving_overhead(config: WorkloadConfig) -> dict:
     """Same run twice, no failure: archiving with sort+index vs a plain
     file copy.  Reports the median throughput over the whole seconds of
-    each and the overhead ratio."""
+    each and the overhead ratio.  Raises ValueError if a mode commits in
+    no whole second, since there is then no throughput to compare."""
     results = {}
     for mode in ("sorted", "copy"):
         cfg = replace(config, archive_mode=mode, failure_time_s=None)
         with _scratch_engine(cfg, f"segstore-ovh-{mode}-") as engine:
             report = engine.run()
         series = [n for n in report.per_second_txns()[:int(report.duration_s)] if n > 0]
-        results[mode] = statistics.median(series) if series else 0.0
+        if not series:
+            raise ValueError(f"{mode} archiving committed in no whole second "
+                             f"of a {report.duration_s:g} s run")
+        results[mode] = statistics.median(series)
     sorted_tps = results["sorted"]
     copy_tps = results["copy"]
-    overhead = 1.0 - (sorted_tps / copy_tps) if copy_tps else 0.0
+    overhead = 1.0 - sorted_tps / copy_tps
     return {"sorted_indexed_tps": sorted_tps, "plain_copy_tps": copy_tps,
             "overhead_ratio": overhead}
 

@@ -87,10 +87,10 @@ def test_c1_correctness_oracle_randomized_configs():
 
 def test_c2_probe_equivalence(workdir):
     """>=1000 random probes equal the linear-scan-filter-sort oracle,
-    including across random maintenance-merge schedules.  Exact."""
+    across merges of random adjacent groups of runs (merge_runs).  Exact."""
     wal = make_wal(workdir)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
-    archiver = LogArchiver(wal, directory, run_size_limit=48, fan_in=4)
+    archiver = LogArchiver(wal, directory, run_size_limit=48)
     rng = random.Random(99)
     random_history(wal, rng, 6000, npages=200, nkeys=12)
     archiver.archive_up_to(wal.end_lsn())
@@ -330,7 +330,7 @@ def test_c8_crash_atomicity_and_bloom(workdir):
     wal = make_wal(workdir)
     arch_path = os.path.join(workdir, "archive")
     directory = ArchiveDirectory(arch_path, block_size=512)
-    archiver = LogArchiver(wal, directory, run_size_limit=40, fan_in=3)
+    archiver = LogArchiver(wal, directory, run_size_limit=40)
     rng = random.Random(4)
     random_history(wal, rng, 1200, npages=60)
 
@@ -353,7 +353,7 @@ def test_c8_crash_atomicity_and_bloom(workdir):
 
     want = full_content()
 
-    # crash around a maintenance merge, both sides of the manifest swap
+    # crash around a merge, both sides of the manifest swap
     for point in ("merge:pre_swap", "merge:pre_unlink"):
         reloaded = ArchiveDirectory.load(arch_path, block_size=512)
         if reloaded.run_count < 3:

@@ -9,17 +9,17 @@ import pytest
 
 from segstore import failpoints, runfile
 from segstore.archive import ArchiveDirectory, LogArchiver
+from segstore.device import LatencyModel
 from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
 from segstore.wal import OP_SET, LogRecord
 
 from conftest import closing, make_wal, old_record_bytes, random_history, value_bytes
 
 
-def build(workdir, run_size_limit=64, fan_in=8, mode="sorted"):
+def build(workdir, run_size_limit=64, mode="sorted"):
     wal = make_wal(workdir)
     directory = ArchiveDirectory(os.path.join(workdir, "archive"), block_size=512)
-    archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit,
-                           fan_in=fan_in, mode=mode)
+    archiver = LogArchiver(wal, directory, run_size_limit=run_size_limit, mode=mode)
     closing(wal)
     return wal, directory, archiver
 
@@ -62,12 +62,12 @@ def test_emit_sort_order(workdir):
 
 
 def test_multiset_preservation_randomized(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=50, fan_in=4)
+    wal, directory, archiver = build(workdir, run_size_limit=50)
     rng = random.Random(9)
     random_history(wal, rng, 3000, npages=64)
     while archiver.consumed_lsn < wal.end_lsn():
         archiver.archive_step(rng.randrange(1, 300))
-        if rng.random() < 0.3 and archiver.maintenance_due():
+        if rng.random() < 0.3:
             archiver.run_maintenance()
     archiver.archive_up_to(wal.end_lsn())
     archived = []
@@ -111,7 +111,7 @@ def test_archive_up_to_requires_durable_wal(workdir):
 
 
 def test_probe_equals_oracle_across_merges(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=40, fan_in=3)
+    wal, directory, archiver = build(workdir, run_size_limit=40)
     rng = random.Random(21)
     random_history(wal, rng, 2500, npages=80)
     archiver.archive_up_to(wal.end_lsn())
@@ -177,19 +177,50 @@ def test_merge_rejects_non_adjacent(workdir):
         directory.merge_runs([runs[0], runs[2]])
 
 
-def test_maintenance_policy_bounds_run_count(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=8, fan_in=3)
-    rng = random.Random(5)
+def test_maintenance_merges_every_run_into_one(workdir):
+    """run_maintenance merges the whole archive into one run covering
+    [0, archived_upto), keeps every probe's answer, and returns when the
+    archive device is done; below two runs it does nothing at all."""
+    wal = make_wal(workdir)
+    closing(wal)
+    latency = LatencyModel(fixed_us=100.0, per_byte_us=0.01)
+    directory = ArchiveDirectory(os.path.join(workdir, "archive"), latency, block_size=512)
+    archiver = LogArchiver(wal, directory, run_size_limit=8)
+    device = directory.device
+    charges = lambda: (device.reads, device.writes, device.bytes_read,
+                       device.bytes_written, device._busy_until)
+    assert archiver.run_maintenance(5.0) == 5.0  # no run
+    random_history(wal, random.Random(5), 8, npages=20)
+    archiver.archive_up_to(wal.end_lsn())
+    assert directory.run_count == 1
+    files, before = os.listdir(directory.dir_path), charges()
+    assert archiver.run_maintenance(5.0) == 5.0  # one run
+    assert os.listdir(directory.dir_path) == files and charges() == before
+
+    rng = random.Random(6)
     random_history(wal, rng, 600, npages=20)
-    while archiver.consumed_lsn < wal.end_lsn():
-        archiver.archive_step(rng.randrange(1, 64))
-        archiver.run_maintenance()
-    assert directory.run_count <= 2 * 3 + 1
-    assert probe_oracle(directory, 0, 19, 0) == list(directory.probe(0, 19, 0))
+    archiver.archive_up_to(wal.end_lsn())
+    assert directory.run_count > 2
+    probes = []
+    for _ in range(30):
+        a = rng.randrange(20)
+        probes.append((a, min(19, a + rng.randrange(6)),
+                       rng.choice([0, rng.randrange(wal.end_lsn())])))
+    want = [probe_oracle(directory, *p) for p in probes]
+    assert [list(directory.probe(*p)) for p in probes] == want
+    now = device._busy_until + 1.0
+    done = archiver.run_maintenance(now)
+    (merged,) = directory.snapshot()
+    assert done == device._busy_until
+    assert done >= now + latency.cost_us(os.path.getsize(merged.path))
+    assert directory.lsn_ranges() == [(0, archiver.archived_upto)]
+    assert os.listdir(directory.dir_path) == [merged.name]
+    assert [list(directory.probe(*p)) for p in probes] == want
+    assert [probe_oracle(directory, *p) for p in probes] == want
 
 
 def test_sixty_four_way_merge_probe(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=8, fan_in=100)
+    wal, directory, archiver = build(workdir, run_size_limit=8)
     rng = random.Random(7)
     random_history(wal, rng, 8 * 64, npages=16)
     archiver.archive_up_to(wal.end_lsn())
@@ -214,7 +245,7 @@ def test_crash_between_write_and_publish(workdir):
 
 
 def test_reload_ignores_tmp_and_resolves_merge_crash(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=10, fan_in=4)
+    wal, directory, archiver = build(workdir, run_size_limit=10)
     random_history(wal, random.Random(8), 60, npages=10)
     archiver.archive_up_to(wal.end_lsn())
     arch_path = directory.dir_path
@@ -239,7 +270,7 @@ def test_reload_ignores_tmp_and_resolves_merge_crash(workdir):
 
 
 def test_reload_after_merge_pre_swap_crash(workdir):
-    wal, directory, archiver = build(workdir, run_size_limit=10, fan_in=4)
+    wal, directory, archiver = build(workdir, run_size_limit=10)
     random_history(wal, random.Random(12), 60, npages=10)
     archiver.archive_up_to(wal.end_lsn())
     oracle_before = probe_oracle(directory, 0, 9, 0)
@@ -304,7 +335,7 @@ def test_failed_merge_swap_closes_its_output(workdir):
 def test_runs_hold_no_files(workdir):
     """Writing, merging, reloading and probing an archive of many runs
     leaves no file open."""
-    wal, directory, archiver = build(workdir, run_size_limit=10, fan_in=4)
+    wal, directory, archiver = build(workdir, run_size_limit=10)
     fds = len(os.listdir("/proc/self/fd"))
     random_history(wal, random.Random(10), 120, npages=10)
     archiver.archive_up_to(wal.end_lsn())
@@ -403,13 +434,13 @@ def test_merge_memory_stays_below_its_output(workdir):
 def test_archiver_resumes_on_reloaded_archive(workdir):
     """A new archiver over a reloaded directory continues at its last run,
     re-reading the records the old archiver held in its workspace."""
-    wal, directory, archiver = build(workdir, run_size_limit=40, fan_in=3)
+    wal, directory, archiver = build(workdir, run_size_limit=40)
     rng = random.Random(17)
     random_history(wal, rng, 300, npages=30)
     archiver.archive_step(1000)
     assert 0 < archiver.archived_upto < wal.end_lsn()
     reloaded = ArchiveDirectory.load(directory.dir_path, block_size=512)
-    resumed = LogArchiver(wal, reloaded, run_size_limit=40, fan_in=3)
+    resumed = LogArchiver(wal, reloaded, run_size_limit=40)
     assert resumed.archived_upto == resumed.consumed_lsn == archiver.archived_upto
     random_history(wal, rng, 300, npages=30)
     resumed.archive_up_to(wal.end_lsn())

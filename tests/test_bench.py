@@ -315,6 +315,18 @@ def test_cli_overhead(capsys):
     assert "overhead ratio" in out
 
 
+def test_cli_overhead_without_a_whole_second_fails(capsys):
+    """A run shorter than one second has no whole second to take a median
+    over: the command reports an error instead of a ratio of zeros."""
+    rc = main(["overhead", "--pages", "128", "--page-size", "1024",
+               "--segment-pages", "8", "--pool-pages", "64", "--threads", "2",
+               "--duration", "0.5", "--run-limit", "128", "--seed", "6"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "no whole second" in captured.err
+    assert "overhead ratio" not in captured.out
+
+
 def test_overhead_modes_log_identical_work(tmp_path):
     """Archiving is passive: the sorted and copy runs of the same seed log
     the exact same bytes."""
@@ -500,8 +512,9 @@ def test_tracer_entry_points_still_fire(tmp_path, monkeypatch):
             engine.close()
     finally:
         tracer.uninstall()
-    for name in ("backup.fetch", "archive.probe", "restore.replay", "runfile.scan",
-                 "volume.write_span", "bufferpool.fix", "wal.append"):
+    for name in ("backup.fetch", "archive.probe", "archive.maintenance", "archive.merge",
+                 "restore.replay", "runfile.scan", "volume.write_span", "bufferpool.fix",
+                 "wal.append"):
         assert tracer.calls.get(name, 0) > 0, name
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in originals)
 
