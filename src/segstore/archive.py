@@ -28,7 +28,7 @@ import threading
 
 from . import failpoints
 from .device import Device, DeviceRole, LatencyModel
-from .errors import ArchiveError
+from .errors import ArchiveError, CorruptRunError
 from .runfile import DEFAULT_BLOCK_SIZE, RunReader, parse_run_name, write_run
 from .wal import NULL_LSN, LogRecord, WriteAheadLog
 
@@ -132,11 +132,19 @@ class ArchiveDirectory:
                     f"run {reader.name} does not continue archive at {expected}")
             self._runs.append(reader)
 
-    def swap(self, inputs: list[RunReader], output: RunReader) -> None:
+    def _slice_locked(self, inputs) -> int:
+        """Where inputs start in the manifest; raises unless they are one
+        run of it or several adjacent ones, in order."""
+        if inputs[0] not in self._runs:  # a snapshot taken before a merge
+            raise CorruptRunError(inputs[0].name, "no longer in the manifest")
+        i = self._runs.index(inputs[0])
+        if self._runs[i:i + len(inputs)] != list(inputs):
+            raise ArchiveError("merge inputs are not adjacent in the manifest")
+        return i
+
+    def swap(self, inputs, output: RunReader) -> None:
         with self._lock:
-            i = self._runs.index(inputs[0])
-            if self._runs[i:i + len(inputs)] != inputs:
-                raise ArchiveError("merge inputs no longer adjacent in manifest")
+            i = self._slice_locked(inputs)
             self._runs[i:i + len(inputs)] = [output]
 
     def probe(self, first_page: int, last_page: int, min_lsn: int = 0,
@@ -168,21 +176,22 @@ class ArchiveDirectory:
             (lists[0] if lists else [])
         return ProbeResult(out, t, merged, skipped)
 
-    def merge_runs(self, inputs: list[RunReader], now: float = 0.0) -> tuple[RunReader, float]:
-        """Merge adjacent runs into one covering their union LSN range.
+    def merge_runs(self, inputs, now: float = 0.0) -> tuple[RunReader, float]:
+        """Merge adjacent runs of the manifest (a list or tuple, in manifest
+        order) into one covering their union LSN range.
 
-        Publication order is: rename output into place, swap the manifest,
-        then unlink inputs.  The inputs' files are gone afterwards, so a
-        snapshot taken before the merge cannot be probed after it: probes
-        and merges must not overlap.  The engine keeps them apart by
-        stepping the archiver and the restore scheduler from one thread.
+        Inputs that are not adjacent in the manifest are refused before
+        anything is written.  Publication order is: rename output into
+        place, swap the manifest, then unlink inputs.  The inputs' files
+        are gone afterwards, so a snapshot taken before the merge cannot
+        be probed after it: probes and merges must not overlap.  The
+        engine keeps them apart by stepping the archiver and the restore
+        scheduler from one thread.
         """
         if not inputs:
             raise ArchiveError("nothing to merge")
-        for a, b in zip(inputs, inputs[1:]):
-            if a.end_lsn != b.begin_lsn:
-                raise ArchiveError(
-                    f"runs {a.name} and {b.name} are not LSN-adjacent")
+        with self._lock:
+            self._slice_locked(inputs)
         scans = [run.scan_all(self.device, now) for run in inputs]
         t = max(now, *(t_run for _, t_run in scans))
         output, t = self.write(inputs[0].begin_lsn, inputs[-1].end_lsn,

@@ -7,8 +7,10 @@ function of its configuration and seed, while per-device FCFS busy-until
 accounting still shapes the timeline the way real contention would: the
 log device serializes its writes, and an append that queues behind a log
 write that has not started joins it (group commit), restore transfers
-queue behind each other, and a transaction that touches a
-not-yet-restored segment parks until the scheduler's completion signal.
+queue behind each other, a buffer-pool miss waits for its own page read
+while its dirty victim's write queues behind that read on the database
+device, and a transaction that touches a not-yet-restored segment parks
+until the scheduler's completion signal.
 A worker steps a whole transaction at a time, so only other workers'
 appends can join the log write that one of its appends queues for.
 

@@ -23,6 +23,14 @@ benchmark engine can share this code:
                 RestoreHandle (Blocked) so a cooperative caller can park
                 on it and retry.
 
+A miss that evicts a dirty CLOCK victim issues its own read first and
+then the victim's write at the same virtual time, so the write queues
+behind the read on the device and the miss returns when its read
+completes (write-behind eviction).  The victim's image is in the file
+before the fix returns, and any later transfer on the device, a miss on
+the victim page included, queues behind the write.  If that write fails,
+the page just read is dropped and the victim stays resident and dirty.
+
 Frame state is kept in flat arrays indexed by frame number, not in an
 object per frame: the resident Page (or None), a pin count, one flag
 byte (dirty, CLOCK reference, latch held) and the free frames.  A page
@@ -139,6 +147,7 @@ class BufferPool:
         if not 0 <= page_id < self.volume.geometry.page_count:
             raise InvalidPageIdError(f"page {page_id} out of range")
         with self._cond:
+            dirty = -1  # a dirty victim, written back behind this miss's read
             while True:
                 f = self._frame_of[page_id]
                 if f >= 0:
@@ -162,9 +171,16 @@ class BufferPool:
                 if kind == "blocked":
                     return self._blocked(victim, now)
                 if kind == "dirty":
-                    now = self._write_back_locked(victim, now)
+                    dirty = victim
+                    break
                 self._retire_locked(victim)
-            page, now = self.live_volume.read_page(page_id, now)
+            page, t = self.live_volume.read_page(page_id, now)
+            if dirty >= 0:
+                # Issued at the miss's own time, the write queues behind the
+                # read on the device; the miss does not wait for it.
+                self._write_back_locked(dirty, now)
+                self._retire_locked(dirty)
+            now = t
             f = self._free.pop()
             self._pages[f] = page
             self._pins[f] = 1

@@ -169,12 +169,31 @@ def test_merge_identity_and_union(workdir):
 
 
 def test_merge_rejects_non_adjacent(workdir):
+    """Inputs that skip a run, or come out of manifest order, are refused
+    before anything is written: no output file, manifest unchanged."""
     wal, directory, archiver = build(workdir, run_size_limit=10)
     random_history(wal, random.Random(2), 40, npages=10)
     archiver.archive_up_to(wal.end_lsn())
     runs = directory.snapshot()
-    with pytest.raises(ArchiveError):
-        directory.merge_runs([runs[0], runs[2]])
+    before = archive_state(directory)
+    for inputs in ([runs[0], runs[2]], (runs[1], runs[0])):
+        with pytest.raises(ArchiveError, match="not adjacent"):
+            directory.merge_runs(inputs)
+        assert archive_state(directory) == before
+
+
+def test_merge_of_the_snapshot_tuple(workdir):
+    """merge_runs takes the snapshot itself, a tuple, as its inputs."""
+    wal, directory, archiver = build(workdir, run_size_limit=10)
+    random_history(wal, random.Random(3), 40, npages=10)
+    archiver.archive_up_to(wal.end_lsn())
+    oracle = probe_oracle(directory, 0, 9, 0)
+    runs = directory.snapshot()
+    assert isinstance(runs, tuple) and len(runs) >= 2
+    output, _ = directory.merge_runs(runs)
+    assert directory.snapshot() == (output,)
+    assert sorted(os.listdir(directory.dir_path)) == [output.name]
+    assert probe_oracle(directory, 0, 9, 0) == oracle
 
 
 def test_maintenance_merges_every_run_into_one(workdir):

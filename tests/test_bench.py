@@ -459,7 +459,7 @@ def _csv_digest(report, out_dir):
     (dict(cleaner_interval_us=500.0), False,
      "8d8e6a55294fead034b5a7a0d8e571a06384f7f50e5ff04bf086555621c6c35d"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "a57ca7d45d9863fa4612e779540323b6024061d6214e8b8810b3a2a1c8fdc377"),
+     "7b33401db834af36d0ba68a14c30b8d25a2ebe94796da9d7ee539c3b222a7237"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -476,9 +476,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "501b6d59fec28b74a98546d1aebda0b2bfb8291c51c034e778c981c28cdcbc10"),
+    (dict(), "20783266970e763bb1c723af1e3e7b696ba7acc6c9b7b37ca31409da0506ef73"),
     (dict(failure_time_s=None),
-     "46170cea5ca3086cab20594b783de28de0fa28541bc96a392e8028418f910ecf"),
+     "87f9d2002c4fc9e0bad25fa1642a888ea48e750456f2b99f3387b545963494e9"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

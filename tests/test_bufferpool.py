@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segstore.bufferpool import BufferPool
+from segstore.device import LatencyModel
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
-from segstore.pages import page_capacity
+from segstore.pages import Page, page_capacity
 from segstore.wal import OP_SET, LogRecord
 
 from conftest import make_volume, make_wal, value_bytes
@@ -288,6 +289,10 @@ def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
     monkeypatch.setattr(vol, "write_page", fail_once)
     with pytest.raises(StorageError, match="injected"):
         pool.try_fix_page(1)
+    # The miss's read came first; the page it read is dropped, and the one
+    # frame still holds page 0.
+    assert not pool.resident(1) and pool.resident(0)
+    assert len(pool._free) == 0 and pool.evictions == 0
     errors = []
 
     def check():
@@ -310,6 +315,46 @@ def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
     thread.start()
     thread.join(30.0)
     assert not thread.is_alive() and errors == []
+
+
+def test_dirty_victim_write_trails_the_miss_read(workdir):
+    """A miss that evicts a dirty victim returns when its own read completes.
+    The victim's write, issued at the miss's time, queues behind that read
+    on the device, so a re-fix of the victim page queues behind the write.
+    A clean victim costs the miss its read alone, as before."""
+    latency = LatencyModel(fixed_us=100.0, per_byte_us=0.01)
+    vol = make_volume(workdir, page_count=64, page_size=1024,
+                      pages_per_segment=8, latency=latency)
+    pool = BufferPool(vol, 1)
+    cost = latency.cost_us(1024)
+    dev = vol.device
+    h, t = pool.fix_page(0, 0.0)  # a free frame: one read
+    assert t == cost
+    h.page.set(7, value_bytes(7), page_capacity(1024))
+    pool.unfix_page(h, mark_dirty=True)
+
+    now = 1000.0
+    writes = dev.writes
+    h, t = pool.fix_page(1, now)  # evicts dirty page 0
+    assert t == now + cost
+    assert dev.writes == writes + 1
+    assert dev._busy_until == t + cost
+    assert not pool.resident(0) and pool.dirty_count() == 0
+    # The victim's image is in the file already; pread charges no transfer.
+    back = Page.from_bytes(dev.pread(vol.geometry.page_offset(0), 1024))
+    assert back.get(7) == value_bytes(7)
+    pool.unfix_page(h)
+
+    h, t = pool.fix_page(0, now)  # evicts clean page 1, reads behind the write
+    assert t == now + 3 * cost
+    pool.unfix_page(h)
+
+    now = 5000.0
+    writes = dev.writes
+    h, t = pool.fix_page(2, now)  # evicts clean page 0
+    assert t == now + cost == dev._busy_until
+    assert dev.writes == writes
+    pool.unfix_page(h)
 
 
 def test_pinned_never_evicted_under_stress(workdir):
