@@ -40,20 +40,17 @@ def backup_name(min_lsn: int) -> str:
 
 class BackupImage(Volume):
     def __init__(self, path: str, latency: LatencyModel = LatencyModel()):
-        device = Device(DeviceRole.BACKUP, path, latency)
-        try:
-            header, _ = device.read(0, HEADER_SIZE)
-            super().__init__(device, Geometry.from_header(header))
-            trailer, _ = device.read(self.geometry.page_offset(self.geometry.page_count),
-                                     _TRAILER.size)
-            magic, self.min_lsn = _TRAILER.unpack(trailer)
-            if magic != MAGIC:
-                raise StorageError(f"bad backup magic {magic!r}")
-        except StorageError:
-            device.close()
-            raise
+        with open(path, "rb") as f:
+            geometry = Geometry.from_header(f.read(HEADER_SIZE))
+            f.seek(geometry.page_offset(geometry.page_count))
+            trailer = f.read(_TRAILER.size)
+        if len(trailer) < _TRAILER.size:
+            raise StorageError(f"backup trailer cut short: {len(trailer)} < {_TRAILER.size} bytes")
+        magic, self.min_lsn = _TRAILER.unpack(trailer)
+        if magic != MAGIC:
+            raise StorageError(f"bad backup magic {magic!r}")
+        super().__init__(Device(DeviceRole.BACKUP, path, latency), geometry)
         self.path = path
-        device.reset_accounting()
 
     @classmethod
     def create(cls, dir_path: str, volume: Volume, wal: WriteAheadLog,

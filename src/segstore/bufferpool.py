@@ -11,8 +11,8 @@ read from (or flushed to) the replacement only once its segment is
 restored.
 
 All page I/O (a miss's read, a dirty victim's write, and explicit
-write-back) runs under the pool's one condition, so a frame is either
-free or resident.  Only waits on a restore happen outside it, and
+write-back) runs under the pool's one condition, so no fix sees a frame
+between two pages.  Only waits on a restore happen outside it, and
 two fix flavors exist so both threaded servers and the deterministic
 benchmark engine can share this code:
 
@@ -23,20 +23,24 @@ benchmark engine can share this code:
                 RestoreHandle (Blocked) so a cooperative caller can park
                 on it and retry.
 
-A miss that evicts a dirty CLOCK victim issues its own read first and
-then the victim's write at the same virtual time, so the write queues
+A miss has one path.  Until the pool is full it takes the next unused
+frame, 0, 1, 2, ...; after that the page it reads takes the frame of a
+CLOCK victim, clean or dirty.  The miss issues its own read first; a
+dirty victim's write follows at the same virtual time, so it queues
 behind the read on the device and the miss returns when its read
 completes (write-behind eviction).  The victim's image is in the file
 before the fix returns, and any later transfer on the device, a miss on
-the victim page included, queues behind the write.  If that write fails,
-the page just read is dropped and the victim stays resident and dirty.
+the victim page included, queues behind the write.  If the read or the
+write fails, nothing is evicted: the victim stays resident, and dirty if
+it was, and a page already read is dropped.
 
 Frame state is kept in flat arrays indexed by frame number, not in an
-object per frame: the resident Page (or None), a pin count, one flag
-byte (dirty, CLOCK reference, latch held) and the free frames.  A page
-id indexes an array('i') of its frame, or -1, at 4 bytes per device
-page, so a resident page costs only its Page.  A PageHandle carries its
-frame number and its page.
+object per frame: the resident Page (or None), a pin count and one flag
+byte (dirty, CLOCK reference, latch held), and the pool counts the
+frames filled so far; there is no free list.  A page id indexes an
+array('i') of its frame, or -1, at 4 bytes per device page, so a
+resident page costs only its Page.  A PageHandle carries its frame
+number and its page.
 """
 
 import threading
@@ -78,7 +82,7 @@ class BufferPool:
         self._pages = [None] * capacity
         self._pins = array("i", (0,)) * capacity
         self._bits = bytearray(capacity)  # _DIRTY | _REF | _LATCHED
-        self._free = array("i", range(capacity - 1, -1, -1))  # popped: frame 0 first
+        self._filled = 0  # frames [0, _filled) hold a page; the rest are unused
         # Page id -> its frame, or -1 when the page is not resident.
         self._frame_of = array("i", (-1,)) * volume.geometry.page_count
         self._hand = 0
@@ -147,7 +151,6 @@ class BufferPool:
         if not 0 <= page_id < self.volume.geometry.page_count:
             raise InvalidPageIdError(f"page {page_id} out of range")
         with self._cond:
-            dirty = -1  # a dirty victim, written back behind this miss's read
             while True:
                 f = self._frame_of[page_id]
                 if f >= 0:
@@ -159,7 +162,8 @@ class BufferPool:
                     return PageHandle(f, self._pages[f]), now
                 if self._gated(page_id):
                     return self._blocked(page_id, now)
-                if self._free:
+                if self._filled < self.capacity:
+                    f = self._filled  # the next unused frame
                     break
                 pick = self._clock_pick_locked()
                 if pick is None:
@@ -170,18 +174,19 @@ class BufferPool:
                 kind, victim = pick
                 if kind == "blocked":
                     return self._blocked(victim, now)
-                if kind == "dirty":
-                    dirty = victim
-                    break
-                self._retire_locked(victim)
+                f = victim
+                break
             page, t = self.live_volume.read_page(page_id, now)
-            if dirty >= 0:
-                # Issued at the miss's own time, the write queues behind the
-                # read on the device; the miss does not wait for it.
-                self._write_back_locked(dirty, now)
-                self._retire_locked(dirty)
+            if f == self._filled:
+                self._filled += 1
+            else:  # the page takes its victim's frame
+                if self._bits[f] & _DIRTY:
+                    # Issued at the miss's own time, the write queues behind
+                    # the read on the device; the miss does not wait for it.
+                    self._write_back_locked(f, now)
+                self._frame_of[self._pages[f].page_id] = -1
+                self.evictions += 1
             now = t
-            f = self._free.pop()
             self._pages[f] = page
             self._pins[f] = 1
             self._bits[f] = _REF | _LATCHED
@@ -209,8 +214,8 @@ class BufferPool:
     # -- eviction internals ---------------------------------------------------
 
     def _clock_pick_locked(self):
-        """One CLOCK sweep over a full pool.  Returns ("clean", frame),
-        ("dirty", frame), ("blocked", page_id) when only restore-gated dirty
+        """One CLOCK sweep over a full pool.  Returns ("victim", frame),
+        clean or dirty, ("blocked", page_id) when only restore-gated dirty
         frames remain, or None when everything is pinned."""
         pins, bits = self._pins, self._bits
         blocked_page = None
@@ -227,19 +232,10 @@ class BufferPool:
                 if self._gated(page_id):
                     blocked_page = page_id
                     continue
-                return "dirty", f
-            return "clean", f
+            return "victim", f
         if blocked_page is not None:
             return "blocked", blocked_page
         return None
-
-    def _retire_locked(self, f: int) -> None:
-        """Free a clean, unpinned frame."""
-        self._frame_of[self._pages[f].page_id] = -1
-        self._pages[f] = None
-        self._bits[f] = 0
-        self._free.append(f)
-        self.evictions += 1
 
     def _write_back_locked(self, f: int, now: float) -> float:
         """Write the dirty page to the live volume.  The caller holds the

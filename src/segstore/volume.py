@@ -59,6 +59,8 @@ class Geometry:
 
     @classmethod
     def from_header(cls, data: bytes) -> "Geometry":
+        if len(data) < HEADER_SIZE:
+            raise StorageError(f"volume header cut short: {len(data)} < {HEADER_SIZE} bytes")
         magic, page_size, page_count, pps = _HEADER.unpack_from(data, 0)
         if magic != MAGIC:
             raise StorageError(f"bad volume magic {magic!r}")
@@ -80,17 +82,15 @@ class Volume:
     @classmethod
     def create(cls, path: str, geometry: Geometry, role: DeviceRole = DeviceRole.DATABASE,
                latency: LatencyModel = LatencyModel()) -> "Volume":
-        device = Device(role, path, latency, create=True)
-        device.write(0, geometry.header_bytes())
-        # Fresh pages are serialized empty pages, not raw zeros, so
-        # checksums validate from the first read on.
+        # Fresh pages are serialized empty pages, not raw zeros, so checksums
+        # validate from the first read on; set-up, so no device is charged.
         span = max(1, FORMAT_SPAN_BYTES // geometry.page_size)
-        for first in range(0, geometry.page_count, span):
-            end = min(first + span, geometry.page_count)
-            device.write(geometry.page_offset(first),
-                         empty_page_images(first, end, geometry.page_size))
-        device.reset_accounting()
-        return cls(device, geometry)
+        with open(path, "wb") as f:
+            f.write(geometry.header_bytes())
+            for first in range(0, geometry.page_count, span):
+                end = min(first + span, geometry.page_count)
+                f.write(empty_page_images(first, end, geometry.page_size))
+        return cls(Device(role, path, latency), geometry)
 
     @classmethod
     def blank(cls, path: str, geometry: Geometry,
@@ -106,10 +106,9 @@ class Volume:
     @classmethod
     def open(cls, path: str, role: DeviceRole = DeviceRole.DATABASE,
              latency: LatencyModel = LatencyModel()) -> "Volume":
-        device = Device(role, path, latency)
-        header, _ = device.read(0, HEADER_SIZE)
-        device.reset_accounting()
-        return cls(device, Geometry.from_header(header))
+        with open(path, "rb") as f:
+            geometry = Geometry.from_header(f.read(HEADER_SIZE))
+        return cls(Device(role, path, latency), geometry)
 
     def _check_page(self, page_id: int) -> None:
         if not 0 <= page_id < self.geometry.page_count:

@@ -32,22 +32,45 @@ def closing(*objs) -> None:
     _opened.extend(objs)
 
 
+_FD_DIR = "/proc/self/fd"
+
+
+def _open_fds() -> set[str]:
+    """This process's open descriptors, not counting the one that lists
+    them; empty where the system has no /proc/self/fd."""
+    if not os.path.isdir(_FD_DIR):
+        return set()
+    return {fd for fd in os.listdir(_FD_DIR) if os.path.exists(os.path.join(_FD_DIR, fd))}
+
+
 @pytest.fixture(autouse=True)
 def _close_opened():
+    """Close what the test registered with closing(), then fail the test if
+    it left a descriptor open.  Devices open files with os.open, which no
+    ResourceWarning covers.  One fixture does both, so the check runs after
+    the closes."""
+    before = _open_fds()
     yield
     while _opened:
         _opened.pop().close()
+    leaked = sorted(os.readlink(os.path.join(_FD_DIR, fd))
+                    for fd in _open_fds() - before)
+    assert not leaked, f"descriptors left open: {leaked}"
 
 
 def make_wal(workdir, name="wal.log", **kw) -> WriteAheadLog:
-    return WriteAheadLog(os.path.join(workdir, name), **kw)
+    wal = WriteAheadLog(os.path.join(workdir, name), **kw)
+    closing(wal)
+    return wal
 
 
 def make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8,
                 name="volume.db", role=DeviceRole.DATABASE,
                 latency=LatencyModel()) -> Volume:
     geo = Geometry(page_size, page_count, pages_per_segment)
-    return Volume.create(os.path.join(workdir, name), geo, role, latency)
+    vol = Volume.create(os.path.join(workdir, name), geo, role, latency)
+    closing(vol)
+    return vol
 
 
 def make_replacement(workdir, page_count=64, page_size=1024, pages_per_segment=8,
@@ -55,7 +78,9 @@ def make_replacement(workdir, page_count=64, page_size=1024, pages_per_segment=8
     """A blank replacement, as the benchmark engine builds it: its pages
     fail their checksum until restore writes them."""
     geo = Geometry(page_size, page_count, pages_per_segment)
-    return Volume.blank(os.path.join(workdir, name), geo)
+    vol = Volume.blank(os.path.join(workdir, name), geo)
+    closing(vol)
+    return vol
 
 
 def value_bytes(seed: int) -> bytes:

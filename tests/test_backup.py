@@ -8,7 +8,7 @@ from segstore.backup import BackupImage
 from segstore.device import LatencyModel
 from segstore.errors import CrashInjected, StorageError
 from segstore.pages import page_capacity
-from segstore.volume import Volume
+from segstore.volume import HEADER_SIZE, Volume
 from segstore.wal import OP_SET
 
 from conftest import closing, make_replacement, make_volume, make_wal, value_bytes
@@ -34,6 +34,7 @@ def test_backup_of_fresh_volume(workdir):
     vol = make_volume(workdir, page_count=16, page_size=1024, pages_per_segment=4)
     wal = make_wal(workdir)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     assert backup.min_lsn == wal.end_lsn()
     pages, _ = backup.fetch_page_span(0, 16)
     assert all(p.records == {} and p.page_lsn == 0 for p in pages)
@@ -44,7 +45,9 @@ def test_header_geometry_round_trip(workdir):
     vol = make_volume(workdir, page_count=48, page_size=1024, pages_per_segment=16)
     wal = make_wal(workdir)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     reopened = BackupImage(backup.path)
+    closing(reopened)
     assert reopened.geometry == vol.geometry
     assert reopened.min_lsn == backup.min_lsn
 
@@ -53,6 +56,7 @@ def test_fetch_is_pure_and_ordered(workdir):
     rng = random.Random(4)
     vol, wal = seed_volume(workdir, rng)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     a, _ = backup.fetch_page_span(*backup.geometry.segment_span(2))
     b, _ = backup.fetch_page_span(*backup.geometry.segment_span(2))
     assert a == b
@@ -63,6 +67,7 @@ def test_every_backed_up_page_below_min_lsn(workdir):
     rng = random.Random(5)
     vol, wal = seed_volume(workdir, rng, updates=400)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     pages, _ = backup.fetch_page_span(0, vol.geometry.page_count)
     assert all(p.page_lsn < backup.min_lsn for p in pages)
 
@@ -73,6 +78,7 @@ def test_zero_log_identity(workdir):
     rng = random.Random(6)
     vol, wal = seed_volume(workdir, rng)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     repl = make_replacement(workdir, page_count=32, page_size=1024,
                             pages_per_segment=8)
     for seg in range(vol.geometry.segment_count):
@@ -93,6 +99,7 @@ def test_crash_publishes_no_partial_backup(workdir):
         BackupImage.create(workdir, vol, wal)
     assert not [n for n in os.listdir(workdir) if n.startswith("backup_")]
     backup, _ = BackupImage.create(workdir, vol, wal)  # retry succeeds
+    closing(backup)
     assert [n for n in os.listdir(workdir) if n.startswith("backup_")] == \
         [os.path.basename(backup.path)]
 
@@ -133,6 +140,7 @@ def test_image_is_volume_file_plus_trailer(workdir):
     rng = random.Random(7)
     vol, wal = seed_volume(workdir, rng)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     with open(vol.device.path, "rb") as f:
         volume_bytes = f.read()
     with open(backup.path, "rb") as f:
@@ -150,10 +158,13 @@ def test_rejects_plain_volume_and_cut_image(workdir):
     with pytest.raises(StorageError):
         BackupImage(vol.device.path)
     backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
     with open(backup.path, "rb") as f:
         image = f.read()
-    cut = os.path.join(workdir, "cut.img")
-    with open(cut, "wb") as f:
-        f.write(image[:-1])
-    with pytest.raises(StorageError):
-        BackupImage(cut)
+    for size in (HEADER_SIZE - 1, len(image) - 1):
+        cut = os.path.join(workdir, f"cut_{size}.img")
+        with open(cut, "wb") as f:
+            f.write(image[:size])
+        with pytest.raises(StorageError, match="cut short"):
+            BackupImage(cut)
+

@@ -26,8 +26,7 @@ def make_pool(workdir, capacity=8, page_count=64):
 
 def test_memory_retained_per_frame_is_small(workdir):
     """An empty frame is one pointer in the page list, one 4-byte pin
-    count, one flag byte and one 4-byte free-list entry: no per-frame
-    object."""
+    count and one flag byte: no per-frame object."""
     vol = make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8)
     n = 16_384
     tracemalloc.start()
@@ -38,7 +37,7 @@ def test_memory_retained_per_frame_is_small(workdir):
     finally:
         tracemalloc.stop()
     assert pool.capacity == n
-    assert grown / n <= 19, f"{grown / n:.1f} B retained per frame"
+    assert grown / n <= 15, f"{grown / n:.1f} B retained per frame"
 
 
 def test_memory_retained_per_resident_page_is_small(workdir):
@@ -292,7 +291,8 @@ def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
     # The miss's read came first; the page it read is dropped, and the one
     # frame still holds page 0.
     assert not pool.resident(1) and pool.resident(0)
-    assert len(pool._free) == 0 and pool.evictions == 0
+    assert sum(map(pool.resident, range(64))) == pool.capacity
+    assert pool.evictions == 0
     errors = []
 
     def check():
@@ -315,6 +315,28 @@ def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
     thread.start()
     thread.join(30.0)
     assert not thread.is_alive() and errors == []
+
+
+def test_failed_miss_read_keeps_its_clean_victim(workdir, monkeypatch):
+    """A miss whose read raises evicts nothing: its clean CLOCK victim stays
+    resident, and fixing the victim again costs no read."""
+    pool, vol, _ = make_pool(workdir, capacity=1)
+    h, _ = pool.fix_page(0)
+    pool.unfix_page(h)
+
+    def fail(page_id, now=0.0):
+        raise StorageError("injected read failure")
+
+    monkeypatch.setattr(vol, "read_page", fail)
+    with pytest.raises(StorageError, match="injected"):
+        pool.try_fix_page(1)
+    monkeypatch.undo()
+    assert pool.resident(0) and not pool.resident(1)
+    assert (pool.evictions, pool.page_reads) == (0, 1)
+    reads = vol.device.reads
+    h, _ = pool.try_fix_page(0)
+    pool.unfix_page(h)
+    assert vol.device.reads == reads and pool.page_reads == 1
 
 
 def test_dirty_victim_write_trails_the_miss_read(workdir):

@@ -5,9 +5,9 @@ import pytest
 from segstore.bufferpool import BufferPool
 from segstore.device import Device, DeviceRole, LatencyModel
 from segstore.errors import MediaFailureError, StorageError
-from segstore.volume import Geometry, Volume
+from segstore.volume import HEADER_SIZE, Geometry, Volume
 
-from conftest import make_volume, value_bytes
+from conftest import closing, make_volume, value_bytes
 
 
 def test_latency_model_cost():
@@ -19,6 +19,7 @@ def test_latency_model_cost():
 def test_device_read_write_and_timing(workdir):
     dev = Device(DeviceRole.DATABASE, os.path.join(workdir, "d.bin"),
                  LatencyModel(10.0, 0.5), create=True)
+    closing(dev)
     t1 = dev.write(0, b"x" * 100, now=0.0)
     assert t1 == 10.0 + 50.0
     data, t2 = dev.read(0, 100, now=0.0)
@@ -64,12 +65,14 @@ def test_volume_writes_never_coalesce(workdir):
 def test_only_database_fails(workdir):
     for role in (DeviceRole.LOG, DeviceRole.ARCHIVE, DeviceRole.BACKUP):
         dev = Device(role, os.path.join(workdir, f"{role.value}.bin"), create=True)
+        closing(dev)
         with pytest.raises(StorageError):
             dev.fail()
 
 
 def test_failed_device_rejects_everything(workdir):
     dev = Device(DeviceRole.DATABASE, os.path.join(workdir, "d.bin"), create=True)
+    closing(dev)
     dev.write(0, b"abc")
     dev.fail()
     with pytest.raises(StorageError):
@@ -98,6 +101,30 @@ def test_volume_create_open_round_trip(workdir):
     back, _ = vol2.read_page(5)
     assert back == page
     vol2.close()
+
+
+def test_bad_volume_files_are_refused(workdir):
+    """A bad magic, a file shorter than the header and a page too small to
+    format each raise StorageError, and none leaves a descriptor open (the
+    teardown checks)."""
+    vol = make_volume(workdir, page_count=16)
+    with open(vol.device.path, "rb") as f:
+        header = f.read(HEADER_SIZE)
+    bad_magic = os.path.join(workdir, "bad_magic.db")
+    with open(bad_magic, "wb") as f:
+        f.write(b"XXXXX" + header[5:])
+    tiny = os.path.join(workdir, "tiny.db")
+    with open(tiny, "wb") as f:
+        f.write(header[:2])
+    for _ in range(5):
+        with pytest.raises(StorageError, match="magic"):
+            Volume.open(bad_magic)
+    with pytest.raises(StorageError, match="cut short"):
+        Volume.open(tiny)
+    with pytest.raises(StorageError, match="cut short"):
+        Geometry.from_header(header[:-1])
+    with pytest.raises(StorageError, match="too small"):
+        Volume.create(os.path.join(workdir, "small.db"), Geometry(16, 4, 2))
 
 
 def test_segment_round_trip_and_order(workdir):
