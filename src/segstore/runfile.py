@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from . import failpoints
 from .bloom import BloomFilter
 from .errors import ArchiveError, CorruptRunError
-from .wal import LogRecord
+from .wal import READ_CHUNK, LogRecord
 
 MAGIC = b"SGAR2"  # SGAR1 runs held the 63-byte records of an older WAL layout
 _HEADER = struct.Struct("<5sQQQI")
@@ -38,7 +38,6 @@ _INDEX_ENTRY = struct.Struct("<QQ")
 _FOOTER = struct.Struct("<QQI")
 
 DEFAULT_BLOCK_SIZE = 4096
-READ_CHUNK = 64 * 1024  # bytes a reader checks or scans per file read
 
 
 def run_name(begin_lsn: int, end_lsn: int) -> str:

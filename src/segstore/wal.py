@@ -20,18 +20,19 @@ that write, which grows by the record's per-byte cost, and returns the
 write's new end; any other append starts its own write when the device
 is free.  A log read closes the group.  Completion times therefore never
 decrease in LSN order, and none is later than one write per append would
-give.  An LSN is a log address and every record starts with its length,
-so a record boundary is found by walking those length fields; a read that
-starts inside a record raises CorruptRecordError.  Writes and the
+give.  An LSN is a log address, so a read seeks straight to it and decodes
+records from there, each from the file read that holds it whole; a read
+that starts inside a record raises CorruptRecordError.  Writes and the
 archiver's batch reads are charged to the log device under its latency
-model; header walks, scans and the open-time check, which decodes every
-record, read the file without a charge.
+model; scans and the open-time check, which decodes every record, read
+the file without a charge.
 """
 
 import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 
 from .device import Device, DeviceRole, LatencyModel
 from .errors import CorruptRecordError, WalError
@@ -46,8 +47,8 @@ _FIXED = struct.Struct("<IQQBIH")
 _LEN = struct.Struct("<I")  # a record's leading total_len field
 _CRC = struct.Struct("<I")
 _OVERHEAD = _FIXED.size + _CRC.size
-_READ_CHUNK = 1 << 20  # bytes per uncharged file read of a scan or header walk
 _MAX_VALUE = (1 << 16) - 1  # value_len is a u16
+READ_CHUNK = 64 * 1024  # bytes per uncharged file read, here and in runfile
 
 
 @dataclass(frozen=True)
@@ -96,14 +97,6 @@ class LogRecord:
         return LogRecord(lsn, page_id, op, key, value), end
 
 
-def _decode_records(data: bytes, base: int):
-    """Yield the records that fill data, read from log-file offset base."""
-    pos = 0
-    while pos < len(data):
-        rec, pos = LogRecord.decode(data, pos, base)
-        yield rec
-
-
 class WriteAheadLog:
     """Single log file; appends are serialized, and each is written before
     it returns.  Records never change once written, so reads go to the
@@ -127,33 +120,27 @@ class WriteAheadLog:
 
     def _read_records(self, off: int, limit: int):
         """Yield the records in log-file bytes [off, limit), off a record
-        start, decoded from file reads of whole records, each ending at the
-        first record boundary past _READ_CHUNK bytes.  Charges nothing to
-        the log device."""
+        start.  Each uncharged file read takes READ_CHUNK bytes, or the
+        first record whole if it is longer; the whole records in it are
+        decoded, and the next read starts after the last of them.  A record
+        that limit cuts short raises CorruptRecordError."""
+        size = READ_CHUNK
         while off < limit:
-            end = self._walk(off, limit, limit, off + _READ_CHUNK)
-            yield from _decode_records(self.device.pread(off, end - off), off)
-            off = end
-
-    def _walk(self, off: int, limit: int, count: int, until: int) -> int:
-        """Start of the record that a walk from record start off reaches
-        after count records or at the first record start at or past until,
-        whichever comes first; limit if the walk reaches the log bytes'
-        end.  Follows the records' length fields over uncharged reads."""
-        until = min(until, limit)
-        while count > 0 and off < until:
-            data = self.device.pread(off, min(_READ_CHUNK, limit - off))
-            pos = 0
-            while count > 0 and pos + _LEN.size <= len(data) and off + pos < until:
-                (total,) = _LEN.unpack_from(data, pos)
-                if total < _OVERHEAD:
-                    raise CorruptRecordError(off + pos, "bad length")
-                pos += total
-                count -= 1
-            if not pos:
-                raise CorruptRecordError(off, "truncated header")
+            data = self.device.pread(off, min(size, limit - off))
+            n = len(data)
+            more = off + n < limit  # a record cut by data is read next
+            pos, size = 0, READ_CHUNK
+            while pos < n:
+                if more:
+                    if pos + _LEN.size > n:
+                        break
+                    (total,) = _LEN.unpack_from(data, pos)
+                    if pos + total > n:
+                        size = max(size, total)
+                        break
+                rec, pos = LogRecord.decode(data, pos, off)
+                yield rec
             off += pos
-        return min(off, limit)
 
     # -- write path ---------------------------------------------------------
 
@@ -207,18 +194,17 @@ class WriteAheadLog:
         from_lsn, which must be a record start, as in scan (the archiver's
         cursor always is).
 
-        No per-record offsets are kept: the batch's end is found by walking
-        the length fields from there over uncharged reads, and its byte
-        span is then read from the log device in one charged read.  Returns
-        the records, the LSN to continue from, and the completion time.
+        The records are the first max_records of scan's stream, and their
+        byte span is charged to the log device as one read.  Returns the
+        records, the LSN to continue from, and the completion time.
         """
         limit = self._end
         start = self._offset(from_lsn, limit)
-        end = self._walk(start, limit, max_records, limit)
-        if end == start:
+        records = list(islice(self._read_records(start, limit), max_records))
+        if not records:
             return [], start + _LSN_BASE, now
-        data, t = self.device.read(start, end - start, now)
-        return list(_decode_records(data, start)), end + _LSN_BASE, t
+        end = records[-1].next_lsn
+        return records, end, self.device.charge_read(end - _LSN_BASE - start, now)
 
     def close(self) -> None:
         self.device.close()

@@ -213,28 +213,29 @@ def test_read_suffix_is_one_read_of_its_span(workdir):
     latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
     wal = make_wal(workdir, latency=latency)
     lsns = [wal.append(i % 3, OP_SET, i, value_bytes(i))[0] for i in range(10)]
-    reads = []
-    real_read = wal.device.read
+    charges = []
+    real_charge = wal.device.charge_read
 
-    def counted(offset, nbytes, now=0.0):
-        reads.append((offset, nbytes))
-        return real_read(offset, nbytes, now)
+    def counted(nbytes, now=0.0):
+        charges.append(nbytes)
+        return real_charge(nbytes, now)
 
-    wal.device.read = counted
-    bytes_before = wal.device.bytes_read
+    wal.device.charge_read = counted
+    reads_before, bytes_before = wal.device.reads, wal.device.bytes_read
     now = 1e9  # the device is idle by then
     recs, next_lsn, t = wal.read_suffix(lsns[2], 5, now)
     assert recs == list(wal.scan(lsns[2]))[:5]
     span = next_lsn - lsns[2]
     assert span == sum(r.encoded_size for r in recs) and next_lsn == lsns[7]
-    assert reads == [(lsns[2] - 1, span)]
+    assert charges == [span]
+    assert wal.device.reads - reads_before == 1
     assert wal.device.bytes_read - bytes_before == span
     assert t == now + latency.cost_us(span)
     wal.close()
 
 
 def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
-    monkeypatch.setattr(wal_module, "_READ_CHUNK", 150)  # records cross file reads
+    monkeypatch.setattr(wal_module, "READ_CHUNK", 150)  # records cross file reads
     wal = make_wal(workdir)
     lsns = [wal.append(i % 4, OP_SET, i, value_bytes(i))[0] for i in range(20)]
     assert [r.lsn for r in wal.scan(lsns[10])] == lsns[10:]
@@ -248,6 +249,47 @@ def test_reads_of_unflushed_tail_and_after_reopen(workdir, monkeypatch):
     assert wal2.end_lsn() == recs[-1].next_lsn
     assert (wal2.device.reads, wal2.device.bytes_read) == (0, 0)  # decoding is not charged
     wal2.close()
+
+
+def test_each_log_byte_is_read_once(workdir, monkeypatch):
+    """A scan decodes each record from the file read that holds it, so it
+    reads the log about once, and a batch read stops within one read of
+    its span."""
+    monkeypatch.setattr(wal_module, "READ_CHUNK", 150)  # records cross file reads
+    wal = make_wal(workdir)
+    lsns = [wal.append(i % 4, OP_SET, i, value_bytes(i))[0] for i in range(40)]
+    size = wal.end_lsn() - lsns[0]
+    assert size == 40 * 47
+    read = []
+    real_pread = wal.device.pread
+
+    def counted(offset, nbytes):
+        read.append(nbytes)
+        return real_pread(offset, nbytes)
+
+    wal.device.pread = counted
+    assert [r.lsn for r in wal.scan(0)] == lsns
+    assert sum(read) < 1.5 * size
+    read.clear()
+    recs, next_lsn, _ = wal.read_suffix(lsns[3], 5)
+    assert [r.lsn for r in recs] == lsns[3:8]
+    assert sum(read) <= next_lsn - lsns[3] + 150
+    wal.close()
+
+
+def test_log_cut_inside_its_last_record_is_refused(workdir):
+    """A log whose last record is cut short, 20 bytes into its body or 2
+    bytes into its length field, fails to open at that record's start."""
+    wal = make_wal(workdir)
+    lsns = [wal.append(i % 4, OP_SET, i, value_bytes(i))[0] for i in range(6)]
+    wal.close()
+    path = os.path.join(workdir, "wal.log")
+    for cut in (4 + 20, 2):
+        with open(path, "r+b") as f:
+            f.truncate(lsns[-1] - 1 + cut)
+        with pytest.raises(CorruptRecordError) as exc:
+            WriteAheadLog(path)
+        assert exc.value.offset == lsns[-1] - 1
 
 
 def test_memory_retained_per_record_is_small(workdir):
@@ -357,7 +399,7 @@ def test_read_suffix_from_misaligned_lsn_raises(workdir):
 
 
 def test_scan_from_every_lsn_after_reopen(workdir, monkeypatch):
-    monkeypatch.setattr(wal_module, "_READ_CHUNK", 100)  # under the long record
+    monkeypatch.setattr(wal_module, "READ_CHUNK", 100)  # under the long record
     wal = make_wal(workdir)
     lsns = mixed_log(wal)
     end = wal.end_lsn()
