@@ -9,8 +9,11 @@ log device serializes its writes, and an append that queues behind a log
 write that has not started joins it (group commit), restore transfers
 queue behind each other, a buffer-pool miss waits for its own page read
 while its dirty victim's write queues behind that read on the database
-device, and a transaction that touches a not-yet-restored segment parks
-until the scheduler's completion signal.
+device, the page cleaner issues one write at a time (each write of a
+round of up to cleaner_batch pages starts when the one before it
+completes), so a miss queues behind at most one cleaner write, and a
+transaction that touches a not-yet-restored segment parks until the
+scheduler's completion signal.
 A worker steps a whole transaction at a time, so only other workers'
 appends can join the log write that one of its appends queues for.
 
@@ -121,6 +124,7 @@ class BenchEngine:
         self._arch_clock = 0.0
         self._arch_next = 0.0
         self._cleaner_next = 0.0
+        self._cleaner_round = 0  # pages written in the current cleaner round
         self._sched_clock = 0.0
         self._t_fail_us = (config.failure_time_s * _US
                            if config.failure_time_s is not None else None)
@@ -177,8 +181,17 @@ class BenchEngine:
         self._arch_next = t + ARCHIVER_INTERVAL_US
 
     def _cleaner_step(self, now: float) -> None:
-        _, t = self.pool.flush_some(self.config.cleaner_batch, now)
-        self._cleaner_next = t + self.config.cleaner_interval_us
+        """Write one dirty page.  Mid-round the cleaner is ready again when
+        that write completes; a round ends after cleaner_batch pages or a
+        step that finds nothing to clean, and the next starts
+        cleaner_interval_us later."""
+        n, t = self.pool.flush_some(1, now)
+        self._cleaner_round += n
+        if n and self._cleaner_round < self.config.cleaner_batch:
+            self._cleaner_next = t
+        else:
+            self._cleaner_round = 0
+            self._cleaner_next = t + self.config.cleaner_interval_us
 
     def _scheduler_step(self, now: float) -> None:
         worked, t = self.manager.step(now)

@@ -41,6 +41,10 @@ frames filled so far; there is no free list.  A page id indexes an
 array('i') of its frame, or -1, at 4 bytes per device page, so a
 resident page costs only its Page.  A PageHandle carries its frame
 number and its page.
+
+Two hands move over the frames: the CLOCK hand that picks victims, and
+the page cleaner's hand, from which flush_some resumes, so background
+write-back sweeps the pool instead of rewriting its lowest frames.
 """
 
 import threading
@@ -85,7 +89,8 @@ class BufferPool:
         self._filled = 0  # frames [0, _filled) hold a page; the rest are unused
         # Page id -> its frame, or -1 when the page is not resident.
         self._frame_of = array("i", (-1,)) * volume.geometry.page_count
-        self._hand = 0
+        self._hand = 0  # CLOCK hand of the eviction sweep
+        self._clean_hand = 0  # next frame flush_some visits
         self._cond = threading.Condition()
         self._gate = None  # restore manager: replacement, is_restored, request_segment
         self._dirty_n = 0
@@ -278,20 +283,23 @@ class BufferPool:
     def flush_some(self, limit: int, now: float = 0.0) -> tuple[int, float]:
         """Background page cleaning: write back up to limit dirty, unpinned
         pages under the pool's condition, skipping anything the restore gate
-        is not ready for.  Never waits on a restore; returns (pages flushed,
-        completion time)."""
+        is not ready for.  The cleaner's own hand resumes where the last call
+        stopped and visits each filled frame at most once per call, so
+        repeated small calls sweep the whole pool.  Never waits on a
+        restore; returns (pages flushed, completion time)."""
         flushed = 0
         with self._cond:
-            pins = self._pins
-            for f, b in enumerate(self._bits):
+            pins, bits, filled = self._pins, self._bits, self._filled
+            f = self._clean_hand  # below filled once any frame is filled
+            for _ in range(filled):
                 if flushed >= limit:
                     break
-                if not b & _DIRTY or pins[f]:
-                    continue
-                if self._gated(self._pages[f].page_id):
-                    continue
-                now = self._write_back_locked(f, now)
-                flushed += 1
+                if (bits[f] & _DIRTY and not pins[f]
+                        and not self._gated(self._pages[f].page_id)):
+                    now = self._write_back_locked(f, now)
+                    flushed += 1
+                f = f + 1 if f + 1 < filled else 0
+            self._clean_hand = f
         return flushed, now
 
     def dirty_count(self) -> int:

@@ -419,6 +419,49 @@ def test_engine_reports_permanent_fetch_fault(tmp_path, monkeypatch, policy):
         engine.close()
 
 
+def test_cleaner_writes_one_page_per_step(tmp_path):
+    """The cleaner issues one write per step: within a round the next step
+    starts when that write completes, and after cleaner_batch pages (or a
+    step with nothing to clean) it waits cleaner_interval_us."""
+    batch, interval = 4, 500.0
+    cfg = tiny_config(failure_time_s=None, duration_s=1.0,
+                      cleaner_interval_us=interval, cleaner_batch=batch)
+    engine = BenchEngine(cfg, str(tmp_path / "work"))
+    steps = []
+    flush_some, step = engine.pool.flush_some, engine._cleaner_step
+    device = engine.volume.device
+
+    def traced_flush_some(limit, now=0.0):
+        out = flush_some(limit, now)
+        steps[-1]["flushed"], steps[-1]["done"] = out
+        return out
+
+    def traced_step(now):
+        writes = device.writes
+        steps.append(dict(now=now))
+        step(now)
+        steps[-1]["writes"] = device.writes - writes
+
+    engine.pool.flush_some = traced_flush_some
+    engine._cleaner_step = traced_step
+    try:
+        engine.run()
+    finally:
+        engine.close()
+    assert len(steps) > 2 * batch
+    in_round = full_rounds = 0
+    for cur, nxt in zip(steps, steps[1:]):
+        assert cur["writes"] == cur["flushed"] <= 1
+        in_round += cur["flushed"]
+        if cur["flushed"] and in_round < batch:
+            assert nxt["now"] == cur["done"]
+        else:
+            assert nxt["now"] == cur["done"] + interval
+            full_rounds += in_round == batch
+            in_round = 0
+    assert full_rounds > 1
+
+
 def test_large_pool_hides_the_failure():
     """With the pool covering the working set, post-failure mean latency
     stays within 2x of the pre-failure mean."""
@@ -457,7 +500,7 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "8d8e6a55294fead034b5a7a0d8e571a06384f7f50e5ff04bf086555621c6c35d"),
+     "388d29d6d3ff2132405b1907019be3b1fb542aa7dee12bb396c423759e443327"),
     (dict(policy=Policy.ON_DEMAND), True,
      "7b33401db834af36d0ba68a14c30b8d25a2ebe94796da9d7ee539c3b222a7237"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])

@@ -245,6 +245,42 @@ def test_flush_enforces_wal_rule(workdir, monkeypatch):
         assert back.page_lsn == lsn and back.get(0) == value_bytes(pid)
 
 
+def test_cleaner_hand_sweeps_the_pool(workdir, monkeypatch):
+    """flush_some resumes where its last call stopped: with frame 0's page
+    dirtied again before each call, successive one-page calls still clean
+    every frame in turn, and one large call cleans each dirty, unpinned
+    frame exactly once."""
+    pool, vol, _ = make_pool(workdir, capacity=8)
+    written = []
+    real_write = vol.write_page
+
+    def write_page(page, now=0.0):
+        written.append(page.page_id)
+        return real_write(page, now)
+
+    monkeypatch.setattr(vol, "write_page", write_page)
+
+    def dirty(pid):
+        h, _ = pool.fix_page(pid)
+        pool.unfix_page(h, mark_dirty=True)
+
+    for pid in range(8):  # page pid fills frame pid
+        dirty(pid)
+    for _ in range(8):
+        dirty(0)
+        assert pool.flush_some(1)[0] == 1
+    assert sorted(written) == list(range(8))
+
+    written.clear()
+    for pid in range(8):
+        dirty(pid)
+    pinned, _ = pool.fix_page(5)
+    assert pool.flush_some(100)[0] == 7
+    assert sorted(written) == [0, 1, 2, 3, 4, 6, 7]
+    assert pool.dirty_count() == 1
+    pool.unfix_page(pinned)
+
+
 def test_flush_clean_page_noop(workdir):
     pool, vol, _ = make_pool(workdir)
     h, _ = pool.fix_page(2)
