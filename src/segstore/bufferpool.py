@@ -1,4 +1,4 @@
-"""Buffer pool with CLOCK eviction over simulated volumes.
+"""Buffer pool with usage-count CLOCK eviction over simulated volumes.
 
 fix/unfix pin a page and take its frame's one latch, held from fix to
 unfix; a pinned frame is never evicted.  The pool never touches the log:
@@ -25,19 +25,26 @@ benchmark engine can share this code:
 
 A miss has one path.  Until the pool is full it takes the next unused
 frame, 0, 1, 2, ...; after that the page it reads takes the frame of a
-CLOCK victim, clean or dirty.  The miss issues its own read first; a
-dirty victim's write follows at the same virtual time, so it queues
-behind the read on the device and the miss returns when its read
-completes (write-behind eviction).  The victim's image is in the file
-before the fix returns, and any later transfer on the device, a miss on
-the victim page included, queues behind the write.  If the read or the
-write fails, nothing is evicted: the victim stays resident, and dirty if
-it was, and a page already read is dropped.
+CLOCK victim, clean or dirty.  Each frame keeps a usage count, not a
+reference bit (generalized CLOCK, Effelsberg & Haerder, ACM TODS 1984;
+PostgreSQL's clock sweep): a miss sets its frame's count to 1 and a hit
+raises it by 1, up to _MAX_USAGE.  The sweep lowers each unpinned
+nonzero count it passes and takes the first unpinned frame whose count
+is 0, so a page hit often outlives several pages read once.
+
+The miss issues its own read first; a dirty victim's write follows at
+the same virtual time, so it queues behind the read on the device and
+the miss returns when its read completes (write-behind eviction).  The
+victim's image is in the file before the fix returns, and any later
+transfer on the device, a miss on the victim page included, queues
+behind the write.  If the read or the write fails, nothing is evicted:
+the victim stays resident, and dirty if it was, and a page already read
+is dropped.
 
 Frame state is kept in flat arrays indexed by frame number, not in an
-object per frame: the resident Page (or None), a pin count and one flag
-byte (dirty, CLOCK reference, latch held), and the pool counts the
-frames filled so far; there is no free list.  A page id indexes an
+object per frame: the resident Page (or None), a pin count, one flag
+byte (dirty, latch held) and one usage-count byte, and the pool counts
+the frames filled so far; there is no free list.  A page id indexes an
 array('i') of its frame, or -1, at 4 bytes per device page, so a
 resident page costs only its Page.  A PageHandle carries its frame
 number and its page.
@@ -56,8 +63,11 @@ from .volume import Volume
 
 # A frame's flag bits in BufferPool._bits.
 _DIRTY = 1
-_REF = 2
-_LATCHED = 4  # a fix holds the frame's latch
+_LATCHED = 2  # a fix holds the frame's latch
+
+# Cap of a frame's usage count in BufferPool._usage: a hit raises it by 1
+# up to here, and the CLOCK sweep lowers it by 1 each time it passes.
+_MAX_USAGE = 5
 
 
 class PageHandle:
@@ -85,7 +95,8 @@ class BufferPool:
         # Frame state, indexed by frame number and guarded by _cond.
         self._pages = [None] * capacity
         self._pins = array("i", (0,)) * capacity
-        self._bits = bytearray(capacity)  # _DIRTY | _REF | _LATCHED
+        self._bits = bytearray(capacity)  # _DIRTY | _LATCHED
+        self._usage = bytearray(capacity)  # CLOCK usage count, 0.._MAX_USAGE
         self._filled = 0  # frames [0, _filled) hold a page; the rest are unused
         # Page id -> its frame, or -1 when the page is not resident.
         self._frame_of = array("i", (-1,)) * volume.geometry.page_count
@@ -160,7 +171,8 @@ class BufferPool:
                 f = self._frame_of[page_id]
                 if f >= 0:
                     self._pins[f] += 1  # the pin keeps the frame while we wait
-                    self._bits[f] |= _REF
+                    if self._usage[f] < _MAX_USAGE:
+                        self._usage[f] += 1
                     while self._bits[f] & _LATCHED:
                         self._cond.wait()
                     self._bits[f] |= _LATCHED
@@ -194,7 +206,8 @@ class BufferPool:
             now = t
             self._pages[f] = page
             self._pins[f] = 1
-            self._bits[f] = _REF | _LATCHED
+            self._bits[f] = _LATCHED
+            self._usage[f] = 1
             self._frame_of[page_id] = f
             self.page_reads += 1
             if self.on_page_read is not None:
@@ -219,18 +232,22 @@ class BufferPool:
     # -- eviction internals ---------------------------------------------------
 
     def _clock_pick_locked(self):
-        """One CLOCK sweep over a full pool.  Returns ("victim", frame),
-        clean or dirty, ("blocked", page_id) when only restore-gated dirty
-        frames remain, or None when everything is pinned."""
-        pins, bits = self._pins, self._bits
+        """One CLOCK sweep over a full pool: it lowers each unpinned nonzero
+        usage count it passes and stops at the first unpinned frame whose
+        count is 0.  Every unpinned frame reaches 0 within _MAX_USAGE
+        passes, so (_MAX_USAGE + 1) passes find a victim if one exists.
+        Returns ("victim", frame), clean or dirty, ("blocked", page_id)
+        when only restore-gated dirty frames remain, or None when
+        everything is pinned."""
+        pins, bits, usage = self._pins, self._bits, self._usage
         blocked_page = None
-        for _ in range(2 * self.capacity):
+        for _ in range((_MAX_USAGE + 1) * self.capacity):
             f = self._hand
             self._hand = (f + 1) % self.capacity
             if pins[f] > 0:
                 continue
-            if bits[f] & _REF:
-                bits[f] &= ~_REF
+            if usage[f]:
+                usage[f] -= 1
                 continue
             if bits[f] & _DIRTY:
                 page_id = self._pages[f].page_id

@@ -500,9 +500,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "388d29d6d3ff2132405b1907019be3b1fb542aa7dee12bb396c423759e443327"),
+     "45bd32199be2115ece1000f4cb3aaebeaf8ab783360bda4a5ca6ff119ee6f679"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "7b33401db834af36d0ba68a14c30b8d25a2ebe94796da9d7ee539c3b222a7237"),
+     "a284694f56e3f54601f43f6f382d1a7ea128f4ce7431af128f33e7021df38f49"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -519,9 +519,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "20783266970e763bb1c723af1e3e7b696ba7acc6c9b7b37ca31409da0506ef73"),
+    (dict(), "92991ae7155cda5f7e7778ce73a7b3e14ac5eb96683eab72fe275b1ed240f13c"),
     (dict(failure_time_s=None),
-     "87f9d2002c4fc9e0bad25fa1642a888ea48e750456f2b99f3387b545963494e9"),
+     "5858f115ea05ca5e3ce32869e0821584ea0cecc6336006c92fdd32a5b06d4bfb"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

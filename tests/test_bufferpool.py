@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segstore.bufferpool import BufferPool
+from segstore.bufferpool import _MAX_USAGE, BufferPool
 from segstore.device import LatencyModel
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
 from segstore.pages import Page, page_capacity
 from segstore.wal import OP_SET, LogRecord
+from segstore.workload import ZipfianGenerator
 
 from conftest import make_volume, make_wal, value_bytes
 
@@ -26,7 +27,7 @@ def make_pool(workdir, capacity=8, page_count=64):
 
 def test_memory_retained_per_frame_is_small(workdir):
     """An empty frame is one pointer in the page list, one 4-byte pin
-    count and one flag byte: no per-frame object."""
+    count, one flag byte and one usage-count byte: no per-frame object."""
     vol = make_volume(workdir, page_count=64, page_size=1024, pages_per_segment=8)
     n = 16_384
     tracemalloc.start()
@@ -303,6 +304,65 @@ def test_eviction_when_capacity_exceeded(workdir):
     for pid in range(8):
         if not pool.resident(pid):
             page, _ = vol.read_page(pid)
+
+
+def test_hot_page_survives_the_sweep(workdir):
+    """A page hit four times outlives pages read once: the sweep lowers
+    every count, takes the first frame at 0 (page 1's) and keeps page 0.
+    One reference bit per frame would clear all four bits and then evict
+    frame 0."""
+    pool, _, _ = make_pool(workdir, capacity=4)
+    for pid in (0, 0, 0, 0, 1, 2, 3):
+        h, _ = pool.fix_page(pid)
+        pool.unfix_page(h)
+    h, _ = pool.fix_page(4)
+    pool.unfix_page(h)
+    assert pool.evictions == 1
+    assert not pool.resident(1)
+    assert all(pool.resident(pid) for pid in (0, 2, 3, 4))
+
+
+def test_sweep_bound_reaches_a_frame_at_max_usage(workdir):
+    """With every frame's count at _MAX_USAGE and only the frame the hand
+    reaches last unpinned, the sweep's last step takes it: (_MAX_USAGE + 1)
+    passes over the pool find a victim whenever one exists.  With every
+    frame pinned, the cooperative fix still refuses."""
+    pool, _, _ = make_pool(workdir, capacity=4)
+    held = []
+    for pid in range(4):
+        for _ in range(_MAX_USAGE + 2):  # the count stops at the cap
+            h, _ = pool.fix_page(pid)
+            pool.unfix_page(h)
+        if pid < 3:
+            held.append(pool.fix_page(pid)[0])
+    assert list(pool._usage) == [_MAX_USAGE] * 4
+    h, _ = pool.try_fix_page(4)
+    assert not pool.resident(3) and h.frame == 3
+    held.append(h)
+    with pytest.raises(StorageError):
+        pool.try_fix_page(5)
+    for h in held:
+        pool.unfix_page(h)
+
+
+def test_hit_ratio_on_a_seeded_zipf_stream(workdir):
+    """A pool holding half of a 1,024-page volume serves 20,000 fixes drawn
+    from a seeded zipf(0.8) stream.  After the pool fills, usage counts
+    hit 0.780 of fixes; one reference bit per frame hit 0.761."""
+    n, capacity = 1024, 512
+    vol = make_volume(workdir, page_count=n, page_size=1024, pages_per_segment=8)
+    pool = BufferPool(vol, capacity)
+    zipf = ZipfianGenerator(n, 0.8)
+    rng = random.Random(1)
+    hits = fixes = 0
+    for _ in range(20_000):
+        reads = pool.page_reads
+        h, _ = pool.fix_page(zipf.draw(rng))
+        pool.unfix_page(h)
+        if reads >= capacity:  # every frame held a page before this fix
+            fixes += 1
+            hits += pool.page_reads == reads
+    assert hits / fixes >= 0.761 + 0.01, f"hit ratio {hits / fixes:.4f}"
 
 
 def test_failed_eviction_write_keeps_the_frame(workdir, monkeypatch):
