@@ -13,7 +13,8 @@ device, the page cleaner issues one write at a time (each write of a
 round of up to cleaner_batch pages starts when the one before it
 completes), so a miss queues behind at most one cleaner write, and a
 transaction that touches a not-yet-restored segment parks until the
-scheduler's completion signal.
+scheduler's completion signal, then resumes through the same min-clock
+pick, at the later of its clock and the segment's completion time.
 A worker steps a whole transaction at a time, so only other workers'
 appends can join the log write that one of its appends queues for.
 
@@ -139,24 +140,19 @@ class BenchEngine:
         while True:
             ops = w.stream.next_txn()
             t_start = w.clock
-            io_wait = 0.0
             w.clock += tick.txn_think_us
             for page_id, op, key, value in ops:
                 w.clock += tick.op_think_us
-                while True:
+                out = self.pool.try_fix_page(page_id, now=w.clock)
+                while isinstance(out, Blocked):
+                    w.clock = yield out  # the pick resumes it at max(clock, done_at)
                     out = self.pool.try_fix_page(page_id, now=w.clock)
-                    if isinstance(out, Blocked):
-                        resume = yield out
-                        io_wait += max(0.0, resume - w.clock)
-                        w.clock = max(w.clock, resume)
-                        continue
-                    handle, t = out
-                    io_wait += max(0.0, t - w.clock)
-                    w.clock = max(w.clock, t)
-                    break
-                lsn, t = self.wal.append(page_id, op, key, value, now=w.clock)
-                io_wait += max(0.0, t - w.clock)
-                w.clock = max(w.clock, t)
+                handle, t_fix = out
+                lsn, t_log = self.wal.append(page_id, op, key, value, now=t_fix)
+                # The clock moves to each completion the worker waits for,
+                # so a completion before its issue time would run it back.
+                self._latency_ok &= w.clock <= t_fix <= t_log
+                w.clock = t_log
                 page = handle.page
                 if op == OP_SET:
                     page.set(key, value, capacity)
@@ -164,11 +160,8 @@ class BenchEngine:
                     page.delete(key)
                 page.page_lsn = lsn
                 self.pool.unfix_page(handle, mark_dirty=True)
-            latency = w.clock - t_start
-            if latency + 1e-6 < io_wait:
-                self._latency_ok = False
             self.report.record_txn(w.worker_id * 10 ** 9 + w.txns_total,
-                                   w.clock, latency, self._post_failure)
+                                   w.clock, w.clock - t_start, self._post_failure)
             w.txns_total += 1
             w.txns_phase += 1
             yield None
@@ -198,15 +191,6 @@ class BenchEngine:
         if worked:
             self._sched_clock = t
 
-    def _unpark(self) -> None:
-        for w in self.workers:
-            if w.parked_on is not None and w.parked_on.ready:
-                handle = w.parked_on
-                if handle.error is not None:
-                    raise StorageError(f"worker {w.worker_id} saw restore failure: "
-                                       f"{handle.error}")
-                w.parked_on = w.gen.send(max(w.clock, handle.done_at))
-
     def _run_phase(self, worker_active) -> None:
         """Advance actors until every worker has either left the phase (per
         the predicate) or finished; the archiver and scheduler interleave by
@@ -214,11 +198,22 @@ class BenchEngine:
 
         Each actor offers (ready time, rank, actor).  A worker's rank is its
         id; the services rank -3 (cleaner), -2 (scheduler) and -1
-        (archiver), so at equal times services go first, in that order."""
+        (archiver), so at equal times services go first, in that order.  A
+        parked worker offers max(clock, done_at) once its restore handle
+        fires, is sent that time when picked, and finishes its transaction
+        even after leaving the phase."""
         while True:
-            self._unpark()
-            actors = [(w.clock, w.worker_id, w) for w in self.workers
-                      if w.parked_on is None and worker_active(w)]
+            actors = []
+            for w in self.workers:
+                handle = w.parked_on
+                if handle is None:
+                    if worker_active(w):
+                        actors.append((w.clock, w.worker_id, w))
+                elif handle.ready:
+                    if handle.error is not None:
+                        raise StorageError(f"worker {w.worker_id} saw restore failure: "
+                                           f"{handle.error}")
+                    actors.append((max(w.clock, handle.done_at), w.worker_id, w))
             if not actors and all(w.parked_on is None for w in self.workers):
                 return  # archiver/scheduler lag is picked up by later phases
             if self.archiver.consumed_lsn < self.wal.end_lsn():
@@ -235,10 +230,12 @@ class BenchEngine:
             t, rank, actor = min(actors, key=lambda a: (a[0], a[1]))
             if self.pacer is not None:
                 self.pacer.sleep_until(t)
-            if rank >= 0:
+            if rank < 0:
+                actor(t)
+            elif actor.parked_on is None:
                 actor.parked_on = next(actor.gen)
             else:
-                actor(t)
+                actor.parked_on = actor.gen.send(t)
 
     # -- failure injection ---------------------------------------------------------
 

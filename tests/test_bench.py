@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ from segstore import failpoints
 from segstore.bench import (BenchEngine, oracle_volume_bytes, run_benchmark,
                             verify_equivalence, volume_file_bytes)
 from segstore.cli import main
+from segstore.device import Device
 from segstore.errors import ChecksumError, CrashInjected, StorageError
 from segstore.metrics import emit_csv, load_csv
 from segstore.restore import Policy, RestoreManager
@@ -462,6 +464,57 @@ def test_cleaner_writes_one_page_per_step(tmp_path):
     assert full_rounds > 1
 
 
+def test_latency_gate_fails_when_a_clock_would_run_back(monkeypatch):
+    """latency_accounting fails when a completion a worker waits for comes
+    before the clock it was issued at.  The mutant device starts each
+    transfer when its last one ended, even if it is issued later."""
+    def admit(self, nbytes, now):
+        self._busy_until += self.latency.cost_us(nbytes)
+        self._group_start = -math.inf
+        return self._busy_until
+
+    monkeypatch.setattr(Device, "_admit", admit)
+    report = run_benchmark(tiny_config(duration_s=3.0))
+    assert report.invariants["latency_accounting"] is False
+
+
+@pytest.mark.parametrize("policy", [Policy.ON_DEMAND, Policy.PREEMPTIVE])
+def test_woken_worker_resumes_through_the_pick(tmp_path, policy):
+    """A worker woken from a restore wait resumes no later than the lowest
+    clock among the other unparked workers still inside the run, so its
+    I/O does not enter the FCFS device queues ahead of theirs."""
+    cfg = tiny_config(duration_s=3.0, policy=policy)
+    engine = BenchEngine(cfg, str(tmp_path / "work"))
+    end_us = cfg.duration_s * 1e6
+    resumes = []  # (resume time, lowest clock among the other runnable workers)
+
+    class Proxy:
+        def __init__(self, w):
+            self.w, self.gen = w, w.gen
+
+        def __next__(self):
+            return next(self.gen)
+
+        def send(self, t):
+            others = [o.clock for o in engine.workers if o is not self.w
+                      and o.parked_on is None and o.clock < end_us]
+            resumes.append((t, min(others, default=math.inf)))
+            return self.gen.send(t)
+
+        def close(self):
+            self.gen.close()
+
+    for w in engine.workers:
+        w.gen = Proxy(w)
+    try:
+        engine.run()
+    finally:
+        engine.close()
+    ahead = [t - low for t, low in resumes if t > low]
+    assert resumes and not ahead, (f"{len(ahead)} of {len(resumes)} resumes start "
+                                   f"up to {max(ahead, default=0):.1f} us ahead")
+
+
 def test_large_pool_hides_the_failure():
     """With the pool covering the working set, post-failure mean latency
     stays within 2x of the pre-failure mean."""
@@ -500,9 +553,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "45bd32199be2115ece1000f4cb3aaebeaf8ab783360bda4a5ca6ff119ee6f679"),
+     "6dbd6eadbbd82c6ded1934143a41d955f777202272c618ed04ca5f75d1a28c73"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "a284694f56e3f54601f43f6f382d1a7ea128f4ce7431af128f33e7021df38f49"),
+     "b2200a9bfbc4f2624047a1d419981bc9c41cc20b24dfe0d98103659df7802af8"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -519,7 +572,7 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "92991ae7155cda5f7e7778ce73a7b3e14ac5eb96683eab72fe275b1ed240f13c"),
+    (dict(), "5b75037eaabb7c0fc14d2754ea00bdd77a5d914a155bb65b17f5c8208ef345a3"),
     (dict(failure_time_s=None),
      "5858f115ea05ca5e3ce32869e0821584ea0cecc6336006c92fdd32a5b06d4bfb"),
 ], ids=["failure", "shadow"])
