@@ -10,10 +10,10 @@ when restore begins.  A merge streams its inputs' chunked scans through
 one k-way merge into the run writer, holding a read chunk per input,
 never a run.
 
-probe(first_page, last_page, min_lsn) k-way-merges every run that may
-hold matching records - runs ending at or before min_lsn are skipped
-outright, bloom filters prune the rest - and yields a single stream
-ordered by (page id, LSN), ready to replay onto backed-up pages.
+probe(first_page, last_page, min_lsn, end_lsn) k-way-merges every run that
+may hold matching records - runs wholly outside [min_lsn, end_lsn) are
+skipped outright, bloom filters prune the rest - and yields a single
+stream ordered by (page id, LSN), ready to replay onto backed-up pages.
 
 The directory listing is the manifest: whatever parses as
 archive_<begin>_<end>.run and passes its checksum is real; .tmp files
@@ -148,9 +148,9 @@ class ArchiveDirectory:
             self._runs[i:i + len(inputs)] = [output]
 
     def probe(self, first_page: int, last_page: int, min_lsn: int = 0,
-              now: float = 0.0) -> ProbeResult:
+              now: float = 0.0, end_lsn: int | None = None) -> ProbeResult:
         """Merged records for pages in [first_page, last_page] with
-        lsn >= min_lsn, ordered by (page_id, lsn)."""
+        lsn >= min_lsn, by (page_id, lsn); runs from end_lsn on are skipped."""
         if first_page > last_page:
             raise ArchiveError("empty page range")
         runs = self.snapshot()
@@ -159,7 +159,7 @@ class ArchiveDirectory:
         merged = skipped = 0
         wide = last_page - first_page + 1 > BLOOM_CHECK_LIMIT
         for run in runs:
-            if run.end_lsn <= min_lsn:
+            if run.end_lsn <= min_lsn or end_lsn is not None and run.begin_lsn >= end_lsn:
                 skipped += 1
                 continue
             if not wide and not any(run.bloom.might_contain(p)

@@ -61,6 +61,7 @@ class Device:
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
+        self.refused = 0  # transfers refused after fail()
         self._busy_until = 0.0
         self._group_start = -math.inf  # start of the last transfer, if a group write
         self._lock = threading.Lock()
@@ -83,7 +84,7 @@ class Device:
 
     def reset_accounting(self) -> None:
         """Forget every transfer so far: set-up cost is not workload cost."""
-        self.reads = self.writes = 0
+        self.reads = self.writes = self.refused = 0
         self.bytes_read = self.bytes_written = 0
         self._busy_until = 0.0
         self._group_start = -math.inf
@@ -100,6 +101,7 @@ class Device:
 
     def _check(self) -> None:
         if self.failed:
+            self.refused += 1
             raise MediaFailureError(f"{self.role.value} device has failed")
 
     def read(self, offset: int, nbytes: int, now: float = 0.0) -> tuple[bytes, float]:

@@ -7,9 +7,10 @@ the transition into "restoring" and enqueues the segment in the same
 critical section, everyone else waits on the segment's completion
 signal, and "restored" is terminal.  Restoring one segment means: fetch
 its backed-up pages, probe the archive for its records from the
-backup's min_lsn on (the two transfers overlap), replay them page by
-page, write the result to the replacement volume, and only then mark
-the segment restored and wake waiters.
+backup's min_lsn to the failure LSN (the two transfers overlap), replay
+them page by page, write the result to the replacement volume, and only
+then mark the segment restored and wake waiters.  Later log is not read:
+its pages stay dirty in the pool until their segment is restored.
 
 Scheduling policies:
 
@@ -147,6 +148,7 @@ class RestoreManager:
                 f"failure at {failure_lsn}")
         self.backup = backup
         self.archive = archive
+        self.failure_lsn = failure_lsn
         self.replacement = replacement
         self.policy = policy
         self.batch_cap = batch_cap
@@ -335,8 +337,8 @@ class RestoreManager:
             # Backup fetch and archive probe overlap; replay starts when
             # both transfers are in.
             pages, t_fetch = self.backup.fetch_page_span(first_page, end_page, now)
-            probe = self.archive.probe(first_page, end_page - 1,
-                                       self.backup.min_lsn, now)
+            probe = self.archive.probe(first_page, end_page - 1, self.backup.min_lsn,
+                                       now, end_lsn=self.failure_lsn)
             t_ready = max(t_fetch, probe.done_at)
             for page_id, records in itertools.groupby(probe.records, key=lambda r: r.page_id):
                 replay(pages[page_id - first_page], records)

@@ -105,7 +105,6 @@ class WriteAheadLog:
     def __init__(self, path: str, latency: LatencyModel = LatencyModel()):
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self._lock = threading.Lock()
-        self.last_append_at = 0.0
         self._end = self._load(self.device.size())  # log bytes written
 
     def _load(self, size: int) -> int:
@@ -160,7 +159,6 @@ class WriteAheadLog:
             encoded = LogRecord(lsn, page_id, op, key, value).encode()
             t = self.device.group_write(self._end, encoded, now)
             self._end += len(encoded)
-            self.last_append_at = max(self.last_append_at, t)
         return lsn, t
 
     def flush(self, up_to: int | None = None, now: float = 0.0) -> float:

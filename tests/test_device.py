@@ -86,6 +86,7 @@ def test_failed_device_rejects_everything(workdir):
         dev.charge_read(10)
     # counters frozen: nothing reached the device after the failure
     assert (dev.reads, dev.writes) == (reads, writes)
+    assert dev.refused == 3
 
 
 def test_volume_create_open_round_trip(workdir):

@@ -70,14 +70,14 @@ def build_env(workdir, page_count=64, pages_per_segment=8, pool_pages=16,
     return env
 
 
-def oracle_pages(backup, wal):
+def oracle_pages(backup, wal, end_lsn=None):
     """Independent recovery oracle: backup image plus one LSN-order replay
-    of the whole log, gated per page."""
+    of the log (below end_lsn, if given), gated per page."""
     pages = {}
     for p in backup.read_page_span(0, backup.geometry.page_count)[0]:
         pages[p.page_id] = p
     for rec in wal.scan(0):
-        if rec.lsn >= backup.min_lsn:
+        if rec.lsn >= backup.min_lsn and (end_lsn is None or rec.lsn < end_lsn):
             replay_per_record(pages[rec.page_id], [rec])
     return pages
 
@@ -382,6 +382,46 @@ def test_policies_agree_byte_for_byte_on_same_history(workdir):
     vol.close()
     with open(os.path.join(workdir, "oracle.db"), "rb") as f:
         assert f.read() == images[Policy.PREEMPTIVE]
+
+
+def test_restore_reads_no_log_past_the_failure(workdir):
+    """A record appended after the failure is archived into a run that
+    begins at the failure LSN.  Restoring its page's segment skips that run
+    and replays only the log below the failure LSN; the engine appends
+    later log only for pages resident in the pool, which write back the
+    newer image once their segment is restored."""
+    env = build_env(workdir, policy=Policy.ON_DEMAND)
+    mgr = env.manager
+    pid = 5
+    seg = env.vol.geometry.segment_of(pid)
+    assert not mgr.is_restored(seg)
+    env.wal.append(pid, OP_SET, 0, value_bytes(10_000))
+    env.archiver.archive_up_to(env.wal.end_lsn())
+    late = env.directory.snapshot()[-1]
+    assert late.begin_lsn == env.failure_lsn and late.bloom.might_contain(pid)
+    late_scans, probes = [], []
+    real_scan, real_probe = late.scan_range, env.directory.probe
+
+    def scan_range(*args, **kw):
+        late_scans.append(args)
+        return real_scan(*args, **kw)
+
+    def probe(*args, **kw):
+        probes.append(real_probe(*args, **kw))
+        return probes[-1]
+
+    late.scan_range, env.directory.probe = scan_range, probe
+    mgr.request_segment(seg)
+    mgr.drain()
+    assert mgr.is_restored(seg)
+    [result] = probes
+    assert not late_scans
+    first, end = env.vol.geometry.segment_span(seg)
+    unbounded = real_probe(first, end - 1, env.backup.min_lsn)
+    assert result.runs_skipped == unbounded.runs_skipped + 1
+    got, _ = env.repl.read_page(pid)
+    assert got == oracle_pages(env.backup, env.wal, env.failure_lsn)[pid]
+    assert got != oracle_pages(env.backup, env.wal)[pid]
 
 
 def test_untouched_segment_restores_to_backup_bytes(workdir):
