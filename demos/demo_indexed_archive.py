@@ -30,7 +30,8 @@ with (tempfile.TemporaryDirectory(prefix="segstore-demo-") as workdir,
         print(f"  run [{begin}, {end})")
     print("  ...")
 
-    # A probe merges only the runs that can matter; blooms prune the rest.
+    # A probe merges only the runs that hold the pages, and in each run reads
+    # only the blocks whose first and last page ids meet the range.
     result = directory.probe(first_page=6, last_page=10, min_lsn=0)
     print(f"\nprobe pages 6..10: {len(result)} records from "
           f"{result.runs_merged} runs ({result.runs_skipped} skipped)")

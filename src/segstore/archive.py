@@ -11,9 +11,10 @@ one k-way merge into the run writer, holding a read chunk per input,
 never a run.
 
 probe(first_page, last_page, min_lsn, end_lsn) k-way-merges every run that
-may hold matching records - runs wholly outside [min_lsn, end_lsn) are
-skipped outright, bloom filters prune the rest - and yields a single
-stream ordered by (page id, LSN), ready to replay onto backed-up pages.
+holds matching records - runs wholly outside [min_lsn, end_lsn), or whose
+block index has no block that meets the page range, are skipped - and
+yields a single stream ordered by (page id, LSN), ready to replay onto
+backed-up pages.
 
 The directory listing is the manifest: whatever parses as
 archive_<begin>_<end>.run and passes its checksum is real; .tmp files
@@ -33,10 +34,6 @@ from .runfile import DEFAULT_BLOCK_SIZE, RunReader, parse_run_name, write_run
 from .wal import NULL_LSN, LogRecord, WriteAheadLog
 
 _SORT_KEY = lambda r: (r.page_id, r.lsn)
-
-# Page ranges wider than this skip the per-page bloom pass; the filter
-# cannot reject a span that covers most of the device anyway.
-BLOOM_CHECK_LIMIT = 1024
 
 ARCHIVE_MODES = ("sorted", "copy")
 
@@ -157,13 +154,9 @@ class ArchiveDirectory:
         lists = []
         t = now
         merged = skipped = 0
-        wide = last_page - first_page + 1 > BLOOM_CHECK_LIMIT
         for run in runs:
-            if run.end_lsn <= min_lsn or end_lsn is not None and run.begin_lsn >= end_lsn:
-                skipped += 1
-                continue
-            if not wide and not any(run.bloom.might_contain(p)
-                                    for p in range(first_page, last_page + 1)):
+            if run.end_lsn <= min_lsn or end_lsn is not None and run.begin_lsn >= end_lsn \
+                    or run.block_span(first_page, last_page) == (0, 0):
                 skipped += 1
                 continue
             records, t_run = run.scan_range(first_page, last_page, min_lsn,
@@ -239,14 +232,16 @@ class LogArchiver:
         return self._consumed_lsn
 
     def archive_step(self, batch_budget: int, now: float = 0.0) -> tuple[int, float]:
-        """Consume up to batch_budget records from the WAL; emit any full
-        runs.  Returns (archived_upto, completion time)."""
-        records, next_lsn, t = self.wal.read_suffix(self._consumed_lsn, batch_budget, now)
+        """Consume up to batch_budget records from the WAL, and no more than
+        the workspace needs to fill a run; emit the run once it is full.
+        Returns (archived_upto, completion time)."""
+        budget = min(batch_budget, self.run_size_limit - len(self._workspace))
+        records, next_lsn, t = self.wal.read_suffix(self._consumed_lsn, budget, now)
         if records:
             self._workspace.extend(records)
             self._consumed_lsn = next_lsn
-        while len(self._workspace) >= self.run_size_limit:
-            t = self._emit(self.run_size_limit, t)
+        if len(self._workspace) >= self.run_size_limit:
+            t = self._emit(t)
         return self.archived_upto, t
 
     def archive_up_to(self, target_lsn: int, now: float = 0.0) -> float:
@@ -259,15 +254,15 @@ class LogArchiver:
         while self._consumed_lsn < target_lsn:
             _, t = self.archive_step(self.run_size_limit, t)
         if self._workspace and self.archived_upto < target_lsn:
-            t = self._emit(len(self._workspace), t)
+            t = self._emit(t)
         return t
 
-    def _emit(self, nrecords: int, now: float) -> float:
-        """Emit one run from the head of the workspace.
+    def _emit(self, now: float) -> float:
+        """Emit the workspace as one run and start a new one.
 
-        The workspace is only trimmed after the run is published, so a
+        The workspace is only replaced after the run is published, so a
         failed emit is retry-safe."""
-        batch = self._workspace[:nrecords]
+        batch = self._workspace
         begin = self._run_begin
         end = batch[-1].next_lsn
         if self.mode == "copy":
@@ -275,7 +270,7 @@ class LogArchiver:
         else:
             run, t = self.directory.write(begin, end, sorted(batch, key=_SORT_KEY), len(batch), now)
             self.directory.publish(run)
-        del self._workspace[:nrecords]
+        self._workspace = []
         self._run_begin = end
         return t
 

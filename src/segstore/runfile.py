@@ -3,14 +3,14 @@
 One run holds the log records of a contiguous LSN interval, re-sorted by
 (page id, LSN).  Layout (little-endian):
 
-    header : magic "SGAR2" | u64 begin_lsn | u64 end_lsn | u64 record_count
+    header : magic "SGAR3" | u64 begin_lsn | u64 end_lsn | u64 record_count
              | u32 block_size
     blocks : records in WAL wire format, packed into fixed-size blocks and
              zero padded (a u32 total_len of 0 ends a block early)
-    index  : u64 first_page_id | u64 file_offset, one entry per block
-    bloom  : u32 bit_len | filter bytes, over the page ids present
-    footer : u64 index_offset | u64 bloom_offset | u32 crc32 of the whole
-             file before this field
+    index  : u64 first_page_id | u64 last_page_id, one entry per block;
+             block k starts at header size + k * block_size
+    footer : u64 index_offset | u32 crc32 of the whole file before this
+             field
 
 A run is one self-describing file named archive_<begin>_<end>.run and is
 published with failpoints.publish (shadow file plus atomic rename);
@@ -23,19 +23,22 @@ open file between reads, so a merge unlinks a run with nothing to close.
 
 import os
 import struct
+import sys
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
 from . import failpoints
-from .bloom import BloomFilter
 from .errors import ArchiveError, CorruptRunError
 from .wal import READ_CHUNK, LogRecord
 
-MAGIC = b"SGAR2"  # SGAR1 runs held the 63-byte records of an older WAL layout
+# SGAR1 runs held the 63-byte records of an older WAL layout; SGAR2 runs
+# indexed each block by its first page and offset and carried a bloom filter.
+MAGIC = b"SGAR3"
 _HEADER = struct.Struct("<5sQQQI")
 _INDEX_ENTRY = struct.Struct("<QQ")
-_FOOTER = struct.Struct("<QQI")
+_FOOTER = struct.Struct("<QI")
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -77,7 +80,6 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records, count: int,
 
         put(_HEADER.pack(MAGIC, begin_lsn, end_lsn, count, block_size))
         index = []
-        pages_seen = set()
         block = bytearray()
         last_key = None
         n = 0
@@ -95,20 +97,16 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records, count: int,
                 put(block.ljust(block_size, b"\0"))
                 block = bytearray()
             if not block:
-                index.append((rec.page_id, _HEADER.size + len(index) * block_size))
+                index.append([rec.page_id, rec.page_id])
+            index[-1][1] = rec.page_id
             block += encoded
-            pages_seen.add(rec.page_id)
         if block:
             put(block.ljust(block_size, b"\0"))
         if n != count:
             raise ArchiveError(f"run of {n} records, expected {count}")
-        bloom = BloomFilter.sized_for(len(pages_seen))
-        for pid in pages_seen:
-            bloom.add(pid)
         index_offset = _HEADER.size + len(index) * block_size
-        bloom_offset = index_offset + len(index) * _INDEX_ENTRY.size
-        put(b"".join(_INDEX_ENTRY.pack(*entry) for entry in index) + bloom.to_bytes()
-            + _FOOTER.pack(index_offset, bloom_offset, 0)[:-4])
+        put(b"".join(_INDEX_ENTRY.pack(*entry) for entry in index)
+            + _FOOTER.pack(index_offset, 0)[:-4])
         f.write(struct.pack("<I", crc))
 
     failpoints.publish(path, write, "run:pre_rename")
@@ -116,10 +114,11 @@ def write_run(dir_path: str, begin_lsn: int, end_lsn: int, records, count: int,
 
 
 class RunReader:
-    """One published run: header, block index and bloom filter live in
-    memory; record blocks are read on demand, each read opening and
-    closing the file, so a reader holds no file between reads.  A file
-    it cannot open or read is a corrupt run."""
+    """One published run: the header and the block index live in memory,
+    the index as two ascending arrays of each block's first and last page
+    id (firsts, lasts); record blocks are read on demand, each read
+    opening and closing the file, so a reader holds no file between
+    reads.  A file it cannot open or read is a corrupt run."""
 
     def __init__(self, path: str):
         self.path = path
@@ -131,7 +130,7 @@ class RunReader:
         if size < _HEADER.size + _FOOTER.size:
             raise CorruptRunError(self.name, "file too small")
         footer = size - _FOOTER.size
-        self._index_offset, bloom_offset, crc = _FOOTER.unpack(self._pread(footer, _FOOTER.size))
+        self._index_offset, crc = _FOOTER.unpack(self._pread(footer, _FOOTER.size))
         check = 0
         for at in range(0, size - 4, READ_CHUNK):
             check = zlib.crc32(self._pread(at, min(READ_CHUNK, size - 4 - at)), check)
@@ -141,10 +140,15 @@ class RunReader:
             _HEADER.unpack(self._pread(0, _HEADER.size))
         if magic != MAGIC:
             raise CorruptRunError(self.name, f"bad magic {magic!r}")
-        meta = self._pread(self._index_offset, footer - self._index_offset)
-        self.index = list(_INDEX_ENTRY.iter_unpack(meta[:bloom_offset - self._index_offset]))
-        self._firsts = [first for first, _ in self.index]  # block_span's search keys
-        self.bloom = BloomFilter.from_bytes(meta[bloom_offset - self._index_offset:])
+        nbytes = footer - self._index_offset
+        nblocks = nbytes // _INDEX_ENTRY.size
+        if nbytes < 0 or nbytes % _INDEX_ENTRY.size \
+                or _HEADER.size + nblocks * self.block_size != self._index_offset:
+            raise CorruptRunError(self.name, "index length does not match block count")
+        index = array("Q", self._pread(self._index_offset, nbytes))
+        if sys.byteorder == "big":
+            index.byteswap()
+        self.firsts, self.lasts = index[0::2], index[1::2]
 
     def _pread(self, offset: int, nbytes: int) -> bytes:
         try:
@@ -157,22 +161,17 @@ class RunReader:
         return data
 
     def block_span(self, first_page: int, last_page: int) -> tuple[int, int]:
-        """Byte range [start, end) of the blocks that may hold records for
-        page ids in [first_page, last_page]; (0, 0) when none can.
+        """Byte range [start, end) of exactly the blocks whose page ids,
+        first to last, meet [first_page, last_page]; (0, 0) when none does.
 
-        Block k covers sort keys [index[k].first, index[k+1].first), so the
-        span starts one block before the first index entry >= first_page:
-        that earlier block can still end with low-LSN records of the first
-        page."""
-        if not self.index:
+        Block k holds pages firsts[k] to lasts[k], and both arrays ascend,
+        so those blocks run from the first whose last page is >= first_page
+        to the last whose first page is <= last_page."""
+        start = bisect_left(self.lasts, first_page)
+        end = bisect_right(self.firsts, last_page)
+        if end <= start:
             return 0, 0
-        start_block = max(0, bisect_left(self._firsts, first_page) - 1)
-        end_block = bisect_right(self._firsts, last_page)
-        if end_block <= start_block:
-            return 0, 0
-        start = self.index[start_block][1]
-        end = self.index[end_block][1] if end_block < len(self.index) else self._index_offset
-        return start, end
+        return _HEADER.size + start * self.block_size, _HEADER.size + end * self.block_size
 
     def _decode_blocks(self, data: bytes) -> Iterator[LogRecord]:
         try:

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from segstore import failpoints
+from segstore import failpoints, runfile
 from segstore.device import DeviceRole, LatencyModel
 from segstore.pages import VALUE_LEN
 from segstore.volume import Geometry, Volume
@@ -94,6 +94,15 @@ def old_record_bytes(lsn: int, page_id: int, key: int, value: bytes) -> bytes:
     body = struct.pack("<IQQQQBIH", 47 + len(value), lsn, page_id, txn_id,
                        prev_page_lsn, OP_SET, key, len(value)) + value
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def run_blocks(run) -> dict[int, set[int]]:
+    """Offset -> page ids of each block of a run, decoded from its file
+    without its index."""
+    with open(run.path, "rb") as f:
+        data = f.read()
+    return {off: {r.page_id for r in run._decode_blocks(data[off:off + run.block_size])}
+            for off in range(runfile._HEADER.size, run._index_offset, run.block_size)}
 
 
 def random_history(wal: WriteAheadLog, rng: random.Random, nrecords: int,

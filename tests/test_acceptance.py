@@ -24,7 +24,7 @@ from segstore.metrics import percentile
 from segstore.restore import Policy
 from segstore.workload import WorkloadConfig
 
-from conftest import make_wal, random_history
+from conftest import make_wal, random_history, run_blocks
 from test_restore import build_env
 
 
@@ -321,12 +321,13 @@ def test_c7_archiving_overhead():
               f"copy={result['plain_copy_tps']:.0f}tps overhead={overhead:.2%}")
 
 
-# -- criterion 8: crash atomicity and bloom soundness --------------------------------------
+# -- criterion 8: crash atomicity and index exactness --------------------------------------
 
-def test_c8_crash_atomicity_and_bloom(workdir):
+def test_c8_crash_atomicity_and_index(workdir):
     """Run and backup publishes are atomic at every injected crash point
-    (the manifest never references incomplete files) and bloom filters show
-    zero false negatives over every run in the archive."""
+    (the manifest never references incomplete files), and every run's
+    block index is exact: block_span(a, b) holds every record of pages a
+    to b and no block whose pages, lowest to highest, miss [a, b]."""
     wal = make_wal(workdir)
     arch_path = os.path.join(workdir, "archive")
     directory = ArchiveDirectory(arch_path, block_size=512)
@@ -376,15 +377,22 @@ def test_c8_crash_atomicity_and_bloom(workdir):
     checks.append(("backup publish",
                    not [n for n in os.listdir(workdir) if n.startswith("backup_")]))
 
-    # bloom soundness: every page present in a run must hit its filter
-    false_negatives = 0
+    # index exactness, against the pages decoded from each block
+    missed = extra = 0
     for run in ArchiveDirectory.load(arch_path, block_size=512).snapshot():
-        records, _ = run.scan_all()
-        for page_id in {r.page_id for r in records}:
-            if not run.bloom.might_contain(page_id):
-                false_negatives += 1
-    checks.append(("bloom false negatives", false_negatives == 0))
+        blocks = run_blocks(run)
+        for off, pids in blocks.items():
+            for page_id in pids:
+                start, end = run.block_span(page_id, page_id)
+                missed += not start <= off < end
+        for a in range(61):  # every range of the 60 pages, and page 60 past them
+            for b in range(a, 61):
+                start, end = run.block_span(a, b)
+                extra += sum(min(blocks[off]) > b or max(blocks[off]) < a
+                             for off in range(start, end, run.block_size))
+    checks.append(("records outside their page's span", missed == 0))
+    checks.append(("blocks in a span that miss its range", extra == 0))
 
     bad = [name for name, ok in checks if not ok]
-    _announce("C8 crash atomicity + bloom soundness", not bad,
+    _announce("C8 crash atomicity + index exactness", not bad,
               f"checks={len(checks)}, failed={bad}")

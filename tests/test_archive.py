@@ -2,8 +2,10 @@ import collections
 import gc
 import os
 import random
+import struct
 import tracemalloc
 import warnings
+import zlib
 
 import pytest
 
@@ -25,7 +27,7 @@ def build(workdir, run_size_limit=64, mode="sorted"):
 
 
 def probe_oracle(directory, first, last, min_lsn):
-    """Linear scan of every run, filter, sort - no index, bloom, or merge."""
+    """Linear scan of every run, filter, sort - no index or merge."""
     out = []
     for run in directory.snapshot():
         recs, _ = run.scan_all()
@@ -37,9 +39,14 @@ def test_step_arithmetic_runs_and_workspace(workdir):
     wal, directory, archiver = build(workdir, run_size_limit=4)
     for i in range(10):
         wal.append(i, OP_SET, 0, value_bytes(i))
+    # a step reads only what fills the workspace, and emits that one run
+    for runs in (1, 2):
+        archiver.archive_step(batch_budget=100)
+        assert directory.run_count == runs
+        assert archiver.consumed_lsn == archiver.archived_upto
+    # the two records past the last run wait in the workspace
     archiver.archive_step(batch_budget=100)
     assert directory.run_count == 2
-    # the two records past the last run wait in the workspace
     assert archiver.consumed_lsn == wal.end_lsn()
     assert len(list(wal.scan(archiver.archived_upto))) == 2
     # empty suffix: nothing changes
@@ -130,15 +137,20 @@ def test_probe_equals_oracle_across_merges(workdir):
             break
 
 
-def test_probe_empty_range_and_bloom_skip(workdir):
+def test_probe_empty_range_and_index_skip(workdir):
+    """A run whose block index has no block that meets the page range is
+    skipped, and nothing is read from the archive device."""
     wal, directory, archiver = build(workdir, run_size_limit=16)
     for i in range(64):
-        wal.append(i % 4, OP_SET, 0, value_bytes(i))  # only pages 0..3
+        wal.append(10 + i % 4, OP_SET, 0, value_bytes(i))  # only pages 10..13
     archiver.archive_up_to(wal.end_lsn())
-    result = directory.probe(50, 60, 0)
-    assert list(result) == []
-    assert result.runs_merged == 0
-    assert result.runs_skipped == directory.run_count
+    for first, last in ((50, 60), (0, 9), (14, 14)):
+        result = directory.probe(first, last, 0)
+        assert list(result) == []
+        assert result.runs_merged == 0
+        assert result.runs_skipped == directory.run_count
+    assert directory.device.bytes_read == 0
+    assert directory.probe(9, 10, 0).runs_merged == directory.run_count
 
 
 def test_probe_min_lsn_skips_old_runs(workdir):
@@ -321,19 +333,53 @@ class _OldRecord(collections.namedtuple("_OldRecord", "lsn page_id key value")):
         return old_record_bytes(self.lsn, self.page_id, self.key, self.value)
 
 
-def test_run_in_the_older_record_layout_is_refused(workdir, monkeypatch):
-    """A run of 63-byte records under the SGAR1 magic fails to load; were
-    the magic ignored, its records would still fail to decode."""
+def _sgar2_run(dir_path, recs, block_size):
+    """Write recs as a run in the SGAR2 layout: an index of (first page id,
+    offset) per block, a bloom filter behind it (u32 bit count and bits,
+    here 10 a record, all clear), and a footer holding both offsets before
+    the crc."""
+    blocks, index = [], []
+    bloom = struct.pack("<I", 10 * len(recs)) + bytes((10 * len(recs) + 7) // 8)
+    for rec in recs:
+        encoded = rec.encode()
+        if not blocks or len(blocks[-1]) + len(encoded) > block_size:
+            index.append((rec.page_id, runfile._HEADER.size + len(blocks) * block_size))
+            blocks.append(bytearray())
+        blocks[-1] += encoded
+    index_offset = runfile._HEADER.size + len(blocks) * block_size
+    body = (runfile._HEADER.pack(b"SGAR2", 0, recs[-1].next_lsn, len(recs), block_size)
+            + b"".join(block.ljust(block_size, b"\0") for block in blocks)
+            + b"".join(struct.pack("<QQ", *entry) for entry in index) + bloom
+            + struct.pack("<QQ", index_offset, index_offset + 16 * len(index)))
+    path = os.path.join(dir_path, runfile.run_name(0, recs[-1].next_lsn))
+    with open(path, "wb") as f:
+        f.write(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+@pytest.mark.parametrize("magic, blind_error", [(b"SGAR1", "bad length"),
+                                                (b"SGAR2", "index length")],
+                         ids=["SGAR1", "SGAR2"])
+def test_run_in_an_older_layout_is_refused(workdir, monkeypatch, magic, blind_error):
+    """A run under an older magic fails to load.  Were the magic ignored,
+    an SGAR1 run's 63-byte records would still fail to decode, and an
+    SGAR2 run's bloom section would not pass for an index of its blocks."""
     dir_path = os.path.join(workdir, "archive")
     os.makedirs(dir_path)
-    recs = [_OldRecord(1 + 63 * i, i // 2, i, value_bytes(i)) for i in range(6)]
-    monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")
-    path = runfile.write_run(dir_path, 0, 1 + 63 * len(recs), recs, len(recs), block_size=512)
-    monkeypatch.undo()
+    if magic == b"SGAR1":
+        recs = [_OldRecord(1 + 63 * i, i // 2, i, value_bytes(i)) for i in range(6)]
+        monkeypatch.setattr(runfile, "MAGIC", magic)
+        path = runfile.write_run(dir_path, 0, 1 + 63 * len(recs), recs, len(recs), block_size=512)
+        monkeypatch.undo()
+    else:
+        wal = make_wal(workdir)
+        random_history(wal, random.Random(13), 40, npages=10)
+        recs = sorted(wal.scan(), key=lambda r: (r.page_id, r.lsn))
+        path = _sgar2_run(dir_path, recs, block_size=512)
     with pytest.raises(CorruptRunError, match="bad magic"):
         ArchiveDirectory.load(dir_path, block_size=512)
-    monkeypatch.setattr(runfile, "MAGIC", b"SGAR1")  # accept the old header
-    with pytest.raises(CorruptRunError, match="bad length"):
+    monkeypatch.setattr(runfile, "MAGIC", magic)  # accept the old header
+    with pytest.raises(CorruptRunError, match=blind_error):
         list(runfile.RunReader(path).scan_all()[0])
 
 
@@ -401,7 +447,7 @@ def test_merge_stops_at_a_block_corrupted_after_open(workdir, monkeypatch):
     inputs = list(directory.snapshot())
     last = inputs[-1]
     with open(last.path, "r+b") as f:  # a value byte of the last block's first record
-        f.seek(last.index[-1][1] + 40)
+        f.seek(last._index_offset - last.block_size + 40)
         f.write(b"\x00" if f.read(1) != b"\x00" else b"\x01")
     before = archive_state(directory)
     written = []

@@ -642,9 +642,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "52540da9c74bf9fb41b525e65e12e882519e06eb116924ff1d4a22f6c2482af8"),
+     "23c9d2d8f9424cc9a54327dc51689654de1f63671205f4147a8427e3fe3e9370"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "cdb73d5058458efb7b622635c5f364e6c473a8265bf33eb9aada297de0fba712"),
+     "d59843b6f4689381fe0bc29ec57b0d43887eac4c18caff41b6931dc2c8f383a2"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -661,9 +661,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "4c4582c08ed87da686af01e566223733b5fa521b41255484bd19a7a8505c4013"),
+    (dict(), "abf7bae326fe141b75f09b3db9124ba22eaf3049d00601eeda364d933ba4f5b6"),
     (dict(failure_time_s=None),
-     "f391f5c0eb81be3d1f1c7e73f2071c53882bc87e5008c0dc7cd264a14e70fb83"),
+     "1e775ebb53cc17f9c9e9e6577e438e1378a40dd4e01f85055bc27e5074df46be"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

@@ -398,7 +398,7 @@ def test_restore_reads_no_log_past_the_failure(workdir):
     env.wal.append(pid, OP_SET, 0, value_bytes(10_000))
     env.archiver.archive_up_to(env.wal.end_lsn())
     late = env.directory.snapshot()[-1]
-    assert late.begin_lsn == env.failure_lsn and late.bloom.might_contain(pid)
+    assert late.begin_lsn == env.failure_lsn and late.block_span(pid, pid) != (0, 0)
     late_scans, probes = [], []
     real_scan, real_probe = late.scan_range, env.directory.probe
 

@@ -1,16 +1,20 @@
 import gc
 import os
 import random
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segstore import failpoints
+from segstore.device import Device, DeviceRole
 from segstore.errors import ArchiveError, CorruptRunError, CrashInjected
 from segstore.runfile import READ_CHUNK, RunReader, parse_run_name, run_name, write_run
 from segstore.wal import OP_SET, LogRecord
 
-from conftest import value_bytes
+from conftest import run_blocks, value_bytes
 
 
 def make_records(rng, n, npages, base_lsn=1):
@@ -42,9 +46,6 @@ def test_write_read_round_trip(workdir):
     assert (run.begin_lsn, run.end_lsn, run.record_count) == (0, end, 500)
     back, _ = run.scan_all()
     assert list(back) == sorted_records(recs)
-    # bloom covers exactly the touched pages, no false negatives
-    touched = {r.page_id for r in recs}
-    assert all(run.bloom.might_contain(p) for p in touched)
 
 
 def test_block_index_probes_match_full_scan(workdir):
@@ -60,6 +61,37 @@ def test_block_index_probes_match_full_scan(workdir):
         got, _ = run.scan_range(a, b, min_lsn)
         want = [r for r in full if a <= r.page_id <= b and r.lsn >= min_lsn]
         assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=150), st.sampled_from([64, 100, 256, 512]),
+       st.lists(st.tuples(st.integers(0, 44), st.integers(0, 12), st.integers(0, 8000)),
+                min_size=1, max_size=8))
+def test_block_span_is_exact(pages, block_size, probes):
+    """For random sorted runs, block sizes and page ranges, block_span
+    covers exactly the blocks whose pages, lowest to highest, meet the
+    range, scan_range equals a linear filter of the run, and an empty span
+    reads nothing."""
+    recs, lsn = [], 1
+    for i, page_id in enumerate(pages):
+        recs.append(LogRecord(lsn, page_id, OP_SET, i % 8, value_bytes(i)))
+        lsn = recs[-1].next_lsn
+    recs = sorted_records(recs)
+    with tempfile.TemporaryDirectory() as workdir:
+        run = RunReader(write_run(workdir, 0, lsn, recs, len(recs), block_size))
+        blocks = run_blocks(run)
+        device = Device(DeviceRole.ARCHIVE)
+        for first, width, min_lsn in probes:
+            last = first + width
+            meets = sorted(off for off, pids in blocks.items()
+                           if min(pids) <= last and max(pids) >= first)
+            start, end = run.block_span(first, last)
+            assert (start, end) == ((meets[0], meets[-1] + block_size) if meets else (0, 0))
+            assert end - start == len(meets) * block_size
+            before = device.bytes_read
+            got, _ = run.scan_range(first, last, min_lsn, device)
+            assert got == [r for r in recs if first <= r.page_id <= last and r.lsn >= min_lsn]
+            assert device.bytes_read - before == end - start
 
 
 def test_out_of_order_records_rejected(workdir):
