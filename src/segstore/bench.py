@@ -17,7 +17,9 @@ scheduler's completion signal, then resumes through the same min-clock
 pick, at the later of its clock and the segment's completion time.
 A worker steps a whole transaction at a time, so only other workers'
 appends can join the log write that one of its appends queues for.  The
-archiver steps at its own clock and reads only log durable by then.
+archiver steps at its own clock and reads only log durable by then; it
+reads from the WAL's log buffer, so its reads cost the log device
+nothing and leave the append group open.
 
 Time is virtual microseconds end to end; wall mode paces the identical
 schedule against the real clock for demo runs.  The same storage, WAL,

@@ -12,9 +12,12 @@ restored.
 
 All page I/O (a miss's read, a dirty victim's write, and explicit
 write-back) runs under the pool's one condition, so no fix sees a frame
-between two pages.  Only waits on a restore happen outside it, and
-two fix flavors exist so both threaded servers and the deterministic
-benchmark engine can share this code:
+between two pages.  A fix or flush that must wait for an unfix (a
+latched frame, or a pool with every frame pinned) is counted while it
+waits, and an unfix notifies the condition only when one is.  Only
+waits on a restore happen outside it, and two fix flavors exist so both
+threaded servers and the deterministic benchmark engine can share this
+code:
 
   fix_page      blocks until the page is resident, releasing the pool's
                 condition while it waits on the restore manager's
@@ -103,6 +106,7 @@ class BufferPool:
         self._hand = 0  # CLOCK hand of the eviction sweep
         self._clean_hand = 0  # next frame flush_some visits
         self._cond = threading.Condition()
+        self._waiters = 0  # threads in _wait_locked: an unfix notifies only them
         self._gate = None  # restore manager: replacement, is_restored, request_segment
         self._dirty_n = 0
         self.page_reads = 0
@@ -174,7 +178,7 @@ class BufferPool:
                     if self._usage[f] < _MAX_USAGE:
                         self._usage[f] += 1
                     while self._bits[f] & _LATCHED:
-                        self._cond.wait()
+                        self._wait_locked()
                     self._bits[f] |= _LATCHED
                     return PageHandle(f, self._pages[f]), now
                 if self._gated(page_id):
@@ -186,7 +190,7 @@ class BufferPool:
                 if pick is None:
                     if not blocking:
                         raise StorageError("every frame pinned; pool too small")
-                    self._cond.wait()
+                    self._wait_locked()
                     continue
                 kind, victim = pick
                 if kind == "blocked":
@@ -227,7 +231,17 @@ class BufferPool:
                 self._dirty_n += 1
             self._bits[f] &= ~_LATCHED
             self._pins[f] -= 1
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
+
+    def _wait_locked(self) -> None:
+        """Wait on the pool's condition for an unfix, counted so that an
+        unfix with nobody waiting notifies no one."""
+        self._waiters += 1
+        try:
+            self._cond.wait()
+        finally:
+            self._waiters -= 1
 
     # -- eviction internals ---------------------------------------------------
 
@@ -283,7 +297,7 @@ class BufferPool:
                 if self._gated(page_id):
                     blocked = self._blocked(page_id, now)
                 elif self._bits[f] & _LATCHED:
-                    self._cond.wait()
+                    self._wait_locked()
                     continue
                 else:
                     return self._write_back_locked(f, now)

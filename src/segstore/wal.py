@@ -13,19 +13,30 @@ a direct seek.
 
 The log file on the log device is the only full copy of the log, as in
 ARIES.  An append writes its record before it returns, so the whole log
-is durable and memory holds no log bytes and no per-page or per-record
-state.  Appends commit in groups: an append issued while the log
-device's last transfer is an append write that has not yet started joins
-that write, which grows by the record's per-byte cost, and returns the
-write's new end; any other append starts its own write when the device
-is free.  A log read closes the group.  Completion times therefore never
-decrease in LSN order, and none is later than one write per append would
-give.  An LSN is a log address, so a read seeks straight to it and decodes
-records from there, each from the file read that holds it whole; a read
-that starts inside a record raises CorruptRecordError.  Writes and the
-archiver's batch reads are charged to the log device under its latency
-model; scans and the open-time check, which decodes every record, read
-the file without a charge.
+is durable, and the log keeps no per-page state.  Appends commit in
+groups: an append issued while the log device's last transfer is an
+append write that has not yet started joins that write, which grows by
+the record's per-byte cost, and returns the write's new end; any other
+append starts its own write when the device is free.  A charged log read
+closes the group.  Completion times therefore never decrease in LSN
+order, and none is later than one write per append would give.  An LSN
+is a log address, so a read seeks straight to it and decodes records
+from there, each from the file read that holds it whole; a read that
+starts inside a record raises CorruptRecordError.  Writes are charged to
+the log device under its latency model; scans and the open-time check,
+which decodes every record, read the file without a charge.
+
+The archiver's batch reads (read_suffix) are served from the log buffer
+when they can.  Once a first read arms it, the buffer keeps each record
+appended since the last read, with its completion time, so an archiver
+that keeps up with the log reads the records appended a few milliseconds
+earlier from memory: the read charges the log device nothing, leaves the
+append group open, and completes once the newest record it returns is
+durable.  A read the buffer cannot serve (a log opened again, a start
+the buffer does not hold, or a buffer dropped after BUFFER_RECORDS
+records) goes to the file, is charged to the log device as one read,
+and arms the buffer again at the log's end.  A log that nobody archives
+keeps no records in memory.
 """
 
 import struct
@@ -49,9 +60,13 @@ _CRC = struct.Struct("<I")
 _OVERHEAD = _FIXED.size + _CRC.size
 _MAX_VALUE = (1 << 16) - 1  # value_len is a u16
 READ_CHUNK = 64 * 1024  # bytes per uncharged file read, here and in runfile
+# Records the log buffer holds before it is dropped: an archiver that
+# keeps up reads a few hundred at a time, one that falls behind reads
+# the file until it catches up.
+BUFFER_RECORDS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     lsn: int
     page_id: int
@@ -100,12 +115,16 @@ class LogRecord:
 class WriteAheadLog:
     """Single log file; appends are serialized, and each is written before
     it returns.  Records never change once written, so reads go to the
-    file without the lock."""
+    file without the lock; the log buffer is guarded by it."""
 
     def __init__(self, path: str, latency: LatencyModel = LatencyModel()):
         self.device = Device(DeviceRole.LOG, path, latency, create=True)
         self._lock = threading.Lock()
         self._end = self._load(self.device.size())  # log bytes written
+        # The log buffer: (record, completion time) for each record from
+        # _buf_lsn to the log's end, or None until a file read arms it.
+        self._buf: list[tuple[LogRecord, float]] | None = None
+        self._buf_lsn = NULL_LSN
 
     def _load(self, size: int) -> int:
         """Decode every record: a damaged log or an older layout fails at open."""
@@ -156,9 +175,16 @@ class WriteAheadLog:
             raise WalError(f"value of {len(value)} bytes exceeds {_MAX_VALUE}")
         with self._lock:
             lsn = self._end + _LSN_BASE
-            encoded = LogRecord(lsn, page_id, op, key, value).encode()
+            rec = LogRecord(lsn, page_id, op, key, value)
+            encoded = rec.encode()
             t = self.device.group_write(self._end, encoded, now)
             self._end += len(encoded)
+            buf = self._buf
+            if buf is not None:
+                if len(buf) < BUFFER_RECORDS:
+                    buf.append((rec, t))
+                else:
+                    self._buf = None
         return lsn, t
 
     def flush(self, up_to: int | None = None, now: float = 0.0) -> float:
@@ -190,13 +216,26 @@ class WriteAheadLog:
                     now: float = 0.0) -> tuple[list[LogRecord], int, float]:
         """Batch read for the archiver: up to max_records records from
         from_lsn, which must be a record start, as in scan (the archiver's
-        cursor always is).
+        cursor always is).  Returns the records, which are the first
+        max_records of scan's stream, the LSN to continue from, and the
+        completion time.
 
-        The records are the first max_records of scan's stream, and their
-        byte span is charged to the log device as one read.  Returns the
-        records, the LSN to continue from, and the completion time.
-        """
-        limit = self._end
+        When from_lsn is the log buffer's first record, the records come
+        from the buffer and the read completes at the later of now and the
+        completion of the newest record returned.  Otherwise their byte
+        span is charged to the log device as one read, and the buffer is
+        armed at the log's end."""
+        with self._lock:
+            buf = self._buf
+            if buf is not None and from_lsn == self._buf_lsn:
+                batch = buf[:max_records]
+                del buf[:max_records]
+                if not batch:
+                    return [], from_lsn, now
+                self._buf_lsn = batch[-1][0].next_lsn
+                return [rec for rec, _ in batch], self._buf_lsn, max(now, batch[-1][1])
+            limit = self._end
+            self._buf, self._buf_lsn = [], limit + _LSN_BASE
         start = self._offset(from_lsn, limit)
         records = list(islice(self._read_records(start, limit), max_records))
         if not records:

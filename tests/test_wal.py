@@ -78,6 +78,115 @@ def test_log_read_closes_the_group(workdir):
     wal.close()
 
 
+def armed_wal(workdir, latency=LatencyModel(20.0, 0.002)):
+    """A WAL whose log buffer a first read, of the empty log, has armed."""
+    wal = make_wal(workdir, latency=latency)
+    assert wal.read_suffix(wal.end_lsn(), 1) == ([], wal.end_lsn(), 0.0)
+    assert (wal.device.reads, wal.device.bytes_read) == (0, 0)
+    return wal
+
+
+def test_buffered_read_makes_no_device_read(workdir):
+    """Once a read has armed the log buffer, each read from the archiver's
+    cursor returns the records scan returns and touches no device."""
+    wal = armed_wal(workdir)
+    lsns = [wal.append(i % 3, OP_SET, i, value_bytes(i), now=10.0 * i)[0] for i in range(9)]
+    cursor, got = lsns[0], []
+    for budget in (4, 2, 100):
+        recs, cursor, _ = wal.read_suffix(cursor, budget, now=1e6)
+        got += recs
+    assert got == list(wal.scan(0)) and cursor == wal.end_lsn()
+    assert (wal.device.reads, wal.device.bytes_read) == (0, 0)
+    assert wal.read_suffix(cursor, 5, now=7.0) == ([], cursor, 7.0)
+
+
+def test_append_after_buffered_read_joins_the_group(workdir):
+    """Appends at 0 and 5 us, a buffered read at 6 us, an append at 10 us:
+    the read leaves the group open, so the third append joins the second's
+    write for its per-byte cost alone, as if no read had come between."""
+    latency = LatencyModel(20.0, 0.002)
+    wal = armed_wal(workdir, latency)
+    lsn, t1 = wal.append(0, OP_SET, 0, value_bytes(0), now=0.0)
+    _, t2 = wal.append(0, OP_SET, 1, value_bytes(1), now=5.0)
+    recs, _, t_read = wal.read_suffix(lsn, 1, now=6.0)
+    assert [r.lsn for r in recs] == [lsn] and t_read == t1
+    _, t3 = wal.append(0, OP_SET, 2, value_bytes(2), now=10.0)
+    assert t3 == pytest.approx(t2 + 47 * latency.per_byte_us)
+    assert wal.device.writes == 2 and wal.device.reads == 0
+
+
+def test_buffered_read_completes_when_its_newest_record_is_durable(workdir):
+    """A buffered read completes at the later of its issue time and the
+    completion of the newest record it returns."""
+    wal = armed_wal(workdir, LatencyModel(20.0, 0.002))
+    appended = [wal.append(0, OP_SET, i, value_bytes(i), now=100.0 * i) for i in range(4)]
+    (lsn0, _), (_, t1), (lsn2, t2), (_, t3) = appended
+    assert t1 < t2 < t3
+    assert wal.read_suffix(lsn0, 2, now=t1 - 50.0)[2] == t1  # waits for record 1
+    assert wal.read_suffix(lsn2, 1, now=t2 + 50.0)[2] == t2 + 50.0  # record 2 is durable
+    assert wal.read_suffix(lsn2 + 47, 1, now=0.0)[2] == t3
+
+
+def test_buffer_overflow_reads_the_file_once_then_rearms(workdir, monkeypatch):
+    """Past BUFFER_RECORDS records the buffer is dropped: the next read is
+    one charged read of its span from the file, and it arms the buffer
+    again, so the read after it touches no device."""
+    monkeypatch.setattr(wal_module, "BUFFER_RECORDS", 8)
+    latency = LatencyModel(fixed_us=10.0, per_byte_us=0.5)
+    wal = armed_wal(workdir, latency)
+    lsns = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(9)]
+    now = 1e9  # the device is idle by then
+    recs, cursor, t = wal.read_suffix(lsns[0], 100, now)
+    assert recs == list(wal.scan(0)) and cursor == wal.end_lsn()
+    span = cursor - lsns[0]
+    assert (wal.device.reads, wal.device.bytes_read) == (1, span)
+    assert t == now + latency.cost_us(span)
+    more = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(8)]
+    recs, _, _ = wal.read_suffix(cursor, 100, now)
+    assert [r.lsn for r in recs] == more
+    assert (wal.device.reads, wal.device.bytes_read) == (1, span)
+
+
+def test_reopened_log_reads_its_first_batch_from_the_device(workdir):
+    """A log opened again holds no buffer: its first read goes to the file
+    and is charged, whatever the handle that wrote it had buffered, and
+    arms the new handle's buffer for the next read."""
+    wal = armed_wal(workdir)
+    lsns = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(6)]
+    wal.close()
+    wal = make_wal(workdir)
+    recs, cursor, _ = wal.read_suffix(lsns[0], 100)
+    assert [r.lsn for r in recs] == lsns
+    assert (wal.device.reads, wal.device.bytes_read) == (1, cursor - lsns[0])
+    new = [wal.append(0, OP_SET, i, value_bytes(i))[0] for i in range(3)]
+    assert [r.lsn for r in wal.read_suffix(cursor, 100)[0]] == new
+    assert (wal.device.reads, wal.device.bytes_read) == (1, cursor - lsns[0])
+
+
+def test_memory_retained_per_record_with_a_reader_is_small(workdir):
+    """With a reader draining the log buffer every 100 appends, the buffer
+    holds at most 100 records: 50,000 appends leave almost nothing behind,
+    and every read after the first is served from memory."""
+    wal = make_wal(workdir)
+    value = value_bytes(0)
+    wal.append(0, OP_SET, 0, value)
+    cursor = wal.read_suffix(0, 100)[1]
+    n = 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            wal.append(i % 64, OP_SET, i % 8, value)
+            if i % 100 == 99:
+                cursor = wal.read_suffix(cursor, 100)[1]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cursor == wal.end_lsn() and wal.device.reads == 1
+    wal.close()
+    assert grown / n <= 1, f"{grown / n:.1f} B retained per record"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=25))
 def test_group_commit_against_one_write_per_append(tmp_path_factory, issues):
