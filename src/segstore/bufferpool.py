@@ -26,6 +26,12 @@ code:
                 RestoreHandle (Blocked) so a cooperative caller can park
                 on it and retry.
 
+prefetch_page is a miss with no pin and no latch, on the same one miss
+path: it reads a missing page into a frame that no fix holds, with a
+usage count of 1, so the fix that follows is the page's first hit.  It
+leaves a resident page as it is, and for a page that waits on a restore
+it requests the segment and returns the handle without waiting.
+
 A miss has one path.  Until the pool is full it takes the next unused
 frame, 0, 1, 2, ...; after that the page it reads takes the frame of a
 CLOCK victim, clean or dirty.  Each frame keeps a usage count, not a
@@ -167,13 +173,25 @@ class BufferPool:
         """Cooperative fix; returns (PageHandle, t) or Blocked."""
         return self._fix_inner(page_id, now, blocking=False)
 
-    def _fix_inner(self, page_id: int, now: float, blocking: bool):
+    def prefetch_page(self, page_id: int, now: float = 0.0):
+        """Make page_id resident ahead of its fix: a miss on the one miss
+        path that leaves the frame unpinned and unlatched.  Returns the
+        read's completion time, or now for a resident page, which is left
+        as it is (its usage count does not move).  Returns Blocked when a
+        restore must come first; the segment is requested, not waited for."""
+        out = self._fix_inner(page_id, now, blocking=False, pin=False)
+        return out if isinstance(out, Blocked) else out[1]
+
+    def _fix_inner(self, page_id: int, now: float, blocking: bool, pin: bool = True):
+        """The fix, or with pin=False the prefetch, which returns (None, t)."""
         if not 0 <= page_id < self.volume.geometry.page_count:
             raise InvalidPageIdError(f"page {page_id} out of range")
         with self._cond:
             while True:
                 f = self._frame_of[page_id]
                 if f >= 0:
+                    if not pin:
+                        return None, now
                     self._pins[f] += 1  # the pin keeps the frame while we wait
                     if self._usage[f] < _MAX_USAGE:
                         self._usage[f] += 1
@@ -209,14 +227,14 @@ class BufferPool:
                 self.evictions += 1
             now = t
             self._pages[f] = page
-            self._pins[f] = 1
-            self._bits[f] = _LATCHED
+            self._pins[f] = 1 if pin else 0
+            self._bits[f] = _LATCHED if pin else 0
             self._usage[f] = 1
             self._frame_of[page_id] = f
             self.page_reads += 1
             if self.on_page_read is not None:
                 self.on_page_read(now)
-            return PageHandle(f, page), now
+            return (PageHandle(f, page) if pin else None), now
 
     def unfix_page(self, handle: PageHandle, mark_dirty: bool = False) -> None:
         if handle.released:

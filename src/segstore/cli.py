@@ -1,7 +1,8 @@
 """bench - drive the storage engine through failure-and-restore runs.
 
     bench run      one benchmark run with failure injection, CSVs to --out
-    bench overhead archiving cost: sort+index vs plain copy, no failure
+    bench overhead archiving cost: sort+index vs plain copy and vs an idle
+                   archiver, no failure
     bench verify   end-state equivalence against brute-force recovery and
                    a no-failure shadow run
 
@@ -98,7 +99,9 @@ def _cmd_overhead(args) -> int:
     result = measure_archiving_overhead(config)
     print(f"sorted+indexed archiving: {result['sorted_indexed_tps']:.1f} txn/s median")
     print(f"plain copy archiving:     {result['plain_copy_tps']:.1f} txn/s median")
+    print(f"idle archiver:            {result['idle_tps']:.1f} txn/s median")
     print(f"overhead ratio:           {result['overhead_ratio']:.4f}")
+    print(f"overhead ratio vs idle:   {result['idle_overhead_ratio']:.4f}")
     return 0
 
 

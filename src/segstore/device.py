@@ -7,8 +7,9 @@ issue a request and get the completion time back.  A device serializes
 its transfers first-come-first-served, so a request issued while the
 device is still busy queues behind the in-flight one.  Group writes are
 the one exception: a group write issued before the device's last transfer
-has started joins that transfer when it too is a group write, adding only
-its per-byte cost (group commit; the log is the one caller).
+has started joins that transfer when it too is a group write, at no
+cost, so every member of a group completes at the end the group had when
+it started (group commit; the log is the one caller).
 
 Only the database device may fail.  Log, archive, and backup devices are
 treated as stable storage and reject fail().
@@ -138,17 +139,15 @@ class Device:
 
     def group_write(self, offset: int, data: bytes, now: float = 0.0) -> float:
         """Write data like write(), except that when the device's last
-        transfer is a group write that starts after now, data joins it:
-        the transfer grows by data's per-byte cost only and is not counted
-        as another write.  Otherwise data starts its own group write, as
-        write() would.  Returns the transfer's new completion time; data is
-        in the file when this returns."""
+        transfer is a group write that starts after now, data joins it at
+        no cost: the transfer keeps its end and is not counted as another
+        write.  Otherwise data starts its own group write, as write()
+        would.  Returns the transfer's completion time, the same for every
+        member of a group; data is in the file when this returns."""
         self._check()
         nbytes = len(data)
         with self._lock:
-            if self._group_start > now:
-                self._busy_until += nbytes * self.latency.per_byte_us
-            else:
+            if self._group_start <= now:
                 self._group_start = max(now, self._busy_until)
                 self._busy_until = self._group_start + self.latency.cost_us(nbytes)
                 self.writes += 1

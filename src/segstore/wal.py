@@ -15,11 +15,11 @@ The log file on the log device is the only full copy of the log, as in
 ARIES.  An append writes its record before it returns, so the whole log
 is durable, and the log keeps no per-page state.  Appends commit in
 groups: an append issued while the log device's last transfer is an
-append write that has not yet started joins that write, which grows by
-the record's per-byte cost, and returns the write's new end; any other
-append starts its own write when the device is free.  A charged log read
-closes the group.  Completion times therefore never decrease in LSN
-order, and none is later than one write per append would give.  An LSN
+append write that has not yet started joins that write at no cost and
+returns the write's end, the same for every record of the group; any
+other append starts its own write when the device is free.  A charged
+log read closes the group.  Completion times therefore never decrease in
+LSN order, and none is later than one write per append would give.  An LSN
 is a log address, so a read seeks straight to it and decodes records
 from there, each from the file read that holds it whole; a read that
 starts inside a record raises CorruptRecordError.  Writes are charged to

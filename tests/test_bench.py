@@ -11,9 +11,13 @@ import weakref
 
 import pytest
 
+import segstore.bench
+import segstore.wal
 from segstore import failpoints
-from segstore.bench import (ARCHIVER_BUDGET, BenchEngine, oracle_volume_bytes,
-                            run_benchmark, verify_equivalence, volume_file_bytes)
+from segstore.bench import (ARCHIVER_BUDGET, BenchEngine, measure_archiving_overhead,
+                            oracle_volume_bytes, run_benchmark, verify_equivalence,
+                            volume_file_bytes)
+from segstore.bufferpool import Blocked
 from segstore.cli import main
 from segstore.device import Device
 from segstore.errors import ChecksumError, CrashInjected, StorageError
@@ -228,9 +232,9 @@ def test_archiver_reads_only_durable_log(tmp_path, failure_time_s):
     starts when the log device's last write is done.
 
     The newest record a read returns often completes after the time the
-    read is issued at, a median 0.55 ms after it in the run without a
-    failure (955 of 1,137 reads wait for it) and 0.57 ms in the one with
-    it (954 of 1,127): workers step whole transactions, so appends that
+    read is issued at, a median 0.63 ms after it in the run without a
+    failure (959 of 1,115 reads wait for it) and 0.63 ms in the one with
+    it (962 of 1,109): workers step whole transactions, so appends that
     complete after the read's issue time are already reserved on the log
     device when it is issued."""
     engine = BenchEngine(tiny_config(duration_s=3.0, failure_time_s=failure_time_s),
@@ -583,6 +587,152 @@ def test_latency_gate_fails_when_a_clock_would_run_back(monkeypatch):
     assert report.invariants["latency_accounting"] is False
 
 
+def test_archiving_overhead_sees_a_costly_archiver(monkeypatch):
+    """The overhead against an idle archiver exceeds 1% when archiving is
+    costly.  The mutant archiver makes a charged log read of at most 8
+    records every 20 us, with no log buffer.  Archiving costs transactions
+    only through the log device they share, so the pool holds every page
+    and the transactions wait on the log alone."""
+    monkeypatch.setattr(segstore.wal, "BUFFER_RECORDS", 0)
+    monkeypatch.setattr(segstore.bench, "ARCHIVER_BUDGET", 8)
+    monkeypatch.setattr(segstore.bench, "ARCHIVER_INTERVAL_US", 20.0)
+    result = measure_archiving_overhead(tiny_config(duration_s=2.0, pool_pages=256))
+    assert result["idle_overhead_ratio"] > 0.01, result
+
+
+class _GenProxy:
+    """Stands in for a worker's generator and notes which worker runs."""
+
+    def __init__(self, w, running):
+        self.w, self.gen, self.running = w, w.gen, running
+
+    def __next__(self):
+        self.running[0] = self.w
+        return next(self.gen)
+
+    def send(self, t):
+        self.running[0] = self.w
+        return self.gen.send(t)
+
+    def close(self):
+        self.gen.close()
+
+
+def _trace_txns(tmp_path, **kw):
+    """Run a tiny_config engine and return one record per transaction: its
+    page ids, the pages its prefetch read (page -> completion), the pages
+    its fixes read, the issue times of its appends, and whether it parked."""
+    engine = BenchEngine(tiny_config(**kw), str(tmp_path / "work"))
+    pool, wal = engine.pool, engine.wal
+    running, txns, open_txn = [None], [], {}
+    prefetch, try_fix, append = pool.prefetch_page, pool.try_fix_page, wal.append
+
+    def on_prefetch(page_id, now=0.0):
+        reads = pool.page_reads
+        t = prefetch(page_id, now=now)
+        if pool.page_reads > reads:
+            open_txn[running[0]]["prefetched"][page_id] = t
+        return t
+
+    def on_fix(page_id, now=0.0):
+        reads = pool.page_reads
+        out = try_fix(page_id, now=now)
+        txn = open_txn[running[0]]
+        if pool.page_reads > reads:
+            txn["fix_reads"].append(page_id)
+        txn["parked"] |= isinstance(out, Blocked)
+        return out
+
+    def on_append(*args, now=0.0):
+        open_txn[running[0]]["appends"].append(now)
+        return append(*args, now=now)
+
+    def next_txn_of(w, next_txn):
+        def on_next_txn():
+            ops = next_txn()
+            open_txn[w] = dict(pages=[op[0] for op in ops], prefetched={},
+                               fix_reads=[], appends=[], parked=False)
+            txns.append(open_txn[w])
+            return ops
+        return on_next_txn
+
+    pool.prefetch_page, pool.try_fix_page, wal.append = on_prefetch, on_fix, on_append
+    for w in engine.workers:
+        w.stream.next_txn = next_txn_of(w, w.stream.next_txn)
+        w.gen = _GenProxy(w, running)
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    assert all(report.invariants.values())
+    return txns
+
+
+def test_prefetch_reads_complete_before_the_first_append(tmp_path):
+    """A transaction reads its missing pages before it takes its place in
+    the log: each of its appends is issued at or after the completion of
+    every read its prefetch made, restore waits included."""
+    txns = _trace_txns(tmp_path, duration_s=3.0)
+    late = [txn for txn in txns if txn["prefetched"] and txn["appends"]
+            and min(txn["appends"]) < max(txn["prefetched"].values())]
+    prefetching = sum(1 for txn in txns if txn["prefetched"])
+    assert prefetching > 100 and not late, f"{len(late)} of {prefetching} appended early"
+
+
+def test_a_page_touched_twice_is_read_once(tmp_path):
+    """A transaction that updates one missing page twice reads it once, in
+    its prefetch; both of its fixes are hits.  The run has no failure, so
+    no transaction parks and no other worker runs inside one."""
+    txns = _trace_txns(tmp_path, duration_s=3.0, failure_time_s=None)
+    twice = [(txn, p) for txn in txns for p in txn["prefetched"]
+             if txn["pages"].count(p) > 1]
+    assert len(twice) > 10
+    for txn, p in twice:
+        assert not txn["parked"] and p not in txn["fix_reads"]
+
+
+def test_appends_complete_when_their_group_write_ends(tmp_path):
+    """Every append of a group write completes at the group's final end,
+    and a buffered archiver read that returns its record completes no
+    earlier: no later joiner moves the end that earlier members were told."""
+    engine = BenchEngine(tiny_config(duration_s=3.0, failure_time_s=None),
+                         str(tmp_path / "work"))
+    dev, wal = engine.wal.device, engine.wal
+    group_of, told, final_end = {}, [], {}
+    group_write, append, read_suffix = dev.group_write, wal.append, wal.read_suffix
+
+    def on_group_write(offset, data, now=0.0):
+        t = group_write(offset, data, now)
+        final_end[dev._group_start] = max(t, final_end.get(dev._group_start, t))
+        told.append((dev._group_start, t))
+        return t
+
+    def on_append(*args, **kwargs):
+        lsn, t = append(*args, **kwargs)
+        group_of[lsn] = dev._group_start
+        return lsn, t
+
+    reads = []
+
+    def on_read_suffix(*args, **kwargs):
+        records, next_lsn, t = read_suffix(*args, **kwargs)
+        if records:
+            reads.append((records[-1].lsn, t))
+        return records, next_lsn, t
+
+    dev.group_write, wal.append, wal.read_suffix = on_group_write, on_append, on_read_suffix
+    try:
+        report = engine.run()
+    finally:
+        engine.close()
+    assert all(report.invariants.values())
+    assert len(final_end) < len(told)  # some appends joined a group
+    early = [t for start, t in told if t != final_end[start]]
+    assert not early, f"{len(early)} of {len(told)} appends were told an early end"
+    early = [t for lsn, t in reads if t < final_end[group_of[lsn]]]
+    assert reads and not early, f"{len(early)} of {len(reads)} reads ran ahead"
+
+
 @pytest.mark.parametrize("policy", [Policy.ON_DEMAND, Policy.PREEMPTIVE])
 def test_woken_worker_resumes_through_the_pick(tmp_path, policy):
     """A worker woken from a restore wait resumes no later than the lowest
@@ -658,9 +808,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "286ec24a285d0d292bd10004ae02fa9a764fbd547985864ec479e04a1cc81102"),
+     "28b75858678f1fc36bd0783f955d8dad6e5377803120f75e7a51b229f84b28ab"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "32add31ba82bf6e44f3a366cd7201fe14d8c6ebe14fff2d0067bb5ceffe09b4b"),
+     "4e7ba93683b864bd3744250a06e8c06711cf674d5a3e23bfe2c557325eb2665d"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -677,9 +827,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "217e8594b251dd6a6c9f4cb7d8ea3c3e60590c589dc0ab8cc78175ff83de0500"),
+    (dict(), "9fae0a23544d8ba8862289500f2f09b7ae36d9ce92165ae7a21759a45058e8bf"),
     (dict(failure_time_s=None),
-     "5858f115ea05ca5e3ce32869e0821584ea0cecc6336006c92fdd32a5b06d4bfb"),
+     "fafcc42b556f1ec6edc2a42b0e279ea9508acf722992e2d774c2e41e01abb952"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

@@ -13,10 +13,11 @@ from segstore.bufferpool import _MAX_USAGE, BufferPool
 from segstore.device import LatencyModel
 from segstore.errors import ChecksumError, MediaFailureError, StorageError
 from segstore.pages import Page, page_capacity
+from segstore.restore import RestoreHandle
 from segstore.wal import OP_SET, LogRecord
 from segstore.workload import ZipfianGenerator
 
-from conftest import make_volume, make_wal, value_bytes
+from conftest import make_replacement, make_volume, make_wal, value_bytes
 
 
 def make_pool(workdir, capacity=8, page_count=64):
@@ -473,6 +474,91 @@ def test_dirty_victim_write_trails_the_miss_read(workdir):
     assert t == now + cost == dev._busy_until
     assert dev.writes == writes
     pool.unfix_page(h)
+
+
+def test_prefetch_reads_a_page_unpinned_and_unlatched(workdir):
+    """A prefetch is the page's miss: one read, charged once, into a frame
+    left with no pin and no latch and a usage count of 1.  The fix that
+    follows is a hit that charges nothing and raises the count to 2."""
+    latency = LatencyModel(fixed_us=100.0, per_byte_us=0.01)
+    vol = make_volume(workdir, page_count=64, page_size=1024,
+                      pages_per_segment=8, latency=latency)
+    pool = BufferPool(vol, 4)
+    reads = []
+    pool.on_page_read = reads.append
+    t = pool.prefetch_page(3, now=50.0)
+    assert t == 50.0 + latency.cost_us(1024) and reads == [t]
+    assert pool.resident(3) and pool.pin_count(3) == 0
+    f = pool._frame_of[3]
+    assert pool._bits[f] == 0 and pool._usage[f] == 1
+    assert (pool.page_reads, vol.device.reads) == (1, 1)
+    h, t_fix = pool.try_fix_page(3, now=t)  # a hit: no read, no wait
+    assert t_fix == t and (pool.page_reads, vol.device.reads) == (1, 1)
+    assert pool._usage[f] == 2
+    pool.unfix_page(h)
+
+
+def test_prefetch_of_a_resident_page_is_free(workdir):
+    """A prefetch of a resident page charges nothing, returns its issue
+    time, and leaves the page's pin count, latch and usage count alone."""
+    pool, vol, _ = make_pool(workdir, capacity=4)
+    h, _ = pool.fix_page(2)
+    pool.unfix_page(h)
+    f = pool._frame_of[2]
+    before = (pool._usage[f], pool._bits[f], pool.page_reads, vol.device.reads)
+    assert pool.prefetch_page(2, now=77.0) == 77.0
+    assert (pool._usage[f], pool._bits[f], pool.page_reads, vol.device.reads) == before
+    assert pool.pin_count(2) == 0
+
+
+class _SilentGate:
+    """A restore gate that restores nothing and records each request."""
+
+    def __init__(self, replacement):
+        self.replacement = replacement
+        self.requests = []
+
+    def is_restored(self, seg: int) -> bool:
+        return False
+
+    def request_segment(self, seg: int, now: float) -> RestoreHandle:
+        self.requests.append((seg, now))
+        return RestoreHandle(seg)
+
+
+def test_prefetch_of_a_gated_page_requests_its_segment(workdir):
+    """After the failure, a prefetch of a page whose segment is not
+    restored requests that segment and returns its handle at once, without
+    waiting on it and without touching either device."""
+    pool, vol, _ = make_pool(workdir, capacity=4)
+    repl = make_replacement(workdir, page_count=64, page_size=1024, pages_per_segment=8)
+    pool.fail_device()
+    gate = _SilentGate(repl)
+    pool.set_restore_gate(gate)
+    out = pool.prefetch_page(17, now=5.0)
+    assert isinstance(out, RestoreHandle) and not out.ready
+    assert gate.requests == [(vol.geometry.segment_of(17), 5.0)]
+    assert not pool.resident(17) and pool.page_reads == 0
+    assert repl.device.reads == 0 and vol.device.refused == 0
+
+
+def test_failed_prefetch_read_evicts_nothing(workdir, monkeypatch):
+    """A prefetch whose read raises leaves the pool as it was: its victim
+    stays resident and no frame holds the page it meant to read."""
+    pool, vol, _ = make_pool(workdir, capacity=1)
+    h, _ = pool.fix_page(0)
+    pool.unfix_page(h, mark_dirty=True)
+
+    def fail(page_id, now=0.0):
+        raise StorageError("injected read failure")
+
+    monkeypatch.setattr(vol, "read_page", fail)
+    with pytest.raises(StorageError, match="injected"):
+        pool.prefetch_page(1)
+    monkeypatch.undo()
+    assert pool.resident(0) and not pool.resident(1)
+    assert (pool.evictions, pool.page_reads, pool.dirty_count()) == (0, 1, 1)
+    assert pool.pin_count(0) == 0
 
 
 def test_pinned_never_evicted_under_stress(workdir):

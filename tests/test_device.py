@@ -35,14 +35,14 @@ def test_group_write_joins_only_an_unstarted_group_write(workdir):
                  LatencyModel(10.0, 0.5), create=True)
     assert dev.group_write(0, b"a" * 4, now=0.0) == 12.0    # starts at 0
     assert dev.group_write(4, b"b" * 4, now=1.0) == 24.0    # queues: starts at 12
-    assert dev.group_write(8, b"c" * 2, now=11.0) == 25.0   # joins: 12 is after 11
-    assert dev.group_write(10, b"d" * 2, now=12.0) == 36.0  # too late: started at 12
+    assert dev.group_write(8, b"c" * 2, now=11.0) == 24.0   # joins: 12 is after 11
+    assert dev.group_write(10, b"d" * 2, now=12.0) == 35.0  # too late: started at 12
     assert (dev.writes, dev.bytes_written) == (3, 12)
     assert dev.pread(0, 12) == b"aaaabbbbccdd"
     # any other transfer ends the group: a plain write queued behind it
     # stands between the group and a later group write
-    assert dev.write(12, b"e" * 2, now=13.0) == 47.0
-    assert dev.group_write(14, b"f" * 2, now=14.0) == 58.0
+    assert dev.write(12, b"e" * 2, now=13.0) == 46.0
+    assert dev.group_write(14, b"f" * 2, now=14.0) == 57.0
     assert dev.writes == 5
     dev.reset_accounting()
     assert dev.group_write(16, b"g" * 2, now=0.0) == 11.0

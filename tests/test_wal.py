@@ -54,11 +54,11 @@ def test_each_append_is_one_durable_write(workdir):
 def test_append_joins_a_queued_log_write(workdir):
     """Appends at 0, 5 and 10 us: the first writes at once, the second
     queues behind it in a write of its own, and the third joins that
-    write, which has not started by 10 us, for its per-byte cost alone."""
+    write, which has not started by 10 us, at no cost: both end together."""
     wal = make_wal(workdir, latency=LatencyModel(20.0, 0.002))
     done = [wal.append(0, OP_SET, i, value_bytes(i), now=now)[1]
             for i, now in enumerate((0.0, 5.0, 10.0))]
-    assert done == pytest.approx([20.094, 40.188, 40.282])
+    assert done == pytest.approx([20.094, 40.188, 40.188])
     assert wal.device.writes == 2 and wal.device.bytes_written == 3 * 47
     wal.close()
 
@@ -103,7 +103,7 @@ def test_buffered_read_makes_no_device_read(workdir):
 def test_append_after_buffered_read_joins_the_group(workdir):
     """Appends at 0 and 5 us, a buffered read at 6 us, an append at 10 us:
     the read leaves the group open, so the third append joins the second's
-    write for its per-byte cost alone, as if no read had come between."""
+    write at no cost, as if no read had come between."""
     latency = LatencyModel(20.0, 0.002)
     wal = armed_wal(workdir, latency)
     lsn, t1 = wal.append(0, OP_SET, 0, value_bytes(0), now=0.0)
@@ -111,7 +111,7 @@ def test_append_after_buffered_read_joins_the_group(workdir):
     recs, _, t_read = wal.read_suffix(lsn, 1, now=6.0)
     assert [r.lsn for r in recs] == [lsn] and t_read == t1
     _, t3 = wal.append(0, OP_SET, 2, value_bytes(2), now=10.0)
-    assert t3 == pytest.approx(t2 + 47 * latency.per_byte_us)
+    assert t3 == t2
     assert wal.device.writes == 2 and wal.device.reads == 0
 
 
@@ -210,9 +210,8 @@ def test_group_commit_against_one_write_per_append(tmp_path_factory, issues):
         size = wal.end_lsn() - lsn
         if group_start <= now:  # join only a write that has not started
             group_start = max(now, busy)
-            busy = group_start + latency.fixed_us
+            busy = group_start + latency.cost_us(size)
             groups += 1
-        busy += size * latency.per_byte_us
         assert t == pytest.approx(busy)
         single_busy = max(now, single_busy) + latency.cost_us(size)
         assert t <= single_busy + 1e-9
