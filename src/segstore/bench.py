@@ -9,12 +9,15 @@ log device serializes its writes, and an append that queues behind a log
 write that has not started joins it (group commit), restore transfers
 queue behind each other, a buffer-pool miss waits for its own page read
 while its dirty victim's write queues behind that read on the database
-device, the page cleaner issues one write at a time (each write of a
-round of up to cleaner_batch pages starts when the one before it
-completes), so a miss queues behind at most one cleaner write, and a
-transaction that touches a not-yet-restored segment parks until the
-scheduler's completion signal, then resumes through the same min-clock
-pick, at the later of its clock and the segment's completion time.
+device (one transfer that also carries the victim's cold dirty
+neighbours in its segment, so a run of evictions pays one fixed charge
+instead of one a page), the page cleaner issues one write at a time
+(each write of a round of up to cleaner_batch pages starts when the one
+before it completes), so a miss queues behind at most one cleaner
+write, and a transaction that touches a not-yet-restored segment parks
+until the scheduler's completion signal, then resumes through the same
+min-clock pick, at the later of its clock and the segment's completion
+time.
 A worker steps a whole transaction at a time, so only other workers'
 appends can join the log write that one of its appends queues for.
 

@@ -691,6 +691,22 @@ def test_a_page_touched_twice_is_read_once(tmp_path):
         assert not txn["parked"] and p not in txn["fix_reads"]
 
 
+def test_dirty_victims_share_their_writes(tmp_path):
+    """With no cleaner, every victim of this run is dirty, and a victim's
+    write carries its cold dirty neighbours: the database device is written
+    more pages than it has write transfers."""
+    cfg = tiny_config(duration_s=3.0, failure_time_s=None)
+    engine = BenchEngine(cfg, str(tmp_path / "work"))
+    try:
+        engine.run()
+    finally:
+        engine.close()
+    dev = engine.volume.device
+    assert engine.pool.evictions > 1000 and dev.writes > 0
+    pages = dev.bytes_written // cfg.page_size
+    assert pages > 1.1 * dev.writes, f"{pages} pages in {dev.writes} writes"
+
+
 def test_appends_complete_when_their_group_write_ends(tmp_path):
     """Every append of a group write completes at the group's final end,
     and a buffered archiver read that returns its record completes no
@@ -808,9 +824,9 @@ def _csv_digest(report, out_dir):
 # the experiment on purpose records new digests here and says so.
 @pytest.mark.parametrize("kw, finish_restore, digest", [
     (dict(cleaner_interval_us=500.0), False,
-     "28b75858678f1fc36bd0783f955d8dad6e5377803120f75e7a51b229f84b28ab"),
+     "c9b4c6b805b73001d2a4bb8e38512080d42d49475c9c7b67f8cce5a6b3e89c2a"),
     (dict(policy=Policy.ON_DEMAND), True,
-     "4e7ba93683b864bd3744250a06e8c06711cf674d5a3e23bfe2c557325eb2665d"),
+     "115f061ee8796cb4b762f19550b96f16e182cfdcc87f2494ff3ef7fc2e07c751"),
 ], ids=["preemptive-cleaner", "ondemand-finish"])
 def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
     engine = BenchEngine(tiny_config(duration_s=3.0, **kw), str(tmp_path / "work"),
@@ -827,9 +843,9 @@ def test_engine_schedule_pinned(tmp_path, kw, finish_restore, digest):
 # Count mode, pinned the same way: a failure run that drains its restore,
 # and its no-failure shadow, which has no restore events.
 @pytest.mark.parametrize("kw, digest", [
-    (dict(), "9fae0a23544d8ba8862289500f2f09b7ae36d9ce92165ae7a21759a45058e8bf"),
+    (dict(), "18efe474e3c0b813b97fc1e441a20ab3d0d4bd5ddd65fcd4ca7bfe8bcf5b19bf"),
     (dict(failure_time_s=None),
-     "fafcc42b556f1ec6edc2a42b0e279ea9508acf722992e2d774c2e41e01abb952"),
+     "c48a3cb3754d707f7590c2c250a31e690f66d6aff4fd739f924dd546da78a839"),
 ], ids=["failure", "shadow"])
 def test_count_mode_schedule_pinned(tmp_path, kw, digest):
     cfg = tiny_config(txns_per_worker=(60, 60), **kw)

@@ -83,7 +83,9 @@ def test_pool_matches_dict_model(ops):
     its unfix, so pages cycle through the frames).  The model cannot know
     CLOCK's victim, so it reads the resident set and checks that a miss
     changed it by the fixed page in and one unpinned page out when the
-    pool was full, and that a dirty victim reached the volume."""
+    pool was full, and that a dirty victim reached the volume.  The dirty
+    pages that the miss cleaned are those now on the volume: the victim
+    and a run of unheld neighbours in its segment."""
     with tempfile.TemporaryDirectory() as workdir:
         pool, vol, wal = make_pool(workdir, capacity=MODEL_FRAMES,
                                    page_count=MODEL_PAGES)
@@ -117,6 +119,15 @@ def test_pool_matches_dict_model(ops):
                 assert now - resident == {pid}
                 gone = resident - now
                 assert len(gone) == (len(resident) == MODEL_FRAMES)
+                # A dirty victim's write carried these pages: one run of
+                # page ids around it, inside its segment, none of them held.
+                cleaned = {p for p in dirty if on_volume(p)}
+                if cleaned:
+                    assert len(gone) == 1 and gone <= cleaned
+                    assert cleaned == set(range(min(cleaned), max(cleaned) + 1))
+                    assert len({vol.geometry.segment_of(p) for p in cleaned}) == 1
+                    assert not cleaned & pinned
+                dirty.difference_update(cleaned)
                 for victim in gone:
                     assert victim not in pinned
                     counts["evictions"] += 1
@@ -476,6 +487,116 @@ def test_dirty_victim_write_trails_the_miss_read(workdir):
     pool.unfix_page(h)
 
 
+_CLUSTER_LATENCY = LatencyModel(fixed_us=100.0, per_byte_us=0.01)
+
+
+def _dirty(pool, pid, fixes=1):
+    """Fix pid, store its id under key pid and unfix it dirty, fixes times."""
+    for _ in range(fixes):
+        h, _ = pool.fix_page(pid)
+        h.page.set(pid, value_bytes(pid), page_capacity(1024))
+        pool.unfix_page(h, mark_dirty=True)
+
+
+def _stored(vol, pid):
+    """The image of pid in the volume's file, read without a charge."""
+    return Page.from_bytes(vol.device.pread(vol.geometry.page_offset(pid), 1024))
+
+
+def test_dirty_victim_writes_its_cold_dirty_neighbours(workdir):
+    """A dirty victim's write carries the cold dirty pages on both sides of
+    it in one transfer, issued at the miss's time behind its read: each
+    neighbour's image is in the file when the miss returns, and every page
+    of the span stays resident, clean."""
+    vol = make_volume(workdir, page_count=64, page_size=1024,
+                      pages_per_segment=8, latency=_CLUSTER_LATENCY)
+    pool = BufferPool(vol, 3)
+    for pid in (3, 2, 4):  # page 3 takes frame 0, the sweep's victim
+        _dirty(pool, pid)
+    dev = vol.device
+    writes, written = dev.writes, dev.bytes_written
+    now = 1000.0
+    h, t = pool.fix_page(40, now)
+    pool.unfix_page(h)
+    assert t == now + _CLUSTER_LATENCY.cost_us(1024)
+    assert (dev.writes, dev.bytes_written) == (writes + 1, written + 3 * 1024)
+    assert dev._busy_until == t + _CLUSTER_LATENCY.cost_us(3 * 1024)
+    for pid in (2, 3, 4):
+        assert _stored(vol, pid).get(pid) == value_bytes(pid)
+    assert not pool.resident(3) and pool.resident(2) and pool.resident(4)
+    assert pool.dirty_count() == 0 and pool.evictions == 1
+
+
+def _hot(pool, pid):
+    _dirty(pool, pid, fixes=3)  # the sweep lowers its count to 2
+
+
+def _held(pool, pid):
+    _dirty(pool, pid)
+    h, _ = pool.fix_page(pid)
+    pool._usage[h.frame] = 1  # only the pin and the latch keep it out
+    return h
+
+
+def _clean(pool, pid):
+    h, _ = pool.fix_page(pid)
+    pool.unfix_page(h)
+
+
+# victim, the cold dirty neighbour that joins it, the page the span stops
+# at (how it is made, or None to leave it out of the pool) and the cold
+# dirty page past it, which the span must not reach.
+@pytest.mark.parametrize("victim, joins, stop, make, beyond", [
+    (11, 10, 12, _hot, 13),
+    (11, 10, 12, _held, 13),
+    (11, 10, 12, _clean, 13),
+    (11, 10, 12, None, 13),
+    (16, 17, 15, _dirty, 14),
+], ids=["hot", "held", "clean", "absent", "segment-boundary"])
+def test_victim_span_stops(workdir, victim, joins, stop, make, beyond):
+    vol = make_volume(workdir, page_count=64, page_size=1024,
+                      pages_per_segment=8, latency=_CLUSTER_LATENCY)
+    pool = BufferPool(vol, 4 if make else 3)
+    for pid in (victim, joins, beyond):
+        _dirty(pool, pid)
+    held = make(pool, stop) if make else None
+    dirty = pool.dirty_count()
+    dev = vol.device
+    writes, written = dev.writes, dev.bytes_written
+    h, _ = pool.fix_page(40)
+    pool.unfix_page(h)
+    assert (dev.writes, dev.bytes_written) == (writes + 1, written + 2 * 1024)
+    assert _stored(vol, joins).get(joins) == value_bytes(joins)
+    assert _stored(vol, beyond).get(beyond) is None
+    assert not pool.resident(victim) and pool.dirty_count() == dirty - 2
+    if held is not None:
+        pool.unfix_page(held)
+
+
+def test_failed_span_write_cleans_nothing(workdir, monkeypatch):
+    """A dirty victim whose span write fails evicts nothing and cleans
+    nothing: the victim and its neighbours stay resident and dirty, and
+    the next miss writes the span again."""
+    pool, vol, _ = make_pool(workdir, capacity=3)
+    for pid in (3, 2, 4):
+        _dirty(pool, pid)
+
+    def fail(first, pages, now=0.0):
+        raise StorageError("injected span write failure")
+
+    monkeypatch.setattr(vol, "write_page_span", fail)
+    with pytest.raises(StorageError, match="injected"):
+        pool.try_fix_page(40)
+    assert all(map(pool.resident, (2, 3, 4))) and not pool.resident(40)
+    assert (pool.dirty_count(), pool.evictions) == (3, 0)
+    assert all(pool.pin_count(pid) == 0 for pid in (2, 3, 4))
+    monkeypatch.undo()
+    h, _ = pool.try_fix_page(40)
+    pool.unfix_page(h)
+    assert pool.dirty_count() == 0
+    assert all(_stored(vol, pid).get(pid) == value_bytes(pid) for pid in (2, 3, 4))
+
+
 def test_prefetch_reads_a_page_unpinned_and_unlatched(workdir):
     """A prefetch is the page's miss: one read, charged once, into a frame
     left with no pin and no latch and a usage count of 1.  The fix that
@@ -512,14 +633,16 @@ def test_prefetch_of_a_resident_page_is_free(workdir):
 
 
 class _SilentGate:
-    """A restore gate that restores nothing and records each request."""
+    """A restore gate that restores nothing more and records each request;
+    of its replacement, only the segments in restored are restored."""
 
-    def __init__(self, replacement):
+    def __init__(self, replacement, restored=frozenset()):
         self.replacement = replacement
+        self.restored = restored
         self.requests = []
 
     def is_restored(self, seg: int) -> bool:
-        return False
+        return seg in self.restored
 
     def request_segment(self, seg: int, now: float) -> RestoreHandle:
         self.requests.append((seg, now))
@@ -540,6 +663,29 @@ def test_prefetch_of_a_gated_page_requests_its_segment(workdir):
     assert gate.requests == [(vol.geometry.segment_of(17), 5.0)]
     assert not pool.resident(17) and pool.page_reads == 0
     assert repl.device.reads == 0 and vol.device.refused == 0
+
+
+def test_victim_span_stops_at_a_segment_not_restored(workdir):
+    """After the failure a dirty victim's write goes to the replacement and
+    carries its cold dirty neighbours only in its own, restored segment:
+    a dirty page whose segment is not restored stays in the pool, dirty."""
+    pool, vol, _ = make_pool(workdir, capacity=4)
+    repl = make_replacement(workdir, page_count=64, page_size=1024, pages_per_segment=8)
+    for pid in (16, 17, 15, 14):  # segments 2, 2, 1, 1
+        _dirty(pool, pid)
+    repl.write_page(vol.read_page(20)[0])  # the miss reads it from segment 2
+    pool.fail_device()
+    gate = _SilentGate(repl, restored={2})
+    pool.set_restore_gate(gate)
+    writes, written = repl.device.writes, repl.device.bytes_written
+    h, _ = pool.fix_page(20)
+    pool.unfix_page(h)
+    assert (repl.device.writes, repl.device.bytes_written) == (writes + 1, written + 2 * 1024)
+    for pid in (16, 17):
+        back, _ = repl.read_page(pid)
+        assert back.get(pid) == value_bytes(pid)
+    assert pool.resident(15) and pool.resident(14) and pool.dirty_count() == 2
+    assert gate.requests == [] and vol.device.refused == 0
 
 
 def test_failed_prefetch_read_evicts_nothing(workdir, monkeypatch):
