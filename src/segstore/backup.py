@@ -18,6 +18,14 @@ The kernel copies the volume file into the shadow file
 (os.copy_file_range), so the image's bytes never pass through Python; the
 volume device is still charged one read per segment, the transfers a
 segment-wise copy would make.
+
+publish fsyncs the shadow file before it renames it.  After a copy of the
+whole image that fsync would write every byte of it to disk at once, so
+Device.copy_into starts the writeback of each chunk it copies as soon as
+it is copied, without waiting for it; the disk writes overlap the rest
+of the copy, and the fsync waits only for the last chunk.  Pages still
+being written stay in the page cache, so the image is read back from
+memory.  How the bytes reach the disk changes no virtual charge.
 """
 
 import os

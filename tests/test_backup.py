@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from segstore import failpoints
+from segstore import device, failpoints
 from segstore.backup import BackupImage
 from segstore.device import LatencyModel
 from segstore.errors import CrashInjected, StorageError
@@ -131,6 +131,61 @@ def test_short_volume_file_publishes_no_backup(workdir):
     wal = make_wal(workdir)
     os.truncate(vol.device.path, os.path.getsize(vol.device.path) - 1024)
     with pytest.raises(StorageError):
+        BackupImage.create(workdir, vol, wal)
+    assert not [n for n in os.listdir(workdir)
+                if n.startswith("backup_") or n.endswith(".tmp")]
+
+
+def small_copy_chunks(monkeypatch):
+    """Make Device.copy_into copy three pages and a remainder at a time,
+    and record its writeback hints as (fd, offset, length, advice, size of
+    the file when hinted)."""
+    monkeypatch.setattr(device, "COPY_CHUNK", 3 * 1024 + 100)
+    hints = []
+    real = os.posix_fadvise
+
+    def record(fd, offset, length, advice):
+        hints.append((fd, offset, length, advice, os.fstat(fd).st_size))
+        real(fd, offset, length, advice)
+
+    monkeypatch.setattr(os, "posix_fadvise", record)
+    return hints
+
+
+def test_copy_streams_in_chunks(workdir, monkeypatch):
+    """An image that spans several chunks and ends inside one is still the
+    volume file plus the trailer, and each chunk's writeback was started
+    once, as soon as it was copied: the hinted ranges tile the copied
+    bytes exactly, and each hint came when its range ended the file."""
+    hints = small_copy_chunks(monkeypatch)
+    vol, wal = seed_volume(workdir, random.Random(8))
+    size = vol.geometry.page_offset(vol.geometry.page_count)
+    assert size // device.COPY_CHUNK >= 3 and size % device.COPY_CHUNK
+    backup, _ = BackupImage.create(workdir, vol, wal)
+    closing(backup)
+    with open(vol.device.path, "rb") as f:
+        volume_bytes = f.read()
+    with open(backup.path, "rb") as f:
+        assert f.read() == volume_bytes + b"SGBK1" + backup.min_lsn.to_bytes(8, "little")
+    assert len(hints) == -(-size // device.COPY_CHUNK)
+    assert len({fd for fd, *_ in hints}) == 1
+    at = 0
+    for _, offset, length, advice, file_size in hints:
+        assert advice == os.POSIX_FADV_DONTNEED
+        assert offset == at and 0 < length <= device.COPY_CHUNK
+        at += length
+        assert file_size == at
+    assert at == size
+
+
+def test_volume_cut_in_a_later_chunk_publishes_no_backup(workdir, monkeypatch):
+    small_copy_chunks(monkeypatch)
+    vol = make_volume(workdir, page_count=32, page_size=1024, pages_per_segment=8)
+    wal = make_wal(workdir)
+    cut = 2 * device.COPY_CHUNK + 500
+    assert cut < vol.geometry.page_offset(vol.geometry.page_count) - device.COPY_CHUNK
+    os.truncate(vol.device.path, cut)
+    with pytest.raises(StorageError, match="short copy"):
         BackupImage.create(workdir, vol, wal)
     assert not [n for n in os.listdir(workdir)
                 if n.startswith("backup_") or n.endswith(".tmp")]
